@@ -60,7 +60,6 @@ from .series import (
     series_Wh_Zp,
     series_Wh_free,
     substitute,
-    tor_mul,
 )
 
 __version__ = "0.1.0"

@@ -12,7 +12,7 @@ objects of the meet-closed category of the forest diagonal complex.
 import itertools
 from dataclasses import dataclass
 
-from .forests import x_n_pairs
+from .forests import PlantedForest, x_n_pairs
 from .partitions import PartialPartition
 
 BIPARTITE_JSON_SCHEMA = {
@@ -48,14 +48,7 @@ class BipartiteForest:
             else:
                 if not 1 <= p <= n:
                     raise ValueError(f"internal vertex {v} must hang under an ordinary vertex")
-        for v in range(1, n + m + 1):
-            seen = set()
-            w = v
-            while w != 0:
-                if w in seen:
-                    raise ValueError("parent map contains a cycle")
-                seen.add(w)
-                w = self.parent[w - 1]
+        PlantedForest(n + m, self.parent)
         for x in range(n + 1, n + m + 1):
             if not any(self.parent[c - 1] == x for c in range(1, n + 1)):
                 raise ValueError(f"internal vertex {x} is a leaf")
@@ -65,21 +58,16 @@ class BipartiteForest:
     @classmethod
     def of(cls, n, parent_map):
         """Build from a {vertex: parent} mapping with arbitrary internal ids > n."""
-        for start in parent_map:
-            seen = set()
-            v = start
-            while v != 0:
-                if v in seen:
-                    raise ValueError("parent map contains a cycle")
-                seen.add(v)
-                v = parent_map.get(v, 0)
         internal_ids = sorted({v for v in parent_map if v > n} | {p for p in parent_map.values() if p > n})
         rename = {old: n + 1 + k for k, old in enumerate(internal_ids)}
         m = len(internal_ids)
         parent = [0] * (n + m)
         for v, p in parent_map.items():
             parent[rename.get(v, v) - 1] = rename.get(p, p)
-        return cls(n, m, _canonical_parent(n, m, tuple(parent)))
+        parent = tuple(parent)
+        # _canonical_parent never returns on a cycle, so reject cycles first
+        PlantedForest(n + m, parent)
+        return cls(n, m, _canonical_parent(n, m, parent))
 
     def children(self, v):
         return tuple(c for c in range(1, self.n + self.internal + 1) if self.parent[c - 1] == v)
@@ -200,13 +188,14 @@ def vertical_fold(forest, x, y):
     return BipartiteForest.of(forest.n, parent_map)
 
 
-def _set_partitions(items):
+def set_partitions(items):
+    """Every partition of the items into nonempty blocks, as lists of lists."""
     items = list(items)
     if not items:
         yield []
         return
     first, rest = items[0], items[1:]
-    for smaller in _set_partitions(rest):
+    for smaller in set_partitions(rest):
         for k in range(len(smaller)):
             yield smaller[:k] + [[first] + smaller[k]] + smaller[k + 1 :]
         yield [[first]] + smaller
@@ -218,7 +207,7 @@ def enumerate_bipartite_forests(n):
     vertices = range(1, n + 1)
     for size in range(1, n):
         for hang in itertools.combinations(vertices, size):
-            for blocks in _set_partitions(hang):
+            for blocks in set_partitions(hang):
                 for parents in itertools.product(vertices, repeat=len(blocks)):
                     parent_map = {}
                     ok = True

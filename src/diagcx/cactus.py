@@ -13,6 +13,8 @@ Factors are finite pointed sets here; point 0 is the basepoint.
 
 from dataclasses import dataclass
 
+from .forests import PlantedForest
+
 
 @dataclass(frozen=True)
 class CactusDiagram:
@@ -37,34 +39,14 @@ class CactusDiagram:
         roots = [v for v in range(1, n + 1) if self.parent[v - 1] == 0]
         if len(roots) != 1:
             raise ValueError("a cactus diagram has exactly one root")
+        PlantedForest(n, self.parent)
         for v in range(1, n + 1):
             p = self.parent[v - 1]
-            if p == v or not 0 <= p <= n:
-                raise ValueError(f"bad parent {p} for vertex {v}")
-            seen = set()
-            w = v
-            while w != 0:
-                if w in seen:
-                    raise ValueError("parent map contains a cycle")
-                seen.add(w)
-                w = self.parent[w - 1]
             if p == 0:
                 if self.labels[v - 1] != 0:
                     raise ValueError("the root carries no edge label")
             elif not 0 <= self.labels[v - 1] < self.sizes[p - 1]:
                 raise ValueError(f"label of vertex {v} outside the parent's pointed set")
-
-    def root(self):
-        return next(v for v in range(1, self.n + 1) if self.parent[v - 1] == 0)
-
-    def is_ancestor(self, i, j):
-        """Whether i lies on the path from j to the root."""
-        w = self.parent[j - 1]
-        while w != 0:
-            if w == i:
-                return True
-            w = self.parent[w - 1]
-        return False
 
 
 def coordinates(diagram):

@@ -251,7 +251,7 @@ def cmd_decomposition(args):
 def cmd_homology_torus(args):
     _check_guard(args.n, CLOSURE_GUARD, args.unsafe_large, "torus-model rank")
     fc = forests.build_gamma_Fn(args.n)
-    betti = homology.torus_model_betti(fc.complex, fc.labelling, workers=args.workers)
+    betti = homology.torus_model_betti(fc.complex, fc.labelling)
     if args.dump:
         for degree in range(1, len(betti)):
             rows = homology.torus_model_generators(fc.complex, degree)
@@ -372,7 +372,6 @@ def build_parser():
     psub = p.add_subparsers(dest="action", required=True)
     q = psub.add_parser("torus")
     q.add_argument("--n", type=int, required=True)
-    q.add_argument("--workers", type=int, default=1)
     q.add_argument("--dump", default=None, help="write generator matrices as triplet files")
     q.set_defaults(func=cmd_homology_torus)
     q = psub.add_parser("nerve")
@@ -397,6 +396,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if getattr(args, "n", None) is not None and args.n < 1:
         parser.error("--n must be positive")
+    if getattr(args, "workers", 1) < 1:
+        parser.error("--workers must be positive")
+    if getattr(args, "truncate", 0) < 0:
+        parser.error("--truncate must be nonnegative")
     if getattr(args, "file", "missing") is None and getattr(args, "n", None) is None:
         parser.error("need --n or --file")
     try:

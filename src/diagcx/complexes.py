@@ -15,7 +15,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .partitions import EMPTY_MEET, PartialPartition, is_partial_coarsening, meet
+from .partitions import EMPTY_MEET, PartialPartition, block_classes, meet
 
 COMPLEX_JSON_SCHEMA = {
     "type": "object",
@@ -303,10 +303,13 @@ class DiagonalComplex:
 
     @classmethod
     def from_json_dict(cls, data):
+        _check_json_structure(data)
         ground = data["ground"]
         gamma = {}
         for simplex in data["simplices"]:
             key = _simplex_key(simplex)
+            if key not in data["gamma"]:
+                raise ValueError(f"simplex {key} has no gamma entry")
             gamma[frozenset(simplex)] = PartialPartition.of(ground, data["gamma"][key])
         complex_ = cls(ground, gamma)
         labels = data.get("labels")
@@ -316,6 +319,28 @@ class DiagonalComplex:
     @classmethod
     def from_json(cls, text):
         return cls.from_json_dict(json.loads(text))
+
+
+def _check_json_structure(data):
+    """Reject data that does not have the shape of COMPLEX_JSON_SCHEMA."""
+
+    def is_int_lists(value):
+        return isinstance(value, list) and all(
+            isinstance(item, list) and item and all(type(x) is int for x in item) for item in value
+        )
+
+    if not isinstance(data, dict) or not {"ground", "simplices", "gamma"} <= data.keys():
+        raise ValueError("complex JSON needs the keys ground, simplices and gamma")
+    if type(data["ground"]) is not int or data["ground"] < 0:
+        raise ValueError("ground must be a nonnegative integer")
+    if not is_int_lists(data["simplices"]):
+        raise ValueError("simplices must be a list of nonempty integer lists")
+    gamma = data["gamma"]
+    if not isinstance(gamma, dict) or not all(is_int_lists(v) for v in gamma.values()):
+        raise ValueError("gamma must map simplex keys to lists of nonempty integer lists")
+    labels = data.get("labels")
+    if labels is not None and not (isinstance(labels, list) and all(type(x) is int for x in labels)):
+        raise ValueError("labels must be null or a list of integers")
 
 
 class Labelling:
@@ -340,28 +365,14 @@ class Labelling:
                         f"label not constant on block {sorted(block)} of simplex {sorted(u)}"
                     )
 
-    def label_of_block(self, block):
-        return self.labels[block[0]]
-
     @classmethod
     def universal(cls, complex_):
         """The finest labelling: merge x, y whenever they share a block."""
         n = complex_.ground_size
-        parent = list(range(n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for part in complex_.gamma.values():
-            for block in part.blocks:
-                for x in block[1:]:
-                    parent[find(x)] = find(block[0])
-        roots = sorted({find(x) for x in range(n)})
-        index = {root: i for i, root in enumerate(roots)}
-        return cls(complex_, [index[find(x)] for x in range(n)])
+        blocks = [block for part in complex_.gamma.values() for block in part.blocks]
+        classes = block_classes(n, blocks)
+        label = {x: i for i, root in enumerate(sorted(classes)) for x in classes[root]}
+        return cls(complex_, [label[x] for x in range(n)])
 
     def classes(self):
         """Ground-set classes of equal label, sorted."""

@@ -264,26 +264,14 @@ def torus_model_generators(complex_, degree):
     return rows
 
 
-def _torus_rank_job(args):
-    complex_, degree = args
-    rows = torus_model_generators(complex_, degree)
-    return integer_rank(rows) if rows else 0
-
-
-def torus_model_betti(complex_, labelling=None, spaces=None, workers=1):
+def torus_model_betti(complex_, labelling=None):
     """Betti numbers of the complex product with every factor a circle.
 
     The ambient chain complex of the torus has one basis element per
     subset of the ground set and zero differential, so homology in degree
     k is the exact integer rank of the degree-k generator vectors.
-    Nothing here assumes the splitting theorem.  Degrees are independent
-    and may be sharded over worker processes; the result does not depend
-    on the worker count.
+    Nothing here assumes the splitting theorem.
     """
-    if spaces is not None:
-        bad = {s for s in spaces.values() if s != "circle"}
-        if bad:
-            raise ValueError(f"unsupported factor spaces: {sorted(bad)}")
     report = complex_.validate()
     if not report.ok:
         raise ValueError("invalid diagonal complex")
@@ -292,14 +280,10 @@ def torus_model_betti(complex_, labelling=None, spaces=None, workers=1):
     if complex_.ground_size == 0 or not complex_.gamma:
         return [1]
     max_blocks = max(len(part.blocks) for part in complex_.gamma.values())
-    jobs = [(complex_, degree) for degree in range(1, max_blocks + 1)]
-    if workers <= 1 or len(jobs) <= 1:
-        ranks = [_torus_rank_job(job) for job in jobs]
-    else:
-        import multiprocessing
-
-        with multiprocessing.Pool(min(workers, len(jobs))) as pool:
-            ranks = pool.map(_torus_rank_job, jobs)
+    ranks = []
+    for degree in range(1, max_blocks + 1):
+        rows = torus_model_generators(complex_, degree)
+        ranks.append(integer_rank(rows) if rows else 0)
     return [1] + ranks
 
 

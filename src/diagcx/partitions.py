@@ -136,6 +136,21 @@ def meet(p, q):
     if p.ground_size != q.ground_size:
         raise ValueError("mismatched ground sizes")
     n = p.ground_size
+    common = p.support & q.support
+    outside = [x for x in range(n) if x not in common]
+    blocks = list(block_classes(n, p.blocks + q.blocks, outside).values())
+    if not blocks:
+        return EMPTY_MEET
+    return PartialPartition.of(n, blocks)
+
+
+def block_classes(n, blocks, outside=()):
+    """Classes of {0..n-1} under "shares a block", by union-find.
+
+    Elements of ``outside`` are joined to a sink, and classes reaching the
+    sink are dropped.  Returns {representative: sorted members} for the
+    remaining classes, in order of least member.
+    """
     sink = n
     parent = list(range(n + 1))
 
@@ -145,25 +160,13 @@ def meet(p, q):
             a = parent[a]
         return a
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    common = p.support & q.support
-    for x in range(n):
-        if x not in common:
-            union(x, sink)
-    for part in (p, q):
-        for block in part.blocks:
-            for x in block[1:]:
-                union(block[0], x)
-
+    for x in outside:
+        parent[x] = sink
+    for block in blocks:
+        for x in block[1:]:
+            parent[find(x)] = find(block[0])
     classes = {}
     for x in range(n):
         classes.setdefault(find(x), []).append(x)
-    sink_root = find(sink)
-    blocks = [xs for root, xs in classes.items() if root != sink_root]
-    if not blocks:
-        return EMPTY_MEET
-    return PartialPartition.of(n, blocks)
+    classes.pop(find(sink), None)
+    return classes

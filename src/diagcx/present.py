@@ -67,10 +67,6 @@ def normal_form(groups, letters):
     return tuple(stack)
 
 
-def word_inverse(groups, word):
-    return tuple((f, groups[f - 1].inv(e)) for f, e in reversed(word))
-
-
 def apply_partial_conjugation(groups, target, conjugator, word):
     """Image of a word under the partial conjugation of one factor.
 
@@ -474,34 +470,6 @@ def literal_pairwise_commutator_checks(groups, entries=None):
                     RelationCheck(Relation("literal-commute", (), source=label), witness is None, witness)
                 )
     return checks
-
-
-# -- the outer actions ------------------------------------------------------
-
-
-def act_sym(sigma, gen, groups):
-    """Conjugating a partial conjugation by a factor permutation.
-
-    ``gen`` is (i, j, g) for the conjugation of factor i by g in factor
-    j; sigma is a map on 1..n preserving multiplication tables.
-    """
-    i, j, g = gen
-    if groups[i - 1].table != groups[sigma[i] - 1].table:
-        raise ValueError("permutation mixes non-isomorphic factors")
-    if groups[j - 1].table != groups[sigma[j] - 1].table:
-        raise ValueError("permutation mixes non-isomorphic factors")
-    return (sigma[i], sigma[j], g)
-
-
-def act_aut(factor, mapping, gen, groups):
-    """Conjugating a partial conjugation by an automorphism of one factor."""
-    i, j, g = gen
-    group = groups[factor - 1]
-    if sorted(mapping) != list(group.elements()) or mapping[0] != 0:
-        raise ValueError("mapping must be a bijection fixing the identity")
-    if j == factor:
-        return (i, j, mapping[g])
-    return (i, j, g)
 
 
 # -- export ------------------------------------------------------------------

@@ -15,6 +15,7 @@ product.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 SERIES_JSON_SCHEMA = {
@@ -45,6 +46,27 @@ def _factor_prime_powers(m):
     if m > 1:
         out.append((m, 1))
     return tuple(sorted(out))
+
+
+def _is_prime(p):
+    """Exact primality.
+
+    Miller-Rabin on the primes up to 37 decides every p below
+    318665857834031151167461 without trial division up to sqrt(p);
+    larger p is factored.
+    """
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if p < 2 or any(p % a == 0 for a in bases):
+        return p in bases
+    if p >= 318665857834031151167461:
+        return _factor_prime_powers(p) == ((p, 1),)
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    # a is a witness to compositeness when a^d != 1 and a^(d 2^r) != -1 for every r < s
+    return not any(
+        pow(a, d, p) != 1 and all(pow(a, d << r, p) != p - 1 for r in range(s)) for a in bases
+    )
 
 
 @dataclass(frozen=True)
@@ -250,11 +272,6 @@ class GradedModuleSeries:
         return self.render()
 
 
-def tor_mul(a, b):
-    """Module-level alias for the Kunneth product of two series."""
-    return a.mul(b)
-
-
 def circle_series(truncation):
     """Homology series of the circle: 1 + t."""
     return GradedModuleSeries.of(truncation, [AbelianGroup.free(1), AbelianGroup.free(1)])
@@ -445,20 +462,11 @@ def free_product_series(factors):
 # -- closed forms for the forest complex --------------------------------
 
 
-def _binomial(n, k):
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
-
-
 def series_Wh_free(n):
     """Coefficients of (1 + t n)^(n-1) and the Euler characteristic (1-n)^(n-1)."""
     if n < 1:
         raise ValueError("n must be positive")
-    coeffs = [_binomial(n - 1, k) * n**k for k in range(n)]
+    coeffs = [math.comb(n - 1, k) * n**k for k in range(n)]
     chi = (1 - n) ** (n - 1)
     return coeffs, chi
 
@@ -519,7 +527,7 @@ def series_Wh_Zp(n, p, truncation):
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if p < 2:
+    if not _is_prime(p):
         raise ValueError("p must be a prime >= 2")
     d = truncation
     base = [1] + [n] * d  # 1 + nt/(1-t)

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from diagcx.bipartite import set_partitions
 from diagcx.complexes import DiagonalComplex, Labelling
 from diagcx.partitions import PartialPartition
 
@@ -31,18 +32,6 @@ def example_t_improper():
     gamma = dict(base.gamma)
     gamma[frozenset([0, 2])] = PartialPartition.of(3, [[0], [2]])
     return DiagonalComplex(3, gamma)
-
-
-def set_partitions(items):
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for smaller in set_partitions(rest):
-        for k in range(len(smaller)):
-            yield smaller[:k] + [[first] + smaller[k]] + smaller[k + 1 :]
-        yield [[first]] + smaller
 
 
 def all_partial_partitions(n, include_empty=False):

@@ -99,6 +99,43 @@ def test_usage_error_exit_code(capsys):
     code, _, err = run_cli(capsys, ["series", "fr", "--n", "3", "--factors", "circle"])
     assert code == 2
     assert "error" in err
+    # out-of-range numbers: rejected by the parser or by the library, never a traceback
+    for argv in (
+        ["series", "wh-zp", "--n", "2", "--p", "6"],
+        ["series", "wh-zp", "--n", "2", "--p", "4"],
+        ["series", "wh-zp", "--n", "2", "--p", "3", "--truncate", "-1"],
+        ["series", "fr", "--n", "2", "--factors", "circle,circle", "--truncate", "-1"],
+        ["decomposition", "--n", "2", "--colors", "2", "--factors", "Z/2", "--truncate", "-1"],
+        ["forests", "enumerate", "--n", "3", "--workers", "0"],
+        ["forests", "enumerate", "--n", "3", "--workers", "-5"],
+    ):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2, argv
+        assert "error" in capsys.readouterr().err, argv
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"ground": 2},
+        [0, 1],
+        {"ground": 1, "simplices": [[0]], "gamma": [[0]], "labels": [0]},
+        {"ground": 2, "simplices": [[0], ["x"]], "gamma": {"0": [[0]]}},
+        {"ground": 2, "simplices": [[0], [1], [0, 1]], "gamma": {"0": [[0]], "1": [[1]]}, "labels": [0, 1]},
+        {"ground": 1, "simplices": [[0]], "gamma": {"0": [[0]]}, "labels": "0"},
+    ],
+)
+def test_malformed_complex_file_exit_code(tmp_path, capsys, document):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    for action in ("verify", "objects"):
+        code, out, err = run_cli(capsys, ["complex", action, "--file", str(path)])
+        assert code == 2, err
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_resource_guard_exit_code(capsys):

@@ -291,6 +291,21 @@ def test_enumeration_matches_brute_force(n):
     assert via_words == set(brute_force_forests(n))
 
 
+def test_enumeration_builds_each_forest_once(monkeypatch):
+    # 6^4 = 1296 words at n=5, less the empty one; decoding validates each forest
+    calls = []
+    validate = PlantedForest.__post_init__
+
+    def counting(self):
+        calls.append(self.parent)
+        validate(self)
+
+    monkeypatch.setattr(PlantedForest, "__post_init__", counting)
+    forests = enumerate_forests(5)
+    assert len(forests) == 1295
+    assert len(calls) == 1295
+
+
 def test_enumeration_worker_count_invariance():
     # n=5 is over the sharding threshold, so worker processes really run
     single = enumerate_forests(5, workers=1)

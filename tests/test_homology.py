@@ -218,11 +218,6 @@ def test_torus_model_betti_forest_complexes():
     assert torus_model_betti(build_gamma_Fn(3).complex) == [1, 6, 9]
 
 
-def test_torus_model_worker_invariance():
-    complex_ = build_gamma_Fn(3).complex
-    assert torus_model_betti(complex_, workers=3) == torus_model_betti(complex_)
-
-
 def test_torus_model_matches_block_counts():
     for n in (2, 3):
         fc = build_gamma_Fn(n)
@@ -250,12 +245,6 @@ def test_torus_model_euler_characteristic():
         h = hilbert_polynomial(fc.complex, fc.labelling)
         chi = sum((-1) ** k * b for k, b in enumerate(betti))
         assert chi == 1 + h.evaluate_int({v: -1 for v in h.variables})
-
-
-def test_torus_model_rejects_other_spaces():
-    fc = build_gamma_Fn(2)
-    with pytest.raises(ValueError):
-        torus_model_betti(fc.complex, fc.labelling, spaces={1: "circle", 2: "sphere"})
 
 
 def test_triplet_dump():

@@ -18,7 +18,6 @@ from diagcx.series import (
     series_Wh_Zp,
     series_Wh_free,
     substitute,
-    tor_mul,
 )
 
 
@@ -92,7 +91,6 @@ def test_product_commutative_and_associative():
         a, b, c = (_random_series(rng, truncation) for _ in range(3))
         assert a.mul(b) == b.mul(a)
         assert a.mul(b).mul(c) == a.mul(b.mul(c))
-        assert tor_mul(a, b) == a.mul(b)
 
 
 def test_classifying_series():
@@ -264,6 +262,16 @@ def test_series_wh_zp_n2_pattern():
 def test_series_wh_zp_n3_degree_one():
     s = series_Wh_Zp(3, 2, 6)
     assert s.coeffs[1] == AbelianGroup(0, ((2, 1),) * 6)
+
+
+def test_series_wh_zp_needs_a_prime():
+    # a large prime is accepted at once; trial division to its square root would not end
+    big = 2**61 - 1
+    assert series_Wh_Zp(2, big, 1).coeffs[1] == AbelianGroup(0, ((big, 1), (big, 1)))
+    # composites, including strong pseudoprimes to several bases, are refused
+    for p in (0, 1, 4, 6, 561, 2047, 3215031751, 3825123056546413051):
+        with pytest.raises(ValueError):
+            series_Wh_Zp(2, p, 1)
 
 
 @pytest.mark.parametrize("n", [2, 3])
