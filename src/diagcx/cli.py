@@ -10,12 +10,13 @@ Exit codes: 0 success, 2 usage error, 3 resource guard exceeded.
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from . import cactus, forests, homology, present, series
 from .complexes import DiagonalComplex
-from .groups import group_from_descriptor
+from .groups import descriptor_order, group_from_descriptor
 
 GUARD_EXIT = 3
 USAGE_EXIT = 2
@@ -23,6 +24,14 @@ USAGE_EXIT = 2
 ENUM_GUARD = 8
 CLOSURE_GUARD = 4
 ORBIT_GUARD = 6
+# Limits on predicted sizes rather than on n.
+GROUP_ORDER_GUARD = 24  # subgroup enumeration takes 0.5 s at order 24, 15 s at 48
+VERIFY_GUARD = 2_000_000  # relations x probe words, about 6 us each
+NERVE_FACE_GUARD = 1500  # dense Smith forms: 829 faces take 2 s, 1279 take 6 s
+DIGITS_GUARD = 4300  # Python's default limit on int-to-str conversion
+DEGREE_GUARD = 1000  # degrees computed for --truncate and --max-degree
+PRODUCT_GUARD = 10_000_000  # coefficient pairs in series products; 24M took 6.8 s
+SUMMAND_GUARD = 10_000_000  # strings in a JSON torsion list; 6M took 500 MiB
 
 
 class GuardError(Exception):
@@ -32,7 +41,7 @@ class GuardError(Exception):
 def _check_guard(value, limit, unsafe, what):
     if value > limit and not unsafe:
         raise GuardError(
-            f"{what} limited to n <= {limit}; pass --unsafe-large to override"
+            f"{what} is {value}, above the limit {limit}; pass --unsafe-large to override"
         )
 
 
@@ -53,8 +62,9 @@ def _parse_int_list(text):
 
 
 def _emit(args, text, payload):
+    """Write text, or under --format json the document payload() builds."""
     if args.format == "json":
-        out = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        out = json.dumps(payload(), sort_keys=True, separators=(",", ":")) + "\n"
     else:
         out = text if text.endswith("\n") else text + "\n"
     path = getattr(args, "output", None)
@@ -72,13 +82,13 @@ def _emit(args, text, payload):
 
 
 def cmd_forests_enumerate(args):
-    _check_guard(args.n, ENUM_GUARD, args.unsafe_large, "forest enumeration")
+    _check_guard(args.n, ENUM_GUARD, args.unsafe_large, "forest enumeration n")
     items = forests.enumerate_forests(args.n, include_empty=args.include_empty, workers=args.workers)
     if args.count_only:
-        _emit(args, str(len(items)), {"n": args.n, "count": len(items)})
+        _emit(args, str(len(items)), lambda: {"n": args.n, "count": len(items)})
         return
     text = "\n".join(",".join(map(str, f.to_json())) for f in items)
-    _emit(args, text, {"n": args.n, "forests": [f.to_json() for f in items]})
+    _emit(args, text, lambda: {"n": args.n, "forests": [f.to_json() for f in items]})
 
 
 def _load_complex(args):
@@ -94,7 +104,7 @@ def _load_complex(args):
 
 def cmd_complex_verify(args):
     if args.file is None:
-        _check_guard(args.n, forests.BUILD_CAP, args.unsafe_large, "complex construction")
+        _check_guard(args.n, forests.BUILD_CAP, args.unsafe_large, "complex construction n")
     complex_, labelling, _ = _load_complex(args)
     report = complex_.validate()
     proper = complex_.is_proper() if report.ok else False
@@ -103,20 +113,19 @@ def cmd_complex_verify(args):
         status = "pass" if check.passed else f"FAIL ({check.witness})"
         lines.append(f"axiom {check.axiom}: {status}")
     lines.append(f"proper: {'yes' if proper else 'no'}")
-    payload = {
+    _emit(args, "\n".join(lines), lambda: {
         "simplices": len(complex_.gamma),
         "axioms": [
             {"axiom": c.axiom, "passed": c.passed, "witness": c.witness}
             for c in report.checks
         ],
         "proper": proper,
-    }
-    _emit(args, "\n".join(lines), payload)
+    })
 
 
 def cmd_complex_objects(args):
     if args.file is None:
-        _check_guard(args.n, CLOSURE_GUARD, args.unsafe_large, "meet closure")
+        _check_guard(args.n, CLOSURE_GUARD, args.unsafe_large, "meet closure n")
     complex_, labelling, fc = _load_complex(args)
     objects = complex_.category_objects(labelling)
     if fc is not None:
@@ -130,67 +139,115 @@ def cmd_complex_objects(args):
     else:
         lines = [str(part) for part in objects]
     header = f"objects: {len(objects)}"
-    payload = {"count": len(objects), "objects": [part.to_json() for part in objects]}
-    _emit(args, "\n".join([header] + lines), payload)
+    _emit(
+        args,
+        "\n".join([header] + lines),
+        lambda: {"count": len(objects), "objects": [part.to_json() for part in objects]},
+    )
+
+
+def _check_products(args):
+    # at most (n+1)^(n-1) forests or monomials, each a product of n-1
+    # series with (truncate+1)^2 coefficient pairs per product
+    pairs = (args.n + 1) ** (args.n - 1) * (args.n - 1) * (args.truncate + 1) ** 2
+    _check_guard(pairs, PRODUCT_GUARD, args.unsafe_large, "coefficient pairs in series products")
+
+
+def _check_summands(args, *parts):
+    # to_json lists one string per torsion summand
+    summands = sum(c for part in parts for coeff in part.coeffs for _, c in coeff.torsion)
+    _check_guard(summands, SUMMAND_GUARD, args.unsafe_large, "torsion summands listed in JSON")
+
+
+def _series_document(args, result):
+    _check_summands(args, result)
+    return {"series": result.to_json()}
 
 
 def cmd_series_fr(args):
     factors = [f.strip() for f in args.factors.split(",")]
     if len(factors) != args.n:
         raise ValueError("need one factor per vertex")
+    _check_products(args)
     fc = forests.build_gamma_Fn(args.n)
     h = series.hilbert_polynomial(fc.complex, fc.labelling)
     assignment = {v: _series_factor(factors[v - 1], args.truncate) for v in h.variables}
     result = series.substitute(h, assignment, truncation=args.truncate)
-    _emit(args, result.render(), {"series": result.to_json()})
+    _emit(args, result.render(), lambda: _series_document(args, result))
 
 
 def cmd_series_wh_free(args):
+    # digits of the largest coefficient n^(n-1), in integers so that any n works
+    digits = (args.n - 1) * math.floor(math.log10(args.n) * 10**6) // 10**6 + 1
+    _check_guard(digits, DIGITS_GUARD, args.unsafe_large, f"digits of n^(n-1) at n={args.n}")
     coeffs, chi = series.series_Wh_free(args.n)
     text = f"{series.render_poly_in_t(coeffs)}, chi = {chi}"
-    _emit(args, text, {"coefficients": coeffs, "chi": chi})
+    _emit(args, text, lambda: {"coefficients": coeffs, "chi": chi})
 
 
 def cmd_series_wh_zp(args):
+    # every count is below n^(2 min(d, n-1)) 2^(d-1) in degree d
+    n, d = args.n, args.truncate
+    digits = int(2 * min(d, n - 1) * math.log10(n) + d * math.log10(2)) + 1
+    _check_guard(digits, DIGITS_GUARD, args.unsafe_large, "digits of the summand counts")
     result = series.series_Wh_Zp(args.n, args.p, args.truncate)
-    _emit(args, result.render(), {"series": result.to_json()})
+    _emit(args, result.render(), lambda: _series_document(args, result))
 
 
-def _parse_factor_groups(text, count):
-    parts = [p.strip() for p in text.split(",")]
+def _group(args, text):
+    order = descriptor_order(text)
+    _check_guard(order, GROUP_ORDER_GUARD, args.unsafe_large, f"order of group {text.strip()}")
+    return group_from_descriptor(text)
+
+
+def _parse_factor_groups(args, count):
+    parts = [p.strip() for p in args.factors.split(",")]
     if len(parts) != count:
         raise ValueError(f"need exactly {count} factor groups")
-    return [group_from_descriptor(p) for p in parts]
+    return [_group(args, p) for p in parts]
 
 
 def cmd_present_fr(args):
-    groups = _parse_factor_groups(args.factors, args.n)
+    groups = _parse_factor_groups(args, args.n)
     pres = present.fr_presentation(args.n, groups)
     lines = [f"generators: {len(pres.generators)}", f"relations: {len(pres.relations)}"]
     lines.extend(name for name in pres.generator_names())
-    _emit(args, "\n".join(lines), pres.to_json())
+    _emit(args, "\n".join(lines), pres.to_json)
 
 
 def cmd_present_export(args):
-    groups = _parse_factor_groups(args.factors, args.n)
+    groups = _parse_factor_groups(args, args.n)
     pres = present.fr_presentation(args.n, groups)
     text = present.export_gap(pres)
-    _emit(args, text, {"gap": text})
+    _emit(args, text, lambda: {"gap": text})
 
 
 def cmd_present_verify(args):
-    groups = _parse_factor_groups(args.factors, args.n)
+    groups = _parse_factor_groups(args, args.n)
     if args.dc:
         pres = present.forest_dc_presentation(args.n, groups)
     else:
         pres = present.fr_presentation(args.n, groups)
-    report = present.verify_relations(pres, groups)
+    words = present.probe_words(groups)
+    _check_guard(
+        len(pres.relations) * len(words),
+        VERIFY_GUARD,
+        args.unsafe_large,
+        f"relation check count ({len(pres.relations)} relations x {len(words)} probe words)",
+    )
+    report = present.verify_relations(pres, groups, words)
     lines = []
     for check in report.checks:
         status = "PASS" if check.passed else f"FAIL witness={check.witness}"
         lines.append(f"{check.relation.kind} [{check.relation.source}]: {status}")
     lines.append(f"all passed: {'yes' if report.all_passed else 'no'}")
-    payload = {
+    literal = present.literal_pairwise_commutator_checks(groups) if args.literal_rel3 else []
+    if args.literal_rel3:
+        lines.append("literal pairwise commutators (no side conditions):")
+    for check in literal:
+        status = "PASS" if check.passed else f"FAIL witness={check.witness}"
+        lines.append(f"  {check.relation.source}: {status}")
+    _emit(args, "\n".join(lines), lambda: {
         "all_passed": report.all_passed,
         "checks": [
             {
@@ -201,21 +258,13 @@ def cmd_present_verify(args):
             }
             for c in report.checks
         ],
-    }
-    if args.literal_rel3:
-        literal = present.literal_pairwise_commutator_checks(groups)
-        payload["literal_rel3"] = [
-            {"source": c.relation.source, "passed": c.passed} for c in literal
-        ]
-        lines.append("literal pairwise commutators (no side conditions):")
-        for check in literal:
-            status = "PASS" if check.passed else f"FAIL witness={check.witness}"
-            lines.append(f"  {check.relation.source}: {status}")
-    _emit(args, "\n".join(lines), payload)
+        **({"literal_rel3": [{"source": c.relation.source, "passed": c.passed} for c in literal]}
+           if args.literal_rel3 else {}),
+    })
 
 
 def cmd_orbits(args):
-    _check_guard(args.n, ORBIT_GUARD, args.unsafe_large, "orbit enumeration")
+    _check_guard(args.n, ORBIT_GUARD, args.unsafe_large, "orbit enumeration n")
     multiplicities = _parse_int_list(args.colors)
     rows = forests.orbit_decomposition(args.n, multiplicities)
     lines = [
@@ -223,7 +272,7 @@ def cmd_orbits(args):
         f"orbit={row.orbit_size} aut={row.stabilizer_order}"
         for row in rows
     ]
-    payload = {
+    _emit(args, "\n".join([f"orbits: {len(rows)}"] + lines), lambda: {
         "orbits": [
             {
                 "forest": row.representative.forest.to_json(),
@@ -233,23 +282,28 @@ def cmd_orbits(args):
             }
             for row in rows
         ]
-    }
-    _emit(args, "\n".join([f"orbits: {len(rows)}"] + lines), payload)
+    })
 
 
 def cmd_decomposition(args):
-    _check_guard(args.n, ORBIT_GUARD, args.unsafe_large, "orbit enumeration")
+    _check_guard(args.n, ORBIT_GUARD, args.unsafe_large, "orbit enumeration n")
     multiplicities = _parse_int_list(args.colors)
     factors = [f.strip() for f in args.factors.split(",")]
     if len(factors) != len(multiplicities):
         raise ValueError("need one factor series per colour")
+    _check_products(args)
     base = [_series_factor(f, args.truncate) for f in factors]
     report = forests.decomposition_report(args.n, multiplicities, base)
-    _emit(args, report.render_text(), report.to_json())
+
+    def payload():
+        _check_summands(args, *(row.module for row in report.rows))
+        return report.to_json()
+
+    _emit(args, report.render_text(), payload)
 
 
 def cmd_homology_torus(args):
-    _check_guard(args.n, CLOSURE_GUARD, args.unsafe_large, "torus-model rank")
+    _check_guard(args.n, CLOSURE_GUARD, args.unsafe_large, "torus-model rank n")
     fc = forests.build_gamma_Fn(args.n)
     betti = homology.torus_model_betti(fc.complex, fc.labelling)
     if args.dump:
@@ -257,7 +311,7 @@ def cmd_homology_torus(args):
             rows = homology.torus_model_generators(fc.complex, degree)
             with open(f"{args.dump}.deg{degree}.txt", "w", encoding="utf-8") as handle:
                 handle.write(homology.triplet_dump(rows))
-    _emit(args, " ".join(map(str, betti)), {"betti": betti})
+    _emit(args, " ".join(map(str, betti)), lambda: {"betti": betti})
 
 
 def _nerve_family(group, name):
@@ -272,16 +326,21 @@ def _nerve_family(group, name):
 
 
 def cmd_homology_nerve(args):
-    group = group_from_descriptor(args.group)
+    group = _group(args, args.group)
     family = _nerve_family(group, args.family)
     nerve, cosets = homology.coset_nerve(group, family)
+    # the faces whose boundaries the Smith forms reduce
+    faces = sum(1 for face in nerve.faces if len(face) <= args.max_degree + 2)
+    _check_guard(faces, NERVE_FACE_GUARD, args.unsafe_large, "coset nerve face count")
     result = homology.simplicial_homology(nerve, args.max_degree)
     lines = [f"cosets: {len(cosets)}"]
     for degree, (free, torsion) in enumerate(result):
         torsion_text = ",".join(map(str, torsion)) if torsion else "-"
         lines.append(f"H_{degree}: free={free} torsion={torsion_text}")
-    payload = [{"free": free, "torsion": list(torsion)} for free, torsion in result]
-    _emit(args, "\n".join(lines), {"cosets": len(cosets), "homology": payload})
+    _emit(args, "\n".join(lines), lambda: {
+        "cosets": len(cosets),
+        "homology": [{"free": free, "torsion": list(torsion)} for free, torsion in result],
+    })
 
 
 def cmd_cactus_coords(args):
@@ -290,7 +349,7 @@ def cmd_cactus_coords(args):
     labels = _parse_int_list(args.labels)
     diagram = cactus.CactusDiagram(len(parent), tuple(parent), tuple(labels), tuple(sizes))
     matrix = cactus.coordinates(diagram)
-    _emit(args, cactus.render_matrix(matrix), {"coordinates": [list(r) for r in matrix]})
+    _emit(args, cactus.render_matrix(matrix), lambda: {"coordinates": [list(r) for r in matrix]})
 
 
 # -- parser -------------------------------------------------------------------
@@ -403,11 +462,14 @@ def main(argv=None):
     if getattr(args, "file", "missing") is None and getattr(args, "n", None) is None:
         parser.error("need --n or --file")
     try:
+        for flag in ("truncate", "max_degree"):
+            degree = getattr(args, flag, 0)
+            _check_guard(degree, DEGREE_GUARD, args.unsafe_large, "--" + flag.replace("_", "-"))
         args.func(args)
     except GuardError as err:
         sys.stderr.write(f"resource guard: {err}\n")
         return GUARD_EXIT
-    except (ValueError, OSError) as err:
+    except (ValueError, OverflowError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return USAGE_EXIT
     return 0

@@ -320,50 +320,34 @@ def prufer_decode(word):
     return PlantedForest(n, tuple(parent[1:]))
 
 
-def _decode_range(args):
-    n, start, stop, include_empty = args
-    width = n - 1
-    base = n + 1
-    out = []
-    for code in range(start, stop):
-        digits = []
-        value = code
-        for _ in range(width):
-            digits.append(value % base)
-            value //= base
-        word = tuple(reversed(digits))
-        if not include_empty and all(s == 0 for s in word):
-            continue
-        out.append(prufer_decode(word))
-    return out
+def _decode_words(words, include_empty):
+    # the all-zero word is the empty forest
+    return [prufer_decode(word) for word in words if include_empty or any(word)]
 
 
-def _decode_parents(args):
+def _decode_shard(args):
     # Parent tuples, not forests: pickling forests raised n=7 peak RSS from 77 to 120 MiB
-    return [forest.parent for forest in _decode_range(args)]
+    n, first, include_empty = args
+    words = itertools.product((first,), *[range(n + 1)] * (n - 2))
+    return [forest.parent for forest in _decode_words(words, include_empty)]
 
 
 def enumerate_forests(n, include_empty=False, workers=1):
     """All planted forests on [n] in lexicographic word order.
 
     There are (n+1)^(n-1) words; the all-zero word is the empty forest
-    and is dropped unless requested.  The word space may be sharded over
-    worker processes; shards are merged in order, so output is identical
+    and is dropped unless requested.  Worker processes take one shard
+    per first letter; shards are merged in order, so output is identical
     for any worker count.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    total = (n + 1) ** (n - 1)
-    if workers <= 1 or total < 1000:
-        return _decode_range((n, 0, total, include_empty))
+    if workers <= 1 or (n + 1) ** (n - 1) < 1000:
+        return _decode_words(itertools.product(range(n + 1), repeat=n - 1), include_empty)
     import multiprocessing
 
-    chunk = -(-total // workers)
-    ranges = [
-        (n, lo, min(lo + chunk, total), include_empty) for lo in range(0, total, chunk)
-    ]
     with multiprocessing.Pool(workers) as pool:
-        parts = pool.map(_decode_parents, ranges)
+        parts = pool.map(_decode_shard, [(n, first, include_empty) for first in range(n + 1)])
     return [PlantedForest(n, parent) for part in parts for parent in part]
 
 

@@ -8,6 +8,7 @@ sets; that finds every subgroup for orders up to 8.
 
 import itertools
 import json
+import math
 
 
 class FiniteGroup:
@@ -24,7 +25,7 @@ class FiniteGroup:
             raise ValueError("table must be square")
         for row in self.table:
             for entry in row:
-                if not 0 <= entry < m:
+                if not isinstance(entry, int) or not 0 <= entry < m:
                     raise ValueError("table entries must be element indices")
         for g in range(m):
             if self.table[0][g] != g or self.table[g][0] != g:
@@ -181,22 +182,25 @@ class FiniteGroup:
         return tuple(sorted(out, key=lambda s: sorted(s)))
 
 
-def group_from_descriptor(text):
-    """Parse group names like Z/4, Z/2xZ/3, V4, S3, D4, Q8, or @table.json."""
+def _parse_descriptor(text):
+    """(order, build) for a group descriptor; the order needs no table."""
     text = text.strip()
     if text.startswith("@"):
         with open(text[1:], encoding="utf-8") as handle:
-            return FiniteGroup(json.load(handle))
+            table = json.load(handle)
+        if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
+            raise ValueError("a group table file must hold a list of rows")
+        return len(table), lambda: FiniteGroup(table)
     named = {
-        "V4": lambda: FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)),
-        "S3": lambda: FiniteGroup.symmetric(3),
-        "S4": lambda: FiniteGroup.symmetric(4),
-        "D4": lambda: FiniteGroup.dihedral(4),
-        "Q8": FiniteGroup.quaternion,
+        "V4": (4, lambda: FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))),
+        "S3": (6, lambda: FiniteGroup.symmetric(3)),
+        "S4": (24, lambda: FiniteGroup.symmetric(4)),
+        "D4": (8, lambda: FiniteGroup.dihedral(4)),
+        "Q8": (8, FiniteGroup.quaternion),
     }
     if text in named:
-        return named[text]()
-    factors = []
+        return named[text]
+    orders = []
     for part in text.split("x"):
         part = part.strip()
         if not part.startswith("Z/"):
@@ -204,8 +208,24 @@ def group_from_descriptor(text):
         tail = part[2:]
         if tail.endswith("Z"):
             tail = tail[:-1]
-        factors.append(FiniteGroup.cyclic(int(tail)))
-    group = factors[0]
-    for extra in factors[1:]:
-        group = FiniteGroup.direct_product(group, extra)
-    return group
+        orders.append(int(tail))
+    if any(m < 1 for m in orders):
+        raise ValueError(f"cyclic factors need order >= 1: {text}")
+
+    def build():
+        group = FiniteGroup.cyclic(orders[0])
+        for m in orders[1:]:
+            group = FiniteGroup.direct_product(group, FiniteGroup.cyclic(m))
+        return group
+
+    return math.prod(orders), build
+
+
+def descriptor_order(text):
+    """The order of the group a descriptor names, found without building its table."""
+    return _parse_descriptor(text)[0]
+
+
+def group_from_descriptor(text):
+    """Parse group names like Z/4, Z/2xZ/3, V4, S3, D4, Q8, or @table.json."""
+    return _parse_descriptor(text)[1]()

@@ -162,18 +162,13 @@ def simplicial_homology(complex_, max_degree=None):
     if max_degree is None:
         max_degree = complex_.dimension()
     out = []
+    rank_k = 0  # rank of the boundary out of degree k, from the previous Smith form
     for k in range(max_degree + 1):
-        k_faces = complex_.faces_of_dimension(k)
-        if not k_faces:
-            out.append((0, ()))
-            continue
-        rank_k = integer_rank(boundary_matrix(complex_, k)) if k > 0 else 0
-        above = boundary_matrix(complex_, k + 1)
-        factors = smith_normal_form(above)
-        rank_k1 = sum(1 for d in factors if d != 0)
-        free = len(k_faces) - rank_k - rank_k1
-        torsion = tuple(d for d in factors if d > 1)
-        out.append((free, torsion))
+        # one nonzero invariant factor per unit of rank
+        factors = smith_normal_form(boundary_matrix(complex_, k + 1))
+        free = len(complex_.faces_of_dimension(k)) - rank_k - len(factors)
+        out.append((free, tuple(d for d in factors if d > 1)))
+        rank_k = len(factors)
     return out
 
 

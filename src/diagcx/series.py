@@ -16,6 +16,7 @@ product.
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 SERIES_JSON_SCHEMA = {
@@ -31,34 +32,47 @@ SERIES_JSON_SCHEMA = {
 }
 
 
+# Miller-Rabin on the primes up to 37 is exact below this bound.
+MR_EXACT_BELOW = 318665857834031151167461
+# Largest trial divisor tried when factoring; past it, factoring is refused.
+TRIAL_BOUND = 1 << 20
+
+
 def _factor_prime_powers(m):
-    """Prime-power decomposition of m >= 2 as a sorted tuple of (p, e)."""
-    out = []
-    p = 2
-    while p * p <= m:
+    """Prime-power decomposition of m >= 2 as a sorted tuple of (p, e).
+
+    Trial division stops once the cofactor is prime.  An m that still
+    has a composite (or unprovable) cofactor after trial divisors up to
+    TRIAL_BOUND is refused, so factoring always ends quickly.
+    """
+    original, out, p = m, [], 2
+    cofactor_is_prime = m < MR_EXACT_BELOW and _is_prime(m)
+    while not cofactor_is_prime and p * p <= m:
+        if p > TRIAL_BOUND:
+            raise ValueError(f"cannot factor {original}: it needs trial division past {TRIAL_BOUND}")
         if m % p == 0:
             e = 0
             while m % p == 0:
                 m //= p
                 e += 1
             out.append((p, e))
-        p += 1
+            cofactor_is_prime = m < MR_EXACT_BELOW and _is_prime(m)
+        p += 1 if p == 2 else 2
     if m > 1:
         out.append((m, 1))
-    return tuple(sorted(out))
+    return tuple(out)
 
 
 def _is_prime(p):
     """Exact primality.
 
     Miller-Rabin on the primes up to 37 decides every p below
-    318665857834031151167461 without trial division up to sqrt(p);
-    larger p is factored.
+    MR_EXACT_BELOW; larger p is factored, within TRIAL_BOUND.
     """
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     if p < 2 or any(p % a == 0 for a in bases):
         return p in bases
-    if p >= 318665857834031151167461:
+    if p >= MR_EXACT_BELOW:
         return _factor_prime_powers(p) == ((p, 1),)
     d, s = p - 1, 0
     while d % 2 == 0:
@@ -73,12 +87,14 @@ def _is_prime(p):
 class AbelianGroup:
     """A finitely generated abelian group: free rank plus prime-power torsion.
 
-    Torsion is a sorted tuple of (prime, exponent) pairs with multiplicity.
+    Torsion is a tuple of ((prime, exponent), count) entries, one per
+    distinct cyclic summand Z/prime^exponent, with keys strictly
+    increasing and every count positive; so equal groups compare equal.
 
     >>> AbelianGroup.of_order(12)
-    AbelianGroup(free_rank=0, torsion=((2, 2), (3, 1)))
-    >>> print(AbelianGroup.free(1).tensor(AbelianGroup.of_order(4)))
-    Z/4
+    AbelianGroup(free_rank=0, torsion=(((2, 2), 1), ((3, 1), 1)))
+    >>> print(AbelianGroup(1, (((2, 1), 3),)).tensor(AbelianGroup.of_order(4)))
+    (Z/2)^3 + Z/4
     """
 
     free_rank: int
@@ -87,11 +103,20 @@ class AbelianGroup:
     def __post_init__(self):
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        if list(self.torsion) != sorted(self.torsion):
-            raise ValueError("torsion must be sorted")
-        for p, e in self.torsion:
-            if p < 2 or e < 1:
-                raise ValueError("torsion entries must be prime powers >= 2")
+        try:  # an entry that does not unpack as ((p, e), count) raises here
+            keys = [(p, e) for (p, e), c in self.torsion
+                    if all(isinstance(v, int) and v >= 1 for v in (p - 1, e, c))]
+        except (TypeError, ValueError):
+            keys = None
+        if not isinstance(self.torsion, tuple) or keys is None or len(keys) < len(self.torsion):
+            raise ValueError("torsion entries must be ((p, e), count) with p >= 2, e >= 1, count >= 1")
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise ValueError("torsion keys must be strictly increasing")
+
+    @classmethod
+    def _of_counts(cls, free_rank, counts):
+        """The group with the given {(p, e): count} torsion; zero counts dropped."""
+        return cls(free_rank, tuple(sorted((key, c) for key, c in counts.items() if c)))
 
     @classmethod
     def zero(cls):
@@ -103,7 +128,7 @@ class AbelianGroup:
 
     @classmethod
     def cyclic_prime_power(cls, p, e=1):
-        return cls(0, ((p, e),))
+        return cls(0, (((p, e), 1),))
 
     @classmethod
     def of_order(cls, m):
@@ -112,39 +137,37 @@ class AbelianGroup:
             return cls.free(1)
         if m == 1:
             return cls.zero()
-        return cls(0, _factor_prime_powers(m))
+        return cls(0, tuple((key, 1) for key in _factor_prime_powers(m)))
 
     @property
     def is_zero(self):
         return self.free_rank == 0 and not self.torsion
 
     def direct_sum(self, other):
-        return AbelianGroup(
-            self.free_rank + other.free_rank, tuple(sorted(self.torsion + other.torsion))
-        )
+        counts = Counter(dict(self.torsion)) + Counter(dict(other.torsion))
+        return AbelianGroup._of_counts(self.free_rank + other.free_rank, counts)
 
     def tensor(self, other):
-        """Tensor product over Z."""
-        torsion = []
-        torsion.extend(other.free_rank * list(self.torsion))
-        torsion.extend(self.free_rank * list(other.torsion))
-        for (p, i), (q, j) in itertools.product(self.torsion, other.torsion):
-            if p == q:
-                torsion.append((p, min(i, j)))
-        return AbelianGroup(self.free_rank * other.free_rank, tuple(sorted(torsion)))
+        """Tensor product over Z: torsion times the other free rank, plus the tor part."""
+        counts = Counter()
+        for a, b in ((self, other), (other, self)):
+            for key, c in a.torsion:
+                counts[key] += c * b.free_rank
+        scaled = AbelianGroup._of_counts(self.free_rank * other.free_rank, counts)
+        return scaled.direct_sum(self.tor(other))
 
     def tor(self, other):
-        """Tor_1 over Z; only torsion pairs contribute."""
-        torsion = []
-        for (p, i), (q, j) in itertools.product(self.torsion, other.torsion):
+        """Tor_1 over Z: Z/p^i and Z/p^j give Z/p^min(i,j); other pairs give 0."""
+        counts = Counter()
+        for ((p, i), a), ((q, j), b) in itertools.product(self.torsion, other.torsion):
             if p == q:
-                torsion.append((p, min(i, j)))
-        return AbelianGroup(0, tuple(sorted(torsion)))
+                counts[(p, min(i, j))] += a * b
+        return AbelianGroup._of_counts(0, counts)
 
     def scale(self, k):
         if k < 0:
             raise ValueError("scale factor must be nonnegative")
-        return AbelianGroup(k * self.free_rank, tuple(sorted(k * list(self.torsion))))
+        return AbelianGroup._of_counts(k * self.free_rank, {key: k * c for key, c in self.torsion})
 
     def render(self):
         if self.is_zero:
@@ -154,16 +177,14 @@ class AbelianGroup:
             parts.append("Z")
         elif self.free_rank > 1:
             parts.append(f"Z^{self.free_rank}")
-        counts = {}
-        for p, e in self.torsion:
-            counts[p**e] = counts.get(p**e, 0) + 1
-        for value in sorted(counts):
-            mult = counts[value]
+        for value, mult in sorted((p**e, c) for (p, e), c in self.torsion):
             parts.append(f"Z/{value}" if mult == 1 else f"(Z/{value})^{mult}")
         return " + ".join(parts)
 
     def to_json(self):
-        return {"free": self.free_rank, "torsion": [f"{p}^{e}" for p, e in self.torsion]}
+        # the only place that lists the summands one by one
+        torsion = [f"{p}^{e}" for (p, e), c in self.torsion for _ in range(c)]
+        return {"free": self.free_rank, "torsion": torsion}
 
     def __str__(self):
         return self.render()
@@ -281,9 +302,10 @@ def cyclic_classifying_series(m, truncation):
     """Homology series of B(Z/m): Z in degree 0, Z/m in odd degrees."""
     if m < 2:
         raise ValueError("m must be at least 2")
+    torsion = AbelianGroup.of_order(m)
     coeffs = [AbelianGroup.free(1)]
     for degree in range(1, truncation + 1):
-        coeffs.append(AbelianGroup.of_order(m) if degree % 2 == 1 else AbelianGroup.zero())
+        coeffs.append(torsion if degree % 2 == 1 else AbelianGroup.zero())
     return GradedModuleSeries.of(truncation, coeffs)
 
 
@@ -485,59 +507,27 @@ def render_poly_in_t(coeffs):
     return " + ".join(parts) if parts else "0"
 
 
-def _poly_mul_trunc(a, b, d):
-    out = [0] * (d + 1)
-    for i, x in enumerate(a):
-        if x == 0 or i > d:
-            continue
-        for j, y in enumerate(b):
-            if i + j > d:
-                break
-            out[i + j] += x * y
-    return out
-
-
-def _poly_pow_trunc(a, k, d):
-    out = [1] + [0] * d
-    for _ in range(k):
-        out = _poly_mul_trunc(out, a, d)
-    return out
-
-
-def _poly_div_trunc(a, b, d):
-    if b[0] == 0:
-        raise ValueError("divisor must be a unit")
-    out = [0] * (d + 1)
-    rem = list(a) + [0] * (d + 1 - len(a))
-    for i in range(d + 1):
-        q, r = divmod(rem[i], b[0])
-        if r:
-            raise ValueError("non-integral division")
-        out[i] = q
-        for j in range(1, min(len(b), d + 1 - i)):
-            rem[i + j] -= q * b[j]
-    return out
-
-
 def series_Wh_Zp(n, p, truncation):
     """Degree-by-degree expansion of 1 + y/(1+t) * ((1 + nt/(1-t))^(n-1) - 1).
 
     The y coefficient counts Z/p summands; the constant term is the
-    single Z in degree zero.
+    single Z in degree zero.  Since (t/(1-t))^k has degree-d coefficient
+    C(d-1, k-1), the power minus one has degree-d coefficient
+    sum_k C(n-1, k) n^k C(d-1, k-1); dividing by 1+t subtracts the
+    previous count.  The work is O(truncation^2) for every n.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if not _is_prime(p):
         raise ValueError("p must be a prime >= 2")
-    d = truncation
-    base = [1] + [n] * d  # 1 + nt/(1-t)
-    powered = _poly_pow_trunc(base, n - 1, d)
-    powered[0] -= 1
-    counts = _poly_div_trunc(powered, [1, 1], d)
+    weights = [math.comb(n - 1, k) * n**k for k in range(1, min(truncation, n - 1) + 1)]
+    row = [1]  # C(d-1, k-1) for k = 1..d
     coeffs = [AbelianGroup.free(1)]
-    for degree in range(1, d + 1):
-        c = counts[degree]
-        if c < 0:
+    count = 0
+    for _ in range(truncation):
+        count = sum(w * c for w, c in zip(weights, row)) - count
+        if count < 0:
             raise ValueError("negative summand count; series is corrupt")
-        coeffs.append(AbelianGroup(0, ((p, 1),) * c))
-    return GradedModuleSeries.of(d, coeffs)
+        coeffs.append(AbelianGroup._of_counts(0, {(p, 1): count}))
+        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
+    return GradedModuleSeries.of(truncation, coeffs)

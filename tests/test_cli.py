@@ -1,4 +1,5 @@
 import json
+import re
 
 import jsonschema
 import pytest
@@ -221,3 +222,54 @@ def test_homology_torus_dump(tmp_path, capsys):
     # two generator rows, one entry each
     assert len(lines) == 2
     assert all(len(line.split()) == 3 for line in lines)
+
+
+def test_wh_zp_json_torsion_matches_text_counts(capsys):
+    argv = ["series", "wh-zp", "--n", "3", "--p", "2"]
+    _, text, _ = run_cli(capsys, argv)
+    _, doc, _ = run_cli(capsys, ["--format", "json"] + argv)
+    # the text reads "1 + (Z/2)^6 t + (Z/2)^9 t^2 + ...": one count per degree from 1
+    text_counts = [0] + [int(c) for c in re.findall(r"\(Z/2\)\^(\d+) t", text)]
+    json_counts = [len(coeff["torsion"]) for coeff in json.loads(doc)["series"]]
+    assert json_counts == text_counts
+    assert len(json_counts) == 13 and json_counts[1] == 6
+
+
+@pytest.mark.parametrize(
+    "argv, predicted",
+    [
+        (["series", "wh-free", "--n", "1372"], "is 4302,"),
+        (["series", "wh-free", "--n", "10000"], "is 39997,"),
+        (["present", "fr", "--n", "2", "--factors", "Z/100000,Z/2"], "is 100000,"),
+        (["homology", "nerve", "--group", "Z/5xZ/5"], "is 25,"),
+        (["present", "verify", "--n", "3", "--factors", "Z/12,Z/12,Z/12"], "is 30366765,"),
+        (["homology", "nerve", "--group", "S4"], "is 7891,"),
+    ],
+)
+def test_size_guards_state_the_predicted_size(capsys, argv, predicted):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource guard: ") and predicted in err
+
+
+def test_size_guards_pass_the_largest_allowed_inputs(capsys):
+    code, out, _ = run_cli(capsys, ["series", "wh-free", "--n", "1371"])
+    assert code == 0 and len(out.split(", chi")[0].split(" + ")[-1]) == 4298 + len("t^1370")
+    code, out, _ = run_cli(capsys, ["present", "fr", "--n", "2", "--factors", "S4,Q8"])
+    assert code == 0 and out.startswith("generators: 30\n")
+    code, out, _ = run_cli(capsys, ["homology", "nerve", "--group", "Z/2xZ/2xZ/2"])
+    assert code == 0
+    assert out.splitlines()[1:] == ["H_0: free=1 torsion=-"] + [f"H_{k}: free=0 torsion=-" for k in (1, 2, 3)]
+
+
+def test_group_table_files_are_checked_before_validation(tmp_path, capsys):
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps([[(a + b) % 30 for b in range(30)] for a in range(30)]), encoding="utf-8")
+    code, _, err = run_cli(capsys, ["homology", "nerve", "--group", f"@{big}"])
+    assert code == 3 and "is 30," in err
+    for document in (5, [1, 2], [["a"]], {"rows": []}):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document), encoding="utf-8")
+        code, _, err = run_cli(capsys, ["homology", "nerve", "--group", f"@{bad}"])
+        assert code == 2 and err.startswith("error: "), document

@@ -1,11 +1,13 @@
 import itertools
 import random
+import time
 
 import pytest
 
 from conftest import example_t_complex, example_t_labelling
 from diagcx.forests import build_gamma_Fn
 from diagcx.series import (
+    TRIAL_BOUND,
     AbelianGroup,
     GradedModuleSeries,
     MultiPoly,
@@ -14,6 +16,8 @@ from diagcx.series import (
     forest_hilbert_closed_form,
     free_product_series,
     hilbert_polynomial,
+    _factor_prime_powers,
+    _is_prime,
     render_poly_in_t,
     series_Wh_Zp,
     series_Wh_free,
@@ -25,11 +29,44 @@ from diagcx.series import (
 
 
 def test_abelian_group_basics():
-    assert AbelianGroup.of_order(12) == AbelianGroup(0, ((2, 2), (3, 1)))
+    assert AbelianGroup.of_order(12) == AbelianGroup(0, (((2, 2), 1), ((3, 1), 1)))
     assert AbelianGroup.of_order(1).is_zero
     assert AbelianGroup.of_order(0) == AbelianGroup.free(1)
     assert AbelianGroup.free(2).render() == "Z^2"
-    assert AbelianGroup(1, ((2, 1), (2, 1))).render() == "Z + (Z/2)^2"
+    assert AbelianGroup(1, (((2, 1), 2),)).render() == "Z + (Z/2)^2"
+
+
+@pytest.mark.parametrize(
+    "torsion",
+    [
+        (((3, 1), 1), ((2, 1), 1)),  # keys out of order
+        (((2, 1), 1), ((2, 1), 2)),  # a repeated key
+        (((2, 1), 0),),  # a zero count
+        (((1, 1), 1),),  # p < 2
+        (((2, 0), 1),),  # e < 1
+        ((2, 1),),  # one entry per summand, without counts
+        (((2, 1), "1"),),
+        (((2, 1, 1), 1),),
+        [((2, 1), 1)],
+    ],
+)
+def test_malformed_torsion_is_a_value_error(torsion):
+    with pytest.raises(ValueError):
+        AbelianGroup(0, torsion)
+
+
+def test_torsion_is_stored_as_counts():
+    # one entry per distinct summand, however many summands there are
+    s = series_Wh_Zp(6, 5, 12)
+    assert len(s.coeffs[12].torsion) == 1
+    assert s.coeffs[12].torsion == (((5, 1), 2237760),)
+    # only to_json lists the summands one by one
+    assert s.coeffs[2].to_json() == {"free": 0, "torsion": ["5^1"] * s.coeffs[2].torsion[0][1]}
+    mixed = AbelianGroup(2, (((2, 1), 3), ((3, 2), 1)))
+    assert mixed.direct_sum(mixed) == AbelianGroup(4, (((2, 1), 6), ((3, 2), 2)))
+    assert mixed.scale(0) == AbelianGroup.zero()
+    assert mixed.tor(mixed) == AbelianGroup(0, (((2, 1), 9), ((3, 2), 1)))
+    assert mixed.tensor(mixed) == AbelianGroup(4, (((2, 1), 21), ((3, 2), 5)))
 
 
 def test_tensor_and_tor():
@@ -37,7 +74,7 @@ def test_tensor_and_tor():
     z6 = AbelianGroup.of_order(6)
     assert z4.tensor(z6) == AbelianGroup.of_order(2)
     assert z4.tor(z6) == AbelianGroup.of_order(2)
-    assert AbelianGroup.free(2).tensor(z4) == AbelianGroup(0, ((2, 2), (2, 2)))
+    assert AbelianGroup.free(2).tensor(z4) == AbelianGroup(0, (((2, 2), 2),))
     assert AbelianGroup.free(1).tor(z4).is_zero
     assert z4.tensor(AbelianGroup.of_order(3)).is_zero
 
@@ -77,10 +114,11 @@ def test_reduced_requires_unit():
 def _random_series(rng, truncation):
     coeffs = []
     for _ in range(truncation + 1):
-        torsion = []
+        torsion = {}
         for _ in range(rng.randrange(3)):
-            torsion.append((rng.choice([2, 3, 5]), rng.randrange(1, 3)))
-        coeffs.append(AbelianGroup(rng.randrange(3), tuple(sorted(torsion))))
+            key = (rng.choice([2, 3, 5]), rng.randrange(1, 3))
+            torsion[key] = torsion.get(key, 0) + 1
+        coeffs.append(AbelianGroup(rng.randrange(3), tuple(sorted(torsion.items()))))
     return GradedModuleSeries.of(truncation, coeffs)
 
 
@@ -199,7 +237,7 @@ def test_substitute_torsion_n2():
         if degree == 0:
             assert coeff == AbelianGroup.free(1)
         elif degree % 2 == 1:
-            assert coeff == AbelianGroup(0, ((5, 1), (5, 1)))
+            assert coeff == AbelianGroup(0, (((5, 1), 2),))
         else:
             assert coeff.is_zero
 
@@ -208,7 +246,7 @@ def test_free_product_series():
     two_circles = free_product_series([circle_series(4), circle_series(4)])
     assert [c.free_rank for c in two_circles.coeffs] == [1, 2, 0, 0, 0]
     mixed = free_product_series([circle_series(4), cyclic_classifying_series(2, 4)])
-    assert mixed.coeffs[1] == AbelianGroup(1, ((2, 1),))
+    assert mixed.coeffs[1] == AbelianGroup(1, (((2, 1), 1),))
     single = free_product_series([cyclic_classifying_series(3, 4)])
     assert single == cyclic_classifying_series(3, 4)
     with pytest.raises(ValueError):
@@ -254,24 +292,42 @@ def test_series_wh_zp_n2_pattern():
         if degree == 0:
             assert coeff == AbelianGroup.free(1)
         elif degree % 2 == 1:
-            assert coeff == AbelianGroup(0, ((3, 1), (3, 1)))
+            assert coeff == AbelianGroup(0, (((3, 1), 2),))
         else:
             assert coeff.is_zero
 
 
 def test_series_wh_zp_n3_degree_one():
     s = series_Wh_Zp(3, 2, 6)
-    assert s.coeffs[1] == AbelianGroup(0, ((2, 1),) * 6)
+    assert s.coeffs[1] == AbelianGroup(0, (((2, 1), 6),))
 
 
 def test_series_wh_zp_needs_a_prime():
     # a large prime is accepted at once; trial division to its square root would not end
     big = 2**61 - 1
-    assert series_Wh_Zp(2, big, 1).coeffs[1] == AbelianGroup(0, ((big, 1), (big, 1)))
+    assert series_Wh_Zp(2, big, 1).coeffs[1] == AbelianGroup(0, (((big, 1), 2),))
     # composites, including strong pseudoprimes to several bases, are refused
     for p in (0, 1, 4, 6, 561, 2047, 3215031751, 3825123056546413051):
         with pytest.raises(ValueError):
             series_Wh_Zp(2, p, 1)
+
+
+def test_factoring_ends():
+    start = time.perf_counter()
+    assert _factor_prime_powers(2**61 - 1) == ((2**61 - 1, 1),)
+    assert AbelianGroup.of_order(2**61 - 1) == AbelianGroup.cyclic_prime_power(2**61 - 1)
+    assert time.perf_counter() - start < 1
+    assert _factor_prime_powers(1000003 * 1000033) == ((1000003, 1), (1000033, 1))
+    assert _factor_prime_powers(2**5 * 3 * 1000003**2) == ((2, 5), (3, 1), (1000003, 2))
+    # two prime factors past the trial bound: refused, naming m
+    m = (2**61 - 1) * (2**31 - 1)
+    assert 2**31 - 1 > TRIAL_BOUND
+    with pytest.raises(ValueError, match=str(m)):
+        _factor_prime_powers(m)
+    # above the exact Miller-Rabin range primality goes through the same bound
+    assert not _is_prime(3 * (2**89 - 1))
+    with pytest.raises(ValueError, match=str(2**89 - 1)):
+        _is_prime(2**89 - 1)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -290,7 +346,7 @@ def test_series_nonnegative_everywhere():
             s = series_Wh_Zp(n, p, 8)
             for coeff in s.coeffs:
                 assert coeff.free_rank >= 0
-                assert all(e >= 1 for _, e in coeff.torsion)
+                assert all(e >= 1 and count >= 1 for (_, e), count in coeff.torsion)
 
 
 def test_json_shapes():
