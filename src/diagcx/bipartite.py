@@ -25,6 +25,8 @@ BIPARTITE_JSON_SCHEMA = {
     },
 }
 
+BIPARTITE_CAP = 4
+
 
 @dataclass(frozen=True)
 class BipartiteForest:
@@ -228,9 +230,9 @@ def enumerate_bipartite_forests(n):
     return out
 
 
-def enumerate_bipartite(n, cap=4):
+def enumerate_bipartite(n):
     """The set of partial partitions realised by bipartite forests on [n]."""
-    if n > cap:
-        raise ValueError(f"n must be at most {cap}")
+    if n > BIPARTITE_CAP:
+        raise ValueError(f"n must be at most {BIPARTITE_CAP}")
     partitions = {partial_partition_of(f) for f in enumerate_bipartite_forests(n)}
     return tuple(sorted(partitions, key=lambda part: part.blocks))

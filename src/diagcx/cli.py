@@ -83,10 +83,12 @@ def _emit(args, text, payload):
 
 def cmd_forests_enumerate(args):
     _check_guard(args.n, ENUM_GUARD, args.unsafe_large, "forest enumeration n")
-    items = forests.enumerate_forests(args.n, include_empty=args.include_empty, workers=args.workers)
+    items = forests.enumerate_forests(args.n, include_empty=args.include_empty)
     if args.count_only:
-        _emit(args, str(len(items)), lambda: {"n": args.n, "count": len(items)})
+        count = sum(1 for _ in items)
+        _emit(args, str(count), lambda: {"n": args.n, "count": count})
         return
+    items = list(items)
     text = "\n".join(",".join(map(str, f.to_json())) for f in items)
     _emit(args, text, lambda: {"n": args.n, "forests": [f.to_json() for f in items]})
 
@@ -368,7 +370,7 @@ def build_parser():
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--count-only", action="store_true")
     q.add_argument("--include-empty", action="store_true")
-    q.add_argument("--workers", type=int, default=1)
+    q.add_argument("--workers", type=int, default=1, help="accepted for compatibility; runs in one process")
     q.set_defaults(func=cmd_forests_enumerate)
 
     p = sub.add_parser("complex")

@@ -69,12 +69,17 @@ class PlantedForest:
             p = self.parent[v - 1]
             if not 0 <= p <= self.n or p == v:
                 raise ValueError(f"bad parent {p} for vertex {v}")
+        # 0: not yet visited, 1: on the current walk, 2: reaches a root
+        state = [2] + [0] * self.n
         for v in range(1, self.n + 1):
-            seen = set()
-            while v != 0:
-                if v in seen:
-                    raise ValueError("parent map contains a cycle")
-                seen.add(v)
+            w = v
+            while not state[w]:
+                state[w] = 1
+                w = self.parent[w - 1]
+            if state[w] == 1:
+                raise ValueError("parent map contains a cycle")
+            while state[v] == 1:
+                state[v] = 2
                 v = self.parent[v - 1]
 
     @classmethod
@@ -301,7 +306,7 @@ def prufer_encode(forest):
 
 
 def prufer_decode(word):
-    """The unique forest encoding to the given word."""
+    """The unique forest encoding to the given word, in O(n) steps."""
     n = len(word) + 1
     for s in word:
         if not 0 <= s <= n:
@@ -309,46 +314,34 @@ def prufer_decode(word):
     degree = [1] * (n + 1)
     for s in word:
         degree[s] += 1
+    # the largest leaf only moves down, unless the letter just written becomes a larger leaf
+    largest = leaf = max(v for v in range(n + 1) if degree[v] == 1)
     parent = [0] * (n + 1)
     for s in word:
-        leaf = max(v for v in range(n + 1) if degree[v] == 1)
         parent[leaf] = s
-        degree[leaf] -= 1
         degree[s] -= 1
-    last = max(v for v in range(1, n + 1) if degree[v] == 1)
-    parent[last] = 0
+        if degree[s] == 1 and s > largest:
+            leaf = s
+        else:
+            largest -= 1
+            while degree[largest] != 1:
+                largest -= 1
+            leaf = largest
+    # the last leaf is a root: its parent stays 0
     return PlantedForest(n, tuple(parent[1:]))
 
 
-def _decode_words(words, include_empty):
-    # the all-zero word is the empty forest
-    return [prufer_decode(word) for word in words if include_empty or any(word)]
-
-
-def _decode_shard(args):
-    # Parent tuples, not forests: pickling forests raised n=7 peak RSS from 77 to 120 MiB
-    n, first, include_empty = args
-    words = itertools.product((first,), *[range(n + 1)] * (n - 2))
-    return [forest.parent for forest in _decode_words(words, include_empty)]
-
-
-def enumerate_forests(n, include_empty=False, workers=1):
-    """All planted forests on [n] in lexicographic word order.
+def enumerate_forests(n, include_empty=False):
+    """An iterator over all planted forests on [n] in lexicographic word order.
 
     There are (n+1)^(n-1) words; the all-zero word is the empty forest
-    and is dropped unless requested.  Worker processes take one shard
-    per first letter; shards are merged in order, so output is identical
-    for any worker count.
+    and is dropped unless requested.  Each forest is decoded when it is
+    reached, so memory does not grow with the count.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if workers <= 1 or (n + 1) ** (n - 1) < 1000:
-        return _decode_words(itertools.product(range(n + 1), repeat=n - 1), include_empty)
-    import multiprocessing
-
-    with multiprocessing.Pool(workers) as pool:
-        parts = pool.map(_decode_shard, [(n, first, include_empty) for first in range(n + 1)])
-    return [PlantedForest(n, parent) for part in parts for parent in part]
+    words = itertools.product(range(n + 1), repeat=n - 1)
+    return (prufer_decode(word) for word in words if include_empty or any(word))
 
 
 # -- symmetric-group orbits ----------------------------------------------

@@ -404,12 +404,13 @@ def verify_relations(presentation, groups, words=None):
     """
     if words is None:
         words = probe_words(groups)
+    expected = [(word, normal_form(groups, word)) for word in words]
     checks = []
     for relation in presentation.relations:
         auto = relation_automorphism(groups, relation)
         witness = None
-        for word in words:
-            if auto.apply(word) != normal_form(groups, word):
+        for word, form in expected:
+            if auto.apply(word) != form:
                 witness = word
                 break
         checks.append(RelationCheck(relation, witness is None, witness))
@@ -451,6 +452,7 @@ def literal_pairwise_commutator_checks(groups, entries=None):
             for i, j, k, l in itertools.product(range(1, n + 1), repeat=4)
             if i != j and k != l and i != k
         ]
+    expected = [(word, normal_form(groups, word)) for word in probe_words(groups)]
     checks = []
     for i, j, k, l in entries:
         for g in groups[j - 1].nonidentity():
@@ -461,8 +463,8 @@ def literal_pairwise_commutator_checks(groups, entries=None):
                 b_inv = Automorphism.partial_conjugation(groups, k, (l, groups[l - 1].inv(h)))
                 composite = a_inv.then(b_inv).then(a).then(b)
                 witness = None
-                for word in probe_words(groups):
-                    if composite.apply(word) != normal_form(groups, word):
+                for word, form in expected:
+                    if composite.apply(word) != form:
                         witness = word
                         break
                 label = f"[a_{i}^(g{g} in G{j}), a_{k}^(g{h} in G{l})]"

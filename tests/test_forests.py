@@ -281,8 +281,8 @@ def test_prufer_encode_decode_identity(n):
 
 @pytest.mark.parametrize("n,with_empty,without", [(2, 3, 2), (3, 16, 15), (5, 1296, 1295)])
 def test_enumeration_counts(n, with_empty, without):
-    assert len(enumerate_forests(n, include_empty=True)) == with_empty
-    assert len(enumerate_forests(n)) == without
+    assert sum(1 for _ in enumerate_forests(n, include_empty=True)) == with_empty
+    assert sum(1 for _ in enumerate_forests(n)) == without
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -291,8 +291,9 @@ def test_enumeration_matches_brute_force(n):
     assert via_words == set(brute_force_forests(n))
 
 
-def test_enumeration_builds_each_forest_once(monkeypatch):
-    # 6^4 = 1296 words at n=5, less the empty one; decoding validates each forest
+@pytest.fixture
+def post_init_calls(monkeypatch):
+    """The parent tuple of every PlantedForest validated while the test runs."""
     calls = []
     validate = PlantedForest.__post_init__
 
@@ -301,16 +302,74 @@ def test_enumeration_builds_each_forest_once(monkeypatch):
         validate(self)
 
     monkeypatch.setattr(PlantedForest, "__post_init__", counting)
-    forests = enumerate_forests(5)
-    assert len(forests) == 1295
-    assert len(calls) == 1295
+    return calls
 
 
-def test_enumeration_worker_count_invariance():
-    # n=5 is over the sharding threshold, so worker processes really run
-    single = enumerate_forests(5, workers=1)
-    multi = enumerate_forests(5, workers=3)
-    assert single == multi
+def test_enumeration_builds_each_forest_once(post_init_calls):
+    # 6^4 = 1296 words at n=5, less the empty one; decoding validates each forest
+    count = sum(1 for _ in enumerate_forests(5))
+    assert count == 1295
+    assert len(post_init_calls) == 1295
+
+
+def test_enumeration_is_lazy(post_init_calls):
+    # 9^7 = 4782969 words at n=8; taking three forests must build only three
+    first = list(itertools.islice(enumerate_forests(8), 3))
+    assert len(first) == 3
+    assert len(post_init_calls) == 3
+
+
+def quadratic_decode(word):
+    """Reference decode: rescan every vertex for the largest leaf at each letter."""
+    n = len(word) + 1
+    degree = [1] * (n + 1)
+    for s in word:
+        degree[s] += 1
+    parent = [0] * (n + 1)
+    for s in word:
+        leaf = max(v for v in range(n + 1) if degree[v] == 1)
+        parent[leaf] = s
+        degree[leaf] -= 1
+        degree[s] -= 1
+    last = max(v for v in range(1, n + 1) if degree[v] == 1)
+    parent[last] = 0
+    return tuple(parent[1:])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_prufer_decode_matches_quadratic_reference(n):
+    for word in itertools.product(range(n + 1), repeat=n - 1):
+        assert prufer_decode(word).parent == quadratic_decode(word), word
+
+
+def reference_verdict(n, parent):
+    """Range check, then a fresh walk from every vertex with its own visited set."""
+    for v in range(1, n + 1):
+        if not 0 <= parent[v - 1] <= n or parent[v - 1] == v:
+            return f"bad parent {parent[v - 1]} for vertex {v}"
+    for v in range(1, n + 1):
+        seen = set()
+        while v != 0:
+            if v in seen:
+                return "parent map contains a cycle"
+            seen.add(v)
+            v = parent[v - 1]
+    return "accepted"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_forest_check_matches_reference_walk(n):
+    # every map in {0..n}^n: accepted, "bad parent ..." or a cycle, with the same message
+    kinds = set()
+    for parent in itertools.product(range(n + 1), repeat=n):
+        try:
+            PlantedForest(n, parent)
+            verdict = "accepted"
+        except ValueError as error:
+            verdict = str(error)
+        assert verdict == reference_verdict(n, parent), parent
+        kinds.add("cycle" if "cycle" in verdict else verdict[:10])  # "accepted" or "bad parent"
+    assert kinds == {"accepted", "bad parent"} | ({"cycle"} if n > 1 else set())
 
 
 # -- orbits -----------------------------------------------------------------
