@@ -21,8 +21,9 @@ from .groups import descriptor_order, group_from_descriptor
 GUARD_EXIT = 3
 USAGE_EXIT = 2
 
+# Limits on n; a refusal states the Prüfer words or simplices n predicts.
 ENUM_GUARD = 8
-CLOSURE_GUARD = 4
+CLOSURE_GUARD = 4  # also bounds homology torus, whose dense rank takes about 66 s at n=5
 ORBIT_GUARD = 6
 # Limits on predicted sizes rather than on n.
 GROUP_ORDER_GUARD = 24  # subgroup enumeration takes 0.5 s at order 24, 15 s at 48
@@ -42,6 +43,27 @@ def _check_guard(value, limit, unsafe, what):
     if value > limit and not unsafe:
         raise GuardError(
             f"{what} is {value}, above the limit {limit}; pass --unsafe-large to override"
+        )
+
+
+def _check_n_guard(args, limit, what, simplices=False):
+    """A guard on n that states the work it predicts.
+
+    That is (n+1)^(n-1) Prüfer words, or with ``simplices`` the
+    (n+1)^(n-1) - 1 nonempty forest posets of the forest complex.
+    """
+    unit = "simplices" if simplices else "Prufer words"
+
+    def predicted(n):
+        if n > 30:  # (n+1)^(n-1) - 1 > 10^(n-1); do not write out a huge power
+            return f"more than 10^{n - 1} {unit}"
+        words = (n + 1) ** (n - 1)
+        return f"{words - 1 if simplices else words} {unit}"
+
+    if args.n > limit and not args.unsafe_large:
+        raise GuardError(
+            f"{what} n is {args.n} ({predicted(args.n)}), above the limit {limit} "
+            f"({predicted(limit)}); pass --unsafe-large to override"
         )
 
 
@@ -82,7 +104,7 @@ def _emit(args, text, payload):
 
 
 def cmd_forests_enumerate(args):
-    _check_guard(args.n, ENUM_GUARD, args.unsafe_large, "forest enumeration n")
+    _check_n_guard(args, ENUM_GUARD, "forest enumeration")
     items = forests.enumerate_forests(args.n, include_empty=args.include_empty)
     if args.count_only:
         count = sum(1 for _ in items)
@@ -106,7 +128,7 @@ def _load_complex(args):
 
 def cmd_complex_verify(args):
     if args.file is None:
-        _check_guard(args.n, forests.BUILD_CAP, args.unsafe_large, "complex construction n")
+        _check_n_guard(args, forests.BUILD_CAP, "complex construction", simplices=True)
     complex_, labelling, _ = _load_complex(args)
     report = complex_.validate()
     proper = complex_.is_proper() if report.ok else False
@@ -127,7 +149,7 @@ def cmd_complex_verify(args):
 
 def cmd_complex_objects(args):
     if args.file is None:
-        _check_guard(args.n, CLOSURE_GUARD, args.unsafe_large, "meet closure n")
+        _check_n_guard(args, CLOSURE_GUARD, "meet closure", simplices=True)
     complex_, labelling, fc = _load_complex(args)
     objects = complex_.category_objects(labelling)
     if fc is not None:
@@ -266,7 +288,7 @@ def cmd_present_verify(args):
 
 
 def cmd_orbits(args):
-    _check_guard(args.n, ORBIT_GUARD, args.unsafe_large, "orbit enumeration n")
+    _check_n_guard(args, ORBIT_GUARD, "orbit enumeration")
     multiplicities = _parse_int_list(args.colors)
     rows = forests.orbit_decomposition(args.n, multiplicities)
     lines = [
@@ -288,7 +310,7 @@ def cmd_orbits(args):
 
 
 def cmd_decomposition(args):
-    _check_guard(args.n, ORBIT_GUARD, args.unsafe_large, "orbit enumeration n")
+    _check_n_guard(args, ORBIT_GUARD, "orbit enumeration")
     multiplicities = _parse_int_list(args.colors)
     factors = [f.strip() for f in args.factors.split(",")]
     if len(factors) != len(multiplicities):
@@ -305,7 +327,7 @@ def cmd_decomposition(args):
 
 
 def cmd_homology_torus(args):
-    _check_guard(args.n, CLOSURE_GUARD, args.unsafe_large, "torus-model rank n")
+    _check_n_guard(args, CLOSURE_GUARD, "torus-model rank", simplices=True)
     fc = forests.build_gamma_Fn(args.n)
     betti = homology.torus_model_betti(fc.complex, fc.labelling)
     if args.dump:

@@ -15,7 +15,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .partitions import EMPTY_MEET, PartialPartition, block_classes, meet
+from .partitions import PartialPartition, block_classes, meet, meet_masks
 
 COMPLEX_JSON_SCHEMA = {
     "type": "object",
@@ -63,12 +63,48 @@ def _simplex_key(simplex):
     return ",".join(map(str, sorted(simplex)))
 
 
+def _subset_order(k):
+    """Nonempty subsets of k blocks as (mask, mask without its last block, last block).
+
+    Listed in ``itertools.combinations`` order, so each subset comes after
+    the subset without its last block.
+    """
+    order = []
+    for r in range(1, k + 1):
+        for combo in itertools.combinations(range(k), r):
+            mask = sum(1 << i for i in combo)
+            order.append((mask, mask ^ (1 << combo[-1]), combo[-1]))
+    return tuple(order)
+
+
+def _meet_closure(generators):
+    """The nonempty meets of nonempty sets of generators.
+
+    Meets are associative, so the closure is reached by meeting each new
+    object with the generators alone.  The meets run on block bitmasks
+    (:func:`partitions.meet_masks`); each new object is built by
+    :func:`partitions.meet`.
+    """
+    generators = {part.masks(): part for part in generators}
+    objects = dict(generators)
+    queue = list(generators.items())
+    while queue:
+        p_masks, p = queue.pop()
+        for g_masks, g in generators.items():
+            m_masks = meet_masks(p_masks, g_masks)
+            if m_masks and m_masks not in objects:
+                objects[m_masks] = meet(p, g)
+                queue.append((m_masks, objects[m_masks]))
+    return objects.values()
+
+
 class DiagonalComplex:
     """A finite diagonal complex, stored explicitly.
 
     ``gamma`` maps each simplex (a frozenset of ground indices) to a
     PartialPartition supported exactly on that simplex.  Instances are
-    treated as immutable after construction; levels are memoised.
+    treated as immutable after construction; levels and the validation
+    report are memoised.
     """
 
     def __init__(self, ground_size, gamma):
@@ -76,6 +112,7 @@ class DiagonalComplex:
         self.gamma = {frozenset(u): part for u, part in gamma.items()}
         self._levels = {}
         self._coarse_levels = {}
+        self._report = None
 
     @property
     def simplices(self):
@@ -114,7 +151,21 @@ class DiagonalComplex:
     # -- validation -------------------------------------------------
 
     def validate(self):
-        """Check the three axioms; failures carry a witness, never raise."""
+        """Check the three axioms; failures carry a witness, never raise.
+
+        Axiom 3 holds for U when every nonempty set of blocks of gamma(U)
+        has a union F that is a simplex, and every block of gamma(F) lies
+        inside one chosen block, that is inside the block of gamma(U)
+        holding its least element.  The sets are visited in
+        ``itertools.combinations`` order, and each union is the union of
+        the set without its last block (met earlier) plus that block.  The
+        report is memoised: gamma is not changed after construction.
+        """
+        if self._report is None:
+            self._report = self._check_axioms()
+        return self._report
+
+    def _check_axioms(self):
         checks = []
 
         missing = [x for x in range(self.ground_size) if frozenset([x]) not in self.gamma]
@@ -122,8 +173,9 @@ class DiagonalComplex:
             AxiomCheck(1, not missing, None if not missing else f"missing singleton {{{missing[0]}}}")
         )
 
+        ordered = sorted(self.gamma.items(), key=lambda kv: _simplex_key(kv[0]))
         ax2_witness = None
-        for u, part in sorted(self.gamma.items(), key=lambda kv: _simplex_key(kv[0])):
+        for u, part in ordered:
             if part.ground_size != self.ground_size:
                 ax2_witness = f"gamma({_simplex_key(u)}) has wrong ground size"
                 break
@@ -135,36 +187,41 @@ class DiagonalComplex:
                 break
         checks.append(AxiomCheck(2, ax2_witness is None, ax2_witness))
 
-        ax3_witness = None
-        if ax2_witness is None:
-            for u, part in sorted(self.gamma.items(), key=lambda kv: _simplex_key(kv[0])):
-                blocks = part.blocks
-                for r in range(1, len(blocks) + 1):
-                    for combo in itertools.combinations(blocks, r):
-                        face = frozenset(x for b in combo for x in b)
-                        if face not in self.gamma:
-                            ax3_witness = (
-                                f"face {_simplex_key(face)} of {_simplex_key(u)} missing"
-                            )
-                            break
-                        fpart = self.gamma[face]
-                        chosen = [set(b) for b in combo]
-                        refines = all(
-                            any(set(fb).issubset(c) for c in chosen) for fb in fpart.blocks
-                        )
-                        if not refines:
-                            ax3_witness = (
-                                f"gamma({_simplex_key(face)}) does not refine the blocks "
-                                f"{[sorted(b) for b in combo]} of {_simplex_key(u)}"
-                            )
-                            break
-                    if ax3_witness:
-                        break
-                if ax3_witness:
-                    break
+        ax3_witness = None if ax2_witness else self._axiom3_witness(ordered)
         checks.append(AxiomCheck(3, ax3_witness is None, ax3_witness))
 
         return ValidationReport(tuple(checks))
+
+    def _axiom3_witness(self, ordered):
+        """The first axiom-3 failure in the order of ``ordered``, or None.
+
+        Needs axiom 2, so that gamma(F) is supported exactly on F.
+        """
+        gamma = self.gamma
+        home = [None] * self.ground_size  # element of U -> its block of gamma(U)
+        orders = {}
+        for u, part in ordered:
+            blocks = part.blocks
+            if len(blocks) not in orders:
+                orders[len(blocks)] = _subset_order(len(blocks))
+            sets = [frozenset(block) for block in blocks]
+            for block in sets:
+                for x in block:
+                    home[x] = block
+            unions = [frozenset()] * (1 << len(blocks))
+            for mask, rest, last in orders[len(blocks)]:
+                face = unions[mask] = unions[rest] | sets[last]
+                fpart = gamma.get(face)
+                if fpart is None:
+                    return f"face {_simplex_key(face)} of {_simplex_key(u)} missing"
+                for fb in fpart.blocks:
+                    if not home[fb[0]].issuperset(fb):
+                        combo = [list(b) for i, b in enumerate(blocks) if mask >> i & 1]
+                        return (
+                            f"gamma({_simplex_key(face)}) does not refine the blocks "
+                            f"{combo} of {_simplex_key(u)}"
+                        )
+        return None
 
     def _require_valid(self):
         report = self.validate()
@@ -176,19 +233,53 @@ class DiagonalComplex:
     def is_proper(self):
         """Whether gamma(U) is the complement system of U's maximal subsets.
 
-        Equivalent to the descendance order agreeing with inclusion.
+        Equivalent to the descendance order agreeing with inclusion.  On
+        a valid complex, U (not a singleton) passes iff no simplex V
+        properly inside U meets every block of gamma(U).  Indeed each
+        U - B, for B a block, is a simplex by axiom 3, and these are
+        pairwise incomparable.  If no such V exists, every simplex
+        properly inside U misses some block B and so lies in U - B: the
+        maximal ones are exactly the U - B, whose complements are the
+        blocks.  If V exists, a maximal simplex properly inside U that
+        contains V meets every block, so it is no U - B and the
+        complements differ from the blocks.
+
+        The test runs once per U on posting bitsets over the simplices
+        sorted by size (bit i of postings[x] is set when simplex i holds x):
+        the candidates are the simplices smaller than U, narrowed to those
+        meeting each block and then to those avoiding every element
+        outside U.
         """
         self._require_valid()
-        all_simplices = list(self.gamma)
-        for u, part in self.gamma.items():
+        simplices = sorted(self.gamma, key=len)
+        rows = [bytearray(len(simplices) // 8 + 1) for _ in range(self.ground_size)]
+        smaller = {}  # size s -> bitset of the simplices with fewer than s elements
+        for i, u in enumerate(simplices):
+            if len(u) not in smaller:
+                smaller[len(u)] = (1 << i) - 1
+            byte, bit = i >> 3, 1 << (i & 7)
+            for x in u:
+                rows[x][byte] |= bit
+        postings = [int.from_bytes(row, "little") for row in rows]
+        for u in simplices:
             if len(u) == 1:
                 continue
-            subs = [v for v in all_simplices if v < u]
-            maximal = [v for v in subs if not any(v < w for w in subs)]
-            expected = {u - m for m in maximal}
-            actual = {frozenset(b) for b in part.blocks}
-            if expected != actual:
-                return False
+            candidates = smaller[len(u)]
+            for block in self.gamma[u].blocks:
+                hit = 0
+                for x in block:
+                    hit |= candidates & postings[x]
+                candidates = hit
+                if not candidates:
+                    break
+            else:
+                for x, posting in enumerate(postings):
+                    if x not in u:
+                        candidates &= ~posting
+                        if not candidates:
+                            break
+                else:
+                    return False
         return True
 
     # -- levels and filtration ---------------------------------------
@@ -247,29 +338,22 @@ class DiagonalComplex:
     def category_objects(self, labelling):
         """The meet-closed poset of partitions underlying the colimit diagram.
 
-        Starts from {gamma(U)} and closes under meets, discarding empty
-        meets.  All blocks must carry a constant label (guaranteed for
-        the starting partitions by labelling validity, asserted for the
-        meets).  Returns the objects sorted; order queries go through
+        Starts from the generators {gamma(U)} and closes under meets,
+        discarding empty meets.  Meets are associative, so the objects are
+        the nonempty meets of sets of generators, and each new object is
+        met with the generators only (:func:`_meet_closure`, on block
+        bitmasks).  All blocks must carry a constant label (guaranteed for
+        the generators by labelling validity, asserted for the meets).
+        Returns the objects sorted; order queries go through
         partitions.is_partial_coarsening.
         """
         self._require_valid()
         labelling.check_against(self)
-        objects = {part for part in self.gamma.values()}
-        queue = list(objects)
-        while queue:
-            p = queue.pop()
-            for q in list(objects):
-                m = meet(p, q)
-                if m is EMPTY_MEET or m in objects:
-                    continue
-                for block in m.blocks:
-                    if len({labelling.labels[x] for x in block}) != 1:
-                        raise ValueError(
-                            f"meet produced a block with mixed labels: {sorted(block)}"
-                        )
-                objects.add(m)
-                queue.append(m)
+        objects = _meet_closure(self.gamma.values())
+        for part in objects:
+            for block in part.blocks:
+                if len({labelling.labels[x] for x in block}) != 1:
+                    raise ValueError(f"meet produced a block with mixed labels: {sorted(block)}")
         return tuple(sorted(objects, key=lambda part: part.blocks))
 
     # -- monomials ----------------------------------------------------

@@ -5,7 +5,8 @@ A partial partition is a set of pairwise disjoint nonempty blocks of
 partitions are ordered by *partial coarsening*: ``p <= q`` holds when
 every block of p is a union of blocks of q.  Under this order the poset
 has meets, computed by an equivalence closure with a sink element that
-absorbs everything outside the common support.
+absorbs everything outside the common support; :func:`meet_masks` does
+this on blocks stored as bitmasks.
 """
 
 from dataclasses import dataclass
@@ -76,6 +77,10 @@ class PartialPartition:
         """The set of covered elements."""
         return frozenset(x for block in self.blocks for x in block)
 
+    def masks(self):
+        """The blocks as bitmasks, bit x set for element x, in block order."""
+        return tuple(sum(1 << x for x in block) for block in self.blocks)
+
     def block_of(self, x):
         """The block containing x, or None if x is uncovered."""
         for block in self.blocks:
@@ -126,7 +131,7 @@ def meet(p, q):
     element outside the support of either argument is related to a sink.
     The classes avoiding the sink are the blocks of the meet.  When every
     class hits the sink the meet is the basepoint, returned as
-    :data:`EMPTY_MEET`.
+    :data:`EMPTY_MEET`.  The work is done by :func:`meet_masks`.
 
     >>> p = PartialPartition.of(2, [[0]])
     >>> q = PartialPartition.of(2, [[1]])
@@ -135,24 +140,53 @@ def meet(p, q):
     """
     if p.ground_size != q.ground_size:
         raise ValueError("mismatched ground sizes")
-    n = p.ground_size
-    common = p.support & q.support
-    outside = [x for x in range(n) if x not in common]
-    blocks = list(block_classes(n, p.blocks + q.blocks, outside).values())
+    blocks = meet_masks(p.masks(), q.masks())
     if not blocks:
         return EMPTY_MEET
-    return PartialPartition.of(n, blocks)
+    n = p.ground_size
+    return PartialPartition(n, tuple(tuple(x for x in range(n) if mask >> x & 1) for mask in blocks))
 
 
-def block_classes(n, blocks, outside=()):
+def meet_masks(p, q):
+    """The meet on block bitmasks: the blocks of the meet, by least element.
+
+    ``p`` and ``q`` are tuples of pairwise disjoint block masks.  Blocks of
+    p and q that overlap are merged into classes; a class with an element
+    outside the common support is joined to the sink and dropped.  An
+    empty tuple is the empty meet.
+
+    >>> meet_masks((0b011, 0b100), (0b001, 0b010))
+    (3,)
+    """
+    support_p = support_q = 0
+    for block in p:
+        support_p |= block
+    for block in q:
+        support_q |= block
+    common = support_p & support_q
+    if not common:
+        return ()
+    classes = []
+    for block in p + q:
+        # classes are disjoint, so a class meets the merged block iff it meets block
+        merged = block
+        rest = []
+        for c in classes:
+            if c & block:
+                merged |= c
+            else:
+                rest.append(c)
+        rest.append(merged)
+        classes = rest
+    return tuple(sorted((c for c in classes if c & common == c), key=lambda c: c & -c))
+
+
+def block_classes(n, blocks):
     """Classes of {0..n-1} under "shares a block", by union-find.
 
-    Elements of ``outside`` are joined to a sink, and classes reaching the
-    sink are dropped.  Returns {representative: sorted members} for the
-    remaining classes, in order of least member.
+    Returns {representative: sorted members}, in order of least member.
     """
-    sink = n
-    parent = list(range(n + 1))
+    parent = list(range(n))
 
     def find(a):
         while parent[a] != a:
@@ -160,13 +194,10 @@ def block_classes(n, blocks, outside=()):
             a = parent[a]
         return a
 
-    for x in outside:
-        parent[x] = sink
     for block in blocks:
         for x in block[1:]:
             parent[find(x)] = find(block[0])
     classes = {}
     for x in range(n):
         classes.setdefault(find(x), []).append(x)
-    classes.pop(find(sink), None)
     return classes

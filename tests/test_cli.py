@@ -244,6 +244,14 @@ def test_wh_zp_json_torsion_matches_text_counts(capsys):
         (["homology", "nerve", "--group", "Z/5xZ/5"], "is 25,"),
         (["present", "verify", "--n", "3", "--factors", "Z/12,Z/12,Z/12"], "is 30366765,"),
         (["homology", "nerve", "--group", "S4"], "is 7891,"),
+        (["forests", "enumerate", "--n", "9"],
+         "n is 9 (100000000 Prufer words), above the limit 8 (4782969 Prufer words);"),
+        (["forests", "enumerate", "--n", "100"], "n is 100 (more than 10^99 Prufer words),"),
+        (["orbits", "--n", "7", "--colors", "7"], "n is 7 (262144 Prufer words),"),
+        (["complex", "verify", "--n", "7"],
+         "n is 7 (262143 simplices), above the limit 6 (16806 simplices);"),
+        (["complex", "objects", "--n", "5"], "n is 5 (1295 simplices), above the limit 4 (124 simplices);"),
+        (["homology", "torus", "--n", "5"], "n is 5 (1295 simplices),"),
     ],
 )
 def test_size_guards_state_the_predicted_size(capsys, argv, predicted):
