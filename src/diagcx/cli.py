@@ -39,10 +39,11 @@ class GuardError(Exception):
     pass
 
 
-def _check_guard(value, limit, unsafe, what):
+def _check_guard(value, limit, unsafe, what, show=str):
     if value > limit and not unsafe:
         raise GuardError(
-            f"{what} is {value}, above the limit {limit}; pass --unsafe-large to override"
+            f"{what} is {show(value)}, above the limit {show(limit)}; "
+            "pass --unsafe-large to override"
         )
 
 
@@ -54,17 +55,13 @@ def _check_n_guard(args, limit, what, simplices=False):
     """
     unit = "simplices" if simplices else "Prufer words"
 
-    def predicted(n):
+    def show(n):
         if n > 30:  # (n+1)^(n-1) - 1 > 10^(n-1); do not write out a huge power
-            return f"more than 10^{n - 1} {unit}"
+            return f"{n} (more than 10^{n - 1} {unit})"
         words = (n + 1) ** (n - 1)
-        return f"{words - 1 if simplices else words} {unit}"
+        return f"{n} ({words - 1 if simplices else words} {unit})"
 
-    if args.n > limit and not args.unsafe_large:
-        raise GuardError(
-            f"{what} n is {args.n} ({predicted(args.n)}), above the limit {limit} "
-            f"({predicted(limit)}); pass --unsafe-large to override"
-        )
+    _check_guard(args.n, limit, args.unsafe_large, f"{what} n", show)
 
 
 def _series_factor(text, truncation):

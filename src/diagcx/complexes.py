@@ -11,7 +11,6 @@ graph products.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -61,20 +60,6 @@ class ValidationReport:
 
 def _simplex_key(simplex):
     return ",".join(map(str, sorted(simplex)))
-
-
-def _subset_order(k):
-    """Nonempty subsets of k blocks as (mask, mask without its last block, last block).
-
-    Listed in ``itertools.combinations`` order, so each subset comes after
-    the subset without its last block.
-    """
-    order = []
-    for r in range(1, k + 1):
-        for combo in itertools.combinations(range(k), r):
-            mask = sum(1 << i for i in combo)
-            order.append((mask, mask ^ (1 << combo[-1]), combo[-1]))
-    return tuple(order)
 
 
 def _meet_closure(generators):
@@ -195,32 +180,37 @@ class DiagonalComplex:
     def _axiom3_witness(self, ordered):
         """The first axiom-3 failure in the order of ``ordered``, or None.
 
-        Needs axiom 2, so that gamma(F) is supported exactly on F.
+        Needs axiom 2, so that gamma(F) is supported exactly on F.  The
+        block sets of one size are grown from the sets one smaller that
+        passed, each by a block after its last one: that is the
+        ``itertools.combinations`` order, and a simplex with many blocks
+        stops at its first missing face without listing its subsets.
         """
         gamma = self.gamma
         home = [None] * self.ground_size  # element of U -> its block of gamma(U)
-        orders = {}
         for u, part in ordered:
-            blocks = part.blocks
-            if len(blocks) not in orders:
-                orders[len(blocks)] = _subset_order(len(blocks))
-            sets = [frozenset(block) for block in blocks]
+            sets = [frozenset(block) for block in part.blocks]
             for block in sets:
                 for x in block:
                     home[x] = block
-            unions = [frozenset()] * (1 << len(blocks))
-            for mask, rest, last in orders[len(blocks)]:
-                face = unions[mask] = unions[rest] | sets[last]
-                fpart = gamma.get(face)
-                if fpart is None:
-                    return f"face {_simplex_key(face)} of {_simplex_key(u)} missing"
-                for fb in fpart.blocks:
-                    if not home[fb[0]].issuperset(fb):
-                        combo = [list(b) for i, b in enumerate(blocks) if mask >> i & 1]
-                        return (
-                            f"gamma({_simplex_key(face)}) does not refine the blocks "
-                            f"{combo} of {_simplex_key(u)}"
-                        )
+            level = [(frozenset(), -1)]  # (union, index of its last block)
+            while level:
+                grown = []
+                for union, last in level:
+                    for j in range(last + 1, len(sets)):
+                        face = union | sets[j]
+                        fpart = gamma.get(face)
+                        if fpart is None:
+                            return f"face {_simplex_key(face)} of {_simplex_key(u)} missing"
+                        for fb in fpart.blocks:
+                            if not home[fb[0]].issuperset(fb):
+                                combo = [list(b) for b in part.blocks if b[0] in face]
+                                return (
+                                    f"gamma({_simplex_key(face)}) does not refine the blocks "
+                                    f"{combo} of {_simplex_key(u)}"
+                                )
+                        grown.append((face, j))
+                level = grown
         return None
 
     def _require_valid(self):
@@ -252,15 +242,13 @@ class DiagonalComplex:
         """
         self._require_valid()
         simplices = sorted(self.gamma, key=len)
-        rows = [bytearray(len(simplices) // 8 + 1) for _ in range(self.ground_size)]
+        postings = [0] * self.ground_size
         smaller = {}  # size s -> bitset of the simplices with fewer than s elements
         for i, u in enumerate(simplices):
             if len(u) not in smaller:
                 smaller[len(u)] = (1 << i) - 1
-            byte, bit = i >> 3, 1 << (i & 7)
             for x in u:
-                rows[x][byte] |= bit
-        postings = [int.from_bytes(row, "little") for row in rows]
+                postings[x] |= 1 << i
         for u in simplices:
             if len(u) == 1:
                 continue

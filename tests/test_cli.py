@@ -193,6 +193,30 @@ def test_complex_objects_from_file(tmp_path, capsys):
     assert out.splitlines()[0] == "objects: 6"
 
 
+def test_many_block_simplex_stops_at_its_first_missing_face(tmp_path, capsys):
+    # one simplex with 30 singleton blocks: 2^30 block sets, of which axiom 3
+    # must meet only the first missing face
+    n = 30
+    whole = ",".join(map(str, range(n)))
+    gamma = {str(x): [[x]] for x in range(n)}
+    gamma[whole] = [[x] for x in range(n)]
+    document = {
+        "ground": n,
+        "simplices": [[x] for x in range(n)] + [list(range(n))],
+        "gamma": gamma,
+        "labels": [0] * n,
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    witness = f"face 0,1 of {whole} missing"
+    code, out, _ = run_cli(capsys, ["complex", "verify", "--file", str(path)])
+    assert code == 0
+    assert f"axiom 3: FAIL ({witness})" in out.splitlines()
+    code, out, err = run_cli(capsys, ["complex", "objects", "--file", str(path)])
+    assert code == 2 and out == ""
+    assert err == f"error: invalid diagonal complex: {witness}\n"
+
+
 def test_cactus_coords_render(capsys):
     code, out, _ = run_cli(
         capsys,
