@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 usage error, 3 resource guard exceeded.
 """
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -27,7 +28,7 @@ CLOSURE_GUARD = 4  # also bounds homology torus, whose dense rank takes about 66
 ORBIT_GUARD = 6
 # Limits on predicted sizes rather than on n.
 GROUP_ORDER_GUARD = 24  # subgroup enumeration takes 0.5 s at order 24, 15 s at 48
-VERIFY_GUARD = 2_000_000  # relations x probe words, about 6 us each
+VERIFY_GUARD = 1_000_000  # letters x partial conjugations composed; 4.3-5.6 s near the limit
 NERVE_FACE_GUARD = 1500  # dense Smith forms: 829 faces take 2 s, 1279 take 6 s
 DIGITS_GUARD = 4300  # Python's default limit on int-to-str conversion
 DEGREE_GUARD = 1000  # degrees computed for --truncate and --max-degree
@@ -112,21 +113,23 @@ def cmd_forests_enumerate(args):
     _emit(args, text, lambda: {"n": args.n, "forests": [f.to_json() for f in items]})
 
 
-def _load_complex(args):
-    if args.file:
+def _load_complex(args, limit, what):
+    """The complex of --file, with as many simplices as Γ(F_limit) at most, or of --n."""
+    if args.file is not None:
         with open(args.file, encoding="utf-8") as handle:
             complex_, labelling = DiagonalComplex.from_json(handle.read())
         if labelling is None:
             raise ValueError("complex file carries no labels")
+        simplices = (limit + 1) ** (limit - 1) - 1
+        _check_guard(len(complex_.gamma), simplices, args.unsafe_large, f"simplex count of {args.file}")
         return complex_, labelling, None
+    _check_n_guard(args, limit, what, simplices=True)
     fc = forests.build_gamma_Fn(args.n)
     return fc.complex, fc.labelling, fc
 
 
 def cmd_complex_verify(args):
-    if args.file is None:
-        _check_n_guard(args, forests.BUILD_CAP, "complex construction", simplices=True)
-    complex_, labelling, _ = _load_complex(args)
+    complex_, labelling, _ = _load_complex(args, forests.BUILD_CAP, "complex construction")
     report = complex_.validate()
     proper = complex_.is_proper() if report.ok else False
     lines = [f"simplices: {len(complex_.gamma)}"]
@@ -145,9 +148,7 @@ def cmd_complex_verify(args):
 
 
 def cmd_complex_objects(args):
-    if args.file is None:
-        _check_n_guard(args, CLOSURE_GUARD, "meet closure", simplices=True)
-    complex_, labelling, fc = _load_complex(args)
+    complex_, labelling, fc = _load_complex(args, CLOSURE_GUARD, "meet closure")
     objects = complex_.category_objects(labelling)
     if fc is not None:
         lines = [
@@ -249,14 +250,20 @@ def cmd_present_verify(args):
         pres = present.forest_dc_presentation(args.n, groups)
     else:
         pres = present.fr_presentation(args.n, groups)
-    words = present.probe_words(groups)
+    sizes = [group.order - 1 for group in groups]
+    letters = sum(sizes)
+    # one per pair of a relation letter whose target factor is nontrivial; four per
+    # literal instance (targets i != k, conjugating letters from factors j != i, l != k)
+    conjugations = sum(sizes[j - 1] > 0 for rel in pres.relations for pairs, _ in rel.word for _, j in pairs)
+    if args.literal_rel3:
+        conjugations += 4 * sum((letters - a) * (letters - b) for a, b in itertools.permutations(sizes, 2))
     _check_guard(
-        len(pres.relations) * len(words),
+        letters * conjugations,
         VERIFY_GUARD,
         args.unsafe_large,
-        f"relation check count ({len(pres.relations)} relations x {len(words)} probe words)",
+        f"relation check work ({letters} letters x {conjugations} partial conjugations)",
     )
-    report = present.verify_relations(pres, groups, words)
+    report = present.verify_relations(pres, groups)
     lines = []
     for check in report.checks:
         status = "PASS" if check.passed else f"FAIL witness={check.witness}"

@@ -1,6 +1,8 @@
+import jsonschema
 import pytest
 
 from diagcx.bipartite import (
+    BIPARTITE_JSON_SCHEMA,
     BipartiteForest,
     enumerate_bipartite,
     enumerate_bipartite_forests,
@@ -46,6 +48,13 @@ def test_canonical_labelling_identifies_relabellings():
 def test_json_roundtrip():
     f = BipartiteForest.of(3, {10: 3, 1: 10, 2: 10})
     assert BipartiteForest.from_json(f.to_json()) == f
+
+
+def test_json_validates_against_schema():
+    forests = list(enumerate_bipartite_forests(3))
+    assert forests
+    for f in forests:
+        jsonschema.validate(f.to_json(), BIPARTITE_JSON_SCHEMA)
 
 
 def test_single_block_partition():

@@ -13,6 +13,8 @@ from diagcx.forests import (
     build_gamma_Fn,
 )
 from diagcx.homology import HOMOLOGY_JSON_SCHEMA
+from diagcx.partitions import PARTITION_JSON_SCHEMA
+from diagcx.present import PRESENTATION_JSON_SCHEMA
 from diagcx.series import SERIES_JSON_SCHEMA
 
 
@@ -80,6 +82,15 @@ def test_json_outputs_validate_against_schemas(capsys):
 
     _, out, _ = run_cli(capsys, ["--format", "json", "decomposition", "--n", "2", "--colors", "2", "--factors", "Z/2"])
     jsonschema.validate(json.loads(out), DECOMPOSITION_JSON_SCHEMA)
+
+    _, out, _ = run_cli(capsys, ["--format", "json", "present", "fr", "--n", "3", "--factors", "S3,Z/2,Z/3"])
+    jsonschema.validate(json.loads(out), PRESENTATION_JSON_SCHEMA)
+
+    _, out, _ = run_cli(capsys, ["--format", "json", "complex", "objects", "--n", "3"])
+    objects = json.loads(out)["objects"]
+    assert objects
+    for part in objects:
+        jsonschema.validate(part, PARTITION_JSON_SCHEMA)
 
 
 def test_complex_json_file_roundtrip(tmp_path, capsys):
@@ -266,7 +277,7 @@ def test_wh_zp_json_torsion_matches_text_counts(capsys):
         (["series", "wh-free", "--n", "10000"], "is 39997,"),
         (["present", "fr", "--n", "2", "--factors", "Z/100000,Z/2"], "is 100000,"),
         (["homology", "nerve", "--group", "Z/5xZ/5"], "is 25,"),
-        (["present", "verify", "--n", "3", "--factors", "Z/12,Z/12,Z/12"], "is 30366765,"),
+        (["present", "verify", "--n", "3", "--factors", "S4,S4,S4"], "is 2399544,"),
         (["homology", "nerve", "--group", "S4"], "is 7891,"),
         (["forests", "enumerate", "--n", "9"],
          "n is 9 (100000000 Prufer words), above the limit 8 (4782969 Prufer words);"),
@@ -285,14 +296,34 @@ def test_size_guards_state_the_predicted_size(capsys, argv, predicted):
     assert err.startswith("resource guard: ") and predicted in err
 
 
+def test_present_verify_refusal_names_both_factors(capsys):
+    # 51 letters; 18972 conjugations in relations and 4 x 6 x 34^2 in literal instances
+    argv = ["present", "verify", "--n", "3", "--factors", "Z/18,Z/18,Z/18", "--literal-rel3"]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 3 and "(51 letters x 46716 partial conjugations) is 2382516," in err
+
+
 def test_size_guards_pass_the_largest_allowed_inputs(capsys):
     code, out, _ = run_cli(capsys, ["series", "wh-free", "--n", "1371"])
     assert code == 0 and len(out.split(", chi")[0].split(" + ")[-1]) == 4298 + len("t^1370")
     code, out, _ = run_cli(capsys, ["present", "fr", "--n", "2", "--factors", "S4,Q8"])
     assert code == 0 and out.startswith("generators: 30\n")
+    code, out, _ = run_cli(capsys, ["present", "verify", "--n", "2", "--factors", "S4,Q8"])
+    assert code == 0 and out.endswith("all passed: yes\n")
     code, out, _ = run_cli(capsys, ["homology", "nerve", "--group", "Z/2xZ/2xZ/2"])
     assert code == 0
     assert out.splitlines()[1:] == ["H_0: free=1 torsion=-"] + [f"H_{k}: free=0 torsion=-" for k in (1, 2, 3)]
+
+
+def test_complex_files_are_refused_above_the_n_guards(tmp_path, capsys):
+    fc = build_gamma_Fn(5)
+    path = tmp_path / "gamma5.json"
+    path.write_text(fc.complex.to_json(fc.labelling), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["complex", "objects", "--file", str(path)])
+    assert code == 3 and out == ""
+    assert err == f"resource guard: simplex count of {path} is 1295, above the limit 124; pass --unsafe-large to override\n"
+    code, out, _ = run_cli(capsys, ["complex", "verify", "--file", str(path)])
+    assert code == 0 and out.startswith("simplices: 1295\n")
 
 
 def test_group_table_files_are_checked_before_validation(tmp_path, capsys):

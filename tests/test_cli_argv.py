@@ -18,7 +18,7 @@ BAD_NUMBERS = ["-1", "0", "x", "", "1e3", str(10**40)]
 SERIES_FACTORS = ["circle", "Z", "Z/2", "Z/4Z", "Z/12", f"Z/{2**61 - 1}", f"Z/{(2**61 - 1) * (2**31 - 1)}"]
 BAD_SERIES_FACTORS = ["Z/0", "Z/1", "Z/-3", "Z/x", "", "7"]
 GROUPS = ["Z/2", "Z/3", "V4", "Q8", "S3", "Z/2xZ/3", "Z/25", "Z/5xZ/5"]
-VERIFY_GROUPS = ["Z/2", "Z/3", "V4", "Z/25", "Z/5xZ/5"]  # order 6 at n=3 takes seconds
+VERIFY_GROUPS = ["Z/2", "Z/3", "V4", "S3", "Z/2xZ/3", "Z/25", "Z/5xZ/5"]
 BAD_GROUPS = ["Z/0", "Z/x", "S5", "@missing.json", "Z/2x"]
 
 

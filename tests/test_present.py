@@ -1,10 +1,13 @@
 import random
+import re
 
 import pytest
 
 from diagcx.groups import FiniteGroup, group_from_descriptor
 from diagcx.present import (
     Automorphism,
+    Presentation,
+    Relation,
     apply_partial_conjugation,
     export_gap,
     forest_dc_presentation,
@@ -297,11 +300,89 @@ def test_literal_commutator_fails_for_nonabelian_factors():
     assert all(c.witness is not None for c in failures)
 
 
+# "[a_i^(g<g> in G<j>), a_k^(g<h> in G<l>)]" -> i, g, j, k, h, l
+LITERAL_LABEL = re.compile(r"\[a_(\d)\^\(g(\d) in G(\d)\), a_(\d)\^\(g(\d) in G(\d)\)\]")
+
+
+def literal_label(check):
+    return tuple(map(int, LITERAL_LABEL.fullmatch(check.relation.source).groups()))
+
+
 def test_literal_commutator_holds_with_disjoint_indices():
     # with all four indices distinct the relation is an honest consequence
-    groups = [Z4, Z4, Z4, Z4]
-    checks = literal_pairwise_commutator_checks(groups, entries=[(1, 2, 3, 4)])
-    assert all(c.passed for c in checks)
+    def distinct(check):
+        i, _, j, k, _, l = literal_label(check)
+        return len({i, j, k, l}) == 4
+
+    disjoint = [c for c in literal_pairwise_commutator_checks([Z4, Z4, Z4, Z4]) if distinct(c)]
+    assert len(disjoint) == 24 * 3 * 3  # ordered (i, j, k, l), nonidentity g and h
+    assert all(c.passed for c in disjoint)
+
+
+# -- letter-image test against the probe-word route ------------------------------
+
+
+def oracle_automorphism(groups, relation):
+    """A relation's composite, each letter's conjugations composed on their own first."""
+    auto = Automorphism.identity(groups)
+    for pairs, element in relation.word:
+        letter = Automorphism.identity(groups)
+        for i, j in sorted(pairs):
+            conj = (i, groups[i - 1].inv(element))
+            letter = letter.then(Automorphism.partial_conjugation(groups, j, conj))
+        auto = auto.then(letter)
+    return auto
+
+
+def first_moved_probe_word(groups, auto):
+    for word in probe_words(groups):
+        if auto.apply(word) != normal_form(groups, word):
+            return word
+    return None
+
+
+def corrupted(relations, rng):
+    """Each relation with one letter dropped, and with its letters shuffled."""
+    for rel in relations:
+        k = rng.randrange(len(rel.word))
+        yield Relation(rel.kind, rel.word[:k] + rel.word[k + 1:], rel.source)
+        yield Relation(rel.kind, tuple(rng.sample(rel.word, len(rel.word))), rel.source)
+
+
+def test_letter_images_match_probe_words_on_corrupted_relations():
+    rng = random.Random(6)
+    trivial = FiniteGroup.cyclic(1)
+    cases = [
+        (fr_presentation, [S3, Z2, Z3]),
+        (fr_presentation, [Z3, trivial, V4]),
+        (forest_dc_presentation, [Z2, Z3, Z2]),
+        (forest_dc_presentation, [Z4, trivial, S3]),
+    ]
+    failing = 0
+    for build, groups in cases:
+        pres = build(3, groups)
+        relations = tuple(corrupted(pres.relations, rng))
+        report = verify_relations(Presentation(3, (), (), relations), groups)
+        for check in report.checks:
+            witness = first_moved_probe_word(groups, oracle_automorphism(groups, check.relation))
+            assert (check.passed, check.witness) == (witness is None, witness), check.relation
+            failing += witness is not None
+    assert failing >= 300
+
+
+def test_literal_commutator_witnesses_match_probe_words():
+    groups = [S3, S3]
+    pc = Automorphism.partial_conjugation
+    for check in literal_pairwise_commutator_checks(groups):
+        i, g, j, k, h, l = literal_label(check)
+        composite = (
+            pc(groups, i, (j, S3.inv(g)))
+            .then(pc(groups, k, (l, S3.inv(h))))
+            .then(pc(groups, i, (j, g)))
+            .then(pc(groups, k, (l, h)))
+        )
+        witness = first_moved_probe_word(groups, composite)
+        assert (check.passed, check.witness) == (witness is None, witness), check.relation.source
 
 
 def test_verify_report_shape():
