@@ -24,12 +24,13 @@ USAGE_EXIT = 2
 
 # Limits on n; a refusal states the Prüfer words or simplices n predicts.
 ENUM_GUARD = 8
-CLOSURE_GUARD = 4  # also bounds homology torus, whose dense rank takes about 66 s at n=5
+CLOSURE_GUARD = 4
+TORUS_GUARD = 5  # sparse Smith forms: n=5 takes 0.4 s, n=6 8.7 s and 100 MiB
 ORBIT_GUARD = 6
 # Limits on predicted sizes rather than on n.
 GROUP_ORDER_GUARD = 24  # subgroup enumeration takes 0.5 s at order 24, 15 s at 48
 VERIFY_GUARD = 1_000_000  # letters x partial conjugations composed; 4.3-5.6 s near the limit
-NERVE_FACE_GUARD = 1500  # dense Smith forms: 829 faces take 2 s, 1279 take 6 s
+NERVE_FACE_GUARD = 20_000  # sparse Smith forms: 14671 faces take 1.0 s, 32093 take 1.5 s and 43 MiB
 DIGITS_GUARD = 4300  # Python's default limit on int-to-str conversion
 DEGREE_GUARD = 1000  # degrees computed for --truncate and --max-degree
 PRODUCT_GUARD = 10_000_000  # coefficient pairs in series products; 24M took 6.8 s
@@ -331,7 +332,7 @@ def cmd_decomposition(args):
 
 
 def cmd_homology_torus(args):
-    _check_n_guard(args, CLOSURE_GUARD, "torus-model rank", simplices=True)
+    _check_n_guard(args, TORUS_GUARD, "torus-model rank", simplices=True)
     fc = forests.build_gamma_Fn(args.n)
     betti = homology.torus_model_betti(fc.complex, fc.labelling)
     if args.dump:

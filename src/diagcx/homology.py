@@ -1,13 +1,15 @@
 """Exact integer linear algebra and chain-level homology checks.
 
-Everything here is integer-exact: ranks come from fraction-free Bareiss
-elimination and torsion from Smith normal form, both on plain lists of
-Python ints.  Three consumers: integral homology of small simplicial
-complexes, coset nerves of subgroup families, and the rank computation
-that verifies the homology splitting of circle-coefficient complex
-products without assuming it.
+Every matrix here is a list of sparse rows ``{column: value}`` of Python
+ints, and one exact kernel, ``smith_normal_form``, reduces them: it gives
+the torsion of a boundary map and, by counting invariant factors, the
+rank.  Three consumers: integral homology of small simplicial complexes,
+coset nerves of subgroup families, and the rank computation that
+verifies the homology splitting of circle-coefficient complex products
+without assuming it.
 """
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -24,89 +26,97 @@ HOMOLOGY_JSON_SCHEMA = {
 }
 
 
-def integer_rank(rows):
-    """Rank of an integer matrix by Bareiss fraction-free elimination."""
-    matrix = [list(row) for row in rows]
-    if not matrix or not matrix[0]:
-        return 0
-    m, n = len(matrix), len(matrix[0])
-    rank = 0
-    prev = 1
-    col = 0
-    while rank < m and col < n:
-        pivot_row = next((r for r in range(rank, m) if matrix[r][col] != 0), None)
-        if pivot_row is None:
-            col += 1
-            continue
-        matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
-        pivot = matrix[rank][col]
-        for r in range(rank + 1, m):
-            factor = matrix[r][col]
-            for c in range(col, n):
-                matrix[r][c] = (matrix[r][c] * pivot - factor * matrix[rank][c]) // prev
-        prev = pivot
-        rank += 1
-        col += 1
-    return rank
-
-
 def smith_normal_form(rows):
-    """Invariant factors d_1 | d_2 | ... of an integer matrix."""
-    matrix = [list(row) for row in rows]
-    if not matrix or not matrix[0]:
-        return []
-    m, n = len(matrix), len(matrix[0])
+    """Invariant factors d_1 | d_2 | ... of an integer matrix of sparse rows.
+
+    Each row maps a column to its value; absent columns are zero.
+
+    >>> smith_normal_form([{0: 2}, {1: 3}])
+    [1, 6]
+
+    Every step pivots on an entry of least absolute value, so a ±1 entry
+    is taken whenever one is left, from the shortest row that has one
+    (rows wait in a heap keyed by length).  Row operations clear the
+    pivot's column; once it is alone there, column operations clear its
+    row and touch no other row.  A nonzero remainder is a smaller entry,
+    and the next step pivots on it.  A pivot left alone in its row and
+    column that divides every remaining entry is the next invariant
+    factor; otherwise the row of an entry it does not divide is first
+    added to its row, so clearing the row leaves a remainder.  A ±1 pivot
+    divides everything.  Each step either takes a factor or leaves an
+    entry smaller than its pivot, so the loop ends.
+    """
+    live = {}  # row id -> {column: nonzero value}
+    cols = {}  # column -> ids of the rows with an entry there
+    heap = []  # (length, row id), pushed whenever a row changes
+    for rid, row in enumerate(rows):
+        row = {c: v for c, v in row.items() if v}
+        if row:
+            live[rid] = row
+            heap.append((len(row), rid))
+            for c in row:
+                cols.setdefault(c, set()).add(rid)
+    heapq.heapify(heap)
+
+    def add_multiple(target, source, q):
+        """Row ``target`` -= q * row ``source``, keeping ``cols`` and ``heap`` current."""
+        row = live[target]
+        for c, v in live[source].items():
+            value = row.get(c, 0) - q * v
+            if value:
+                if c not in row:
+                    cols[c].add(target)
+                row[c] = value
+            elif c in row:
+                del row[c]
+                cols[c].discard(target)
+        if row:
+            heapq.heappush(heap, (len(row), target))
+        else:
+            del live[target]
+
+    def least_entry():
+        while heap:
+            length, rid = heapq.heappop(heap)
+            row = live.get(rid)
+            if row is not None and len(row) == length:
+                units = [c for c, v in row.items() if v in (1, -1)]
+                if units:
+                    return rid, min(units, key=lambda c: len(cols[c]))
+        _, rid, col = min((abs(v), rid, c) for rid, row in live.items() for c, v in row.items())
+        return rid, col
+
     factors = []
-    top = 0
-    while top < min(m, n):
-        # locate a nonzero entry of minimal absolute value
-        best = None
-        for r in range(top, m):
-            for c in range(top, n):
-                v = abs(matrix[r][c])
-                if v and (best is None or v < best[0]):
-                    best = (v, r, c)
-        if best is None:
-            break
-        _, r, c = best
-        matrix[top], matrix[r] = matrix[r], matrix[top]
-        for row in matrix:
-            row[top], row[c] = row[c], row[top]
-        pivot = matrix[top][top]
-        dirty = False
-        for r in range(top + 1, m):
-            q = matrix[r][top] // pivot
-            if q:
-                for k in range(top, n):
-                    matrix[r][k] -= q * matrix[top][k]
-            if matrix[r][top]:
-                dirty = True
-        for c in range(top + 1, n):
-            q = matrix[top][c] // pivot
-            if q:
-                for row in matrix:
-                    row[c] -= q * row[top]
-            if matrix[top][c]:
-                dirty = True
-        if dirty:
-            continue
-        # pivot must divide the remaining block
-        offender = None
-        for r in range(top + 1, m):
-            for c in range(top + 1, n):
-                if matrix[r][c] % pivot:
-                    offender = r
-                    break
+    while live:
+        rid, col = least_entry()
+        row = live[rid]
+        pivot = row[col]
+        for other in [r for r in cols[col] if r != rid]:
+            add_multiple(other, rid, live[other][col] // pivot)
+        if len(cols[col]) > 1:
+            continue  # a remainder is left in the column: a smaller pivot
+        if abs(pivot) > 1 and not any(v % pivot for v in row.values()):
+            # clearing the row leaves the pivot alone: it must divide every entry
+            offender = next((r for r, other in live.items() if any(v % pivot for v in other.values())), None)
             if offender is not None:
-                break
-        if offender is not None:
-            for k in range(top, n):
-                matrix[top][k] += matrix[offender][k]
-            continue
+                add_multiple(rid, offender, -1)
+        for c in [c for c in row if c != col]:  # column operations; they touch no other row
+            row[c] %= pivot
+            if not row[c]:
+                del row[c]
+                cols[c].discard(rid)
+        if len(row) > 1:
+            heapq.heappush(heap, (len(row), rid))
+            continue  # a remainder is left in the row: a smaller pivot
+        cols[col].discard(rid)
+        del live[rid]
         factors.append(abs(pivot))
-        top += 1
     return factors
 
+
+def integer_rank(rows):
+    """Rank of an integer matrix of sparse rows: its number of invariant factors."""
+    return len(smith_normal_form(rows))
 
 @dataclass(frozen=True)
 class SimplicialComplexData:
@@ -145,16 +155,13 @@ class SimplicialComplexData:
 
 
 def boundary_matrix(complex_, k):
-    """The boundary map from k-faces to (k-1)-faces, rows indexed by the latter."""
-    lower = complex_.faces_of_dimension(k - 1)
-    upper = complex_.faces_of_dimension(k)
-    index = {f: i for i, f in enumerate(lower)}
-    matrix = [[0] * len(upper) for _ in lower]
-    for j, face in enumerate(upper):
+    """The boundary map from k-faces to (k-1)-faces: one row per (k-1)-face, columns the k-faces."""
+    index = {f: i for i, f in enumerate(complex_.faces_of_dimension(k - 1))}
+    rows = [{} for _ in index]
+    for j, face in enumerate(complex_.faces_of_dimension(k)):
         for omit in range(len(face)):
-            sub = face[:omit] + face[omit + 1 :]
-            matrix[index[sub]][j] = (-1) ** omit
-    return matrix
+            rows[index[face[:omit] + face[omit + 1 :]]][j] = (-1) ** omit
+    return rows
 
 
 def simplicial_homology(complex_, max_degree=None):
@@ -227,7 +234,7 @@ def coset_nerve(group, family):
 
 
 def torus_model_generators(complex_, degree):
-    """The degree-k generator matrix of the circle chain model.
+    """The degree-k generator matrix of the circle chain model, as sparse rows.
 
     One row per distinct vector: a simplex U with a chosen set A of k
     gamma blocks contributes the sum of all transversals of A (the
@@ -249,14 +256,7 @@ def torus_model_generators(complex_, degree):
                     columns[key] = len(columns)
                 entries[columns[key]] = entries.get(columns[key], 0) + 1
             vectors.add(tuple(sorted(entries.items())))
-    width = len(columns)
-    rows = []
-    for sparse in sorted(vectors):
-        row = [0] * width
-        for col, value in sparse:
-            row[col] = value
-        rows.append(row)
-    return rows
+    return [dict(vector) for vector in sorted(vectors)]
 
 
 def torus_model_betti(complex_, labelling=None):
@@ -275,18 +275,10 @@ def torus_model_betti(complex_, labelling=None):
     if complex_.ground_size == 0 or not complex_.gamma:
         return [1]
     max_blocks = max(len(part.blocks) for part in complex_.gamma.values())
-    ranks = []
-    for degree in range(1, max_blocks + 1):
-        rows = torus_model_generators(complex_, degree)
-        ranks.append(integer_rank(rows) if rows else 0)
-    return [1] + ranks
+    return [1] + [integer_rank(torus_model_generators(complex_, k)) for k in range(1, max_blocks + 1)]
 
 
 def triplet_dump(rows):
-    """Plain (row, col, value) triplet lines for external checking."""
-    lines = []
-    for r, row in enumerate(rows):
-        for c, value in enumerate(row):
-            if value:
-                lines.append(f"{r} {c} {value}")
+    """Plain (row, col, value) triplet lines of sparse rows, for external checking."""
+    lines = [f"{r} {c} {value}" for r, row in enumerate(rows) for c, value in sorted(row.items()) if value]
     return "\n".join(lines) + ("\n" if lines else "")

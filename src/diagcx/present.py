@@ -16,7 +16,7 @@ conjugation of factor j by g^-1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .forests import build_gamma_Fn, x_n_pairs
 
@@ -375,7 +375,6 @@ class RelationCheck:
 @dataclass(frozen=True)
 class VerificationReport:
     checks: tuple
-    notes: tuple = field(default=())
 
     @property
     def all_passed(self):

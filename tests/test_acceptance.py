@@ -138,9 +138,10 @@ def test_criterion_07_independent_homology_ranks():
     assert torus_model_betti(build_gamma_Fn(2).complex) == [1, 2]
     assert torus_model_betti(build_gamma_Fn(3).complex) == [1, 6, 9]
     assert torus_model_betti(build_gamma_Fn(4).complex) == [1, 12, 48, 64]
+    assert torus_model_betti(build_gamma_Fn(5).complex) == [1, 20, 150, 500, 625]
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"{elapsed:.1f}s"
-    report(7, "chain-level Betti numbers by exact rank n<=4")
+    report(7, "chain-level Betti numbers by exact rank n<=5")
 
 
 def test_criterion_08_colored_orbits():

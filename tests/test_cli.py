@@ -278,7 +278,7 @@ def test_wh_zp_json_torsion_matches_text_counts(capsys):
         (["present", "fr", "--n", "2", "--factors", "Z/100000,Z/2"], "is 100000,"),
         (["homology", "nerve", "--group", "Z/5xZ/5"], "is 25,"),
         (["present", "verify", "--n", "3", "--factors", "S4,S4,S4"], "is 2399544,"),
-        (["homology", "nerve", "--group", "S4"], "is 7891,"),
+        (["homology", "nerve", "--group", "Z/2xZ/2xZ/2xZ/2"], "is 32093,"),
         (["forests", "enumerate", "--n", "9"],
          "n is 9 (100000000 Prufer words), above the limit 8 (4782969 Prufer words);"),
         (["forests", "enumerate", "--n", "100"], "n is 100 (more than 10^99 Prufer words),"),
@@ -286,7 +286,7 @@ def test_wh_zp_json_torsion_matches_text_counts(capsys):
         (["complex", "verify", "--n", "7"],
          "n is 7 (262143 simplices), above the limit 6 (16806 simplices);"),
         (["complex", "objects", "--n", "5"], "n is 5 (1295 simplices), above the limit 4 (124 simplices);"),
-        (["homology", "torus", "--n", "5"], "n is 5 (1295 simplices),"),
+        (["homology", "torus", "--n", "6"], "n is 6 (16806 simplices),"),
     ],
 )
 def test_size_guards_state_the_predicted_size(capsys, argv, predicted):
@@ -313,6 +313,11 @@ def test_size_guards_pass_the_largest_allowed_inputs(capsys):
     code, out, _ = run_cli(capsys, ["homology", "nerve", "--group", "Z/2xZ/2xZ/2"])
     assert code == 0
     assert out.splitlines()[1:] == ["H_0: free=1 torsion=-"] + [f"H_{k}: free=0 torsion=-" for k in (1, 2, 3)]
+    code, out, _ = run_cli(capsys, ["homology", "nerve", "--group", "S4", "--family", "all"])
+    assert code == 0
+    assert out.splitlines() == ["cosets: 234", "H_0: free=1 torsion=-"] + [f"H_{k}: free=0 torsion=-" for k in (1, 2, 3)]
+    code, out, _ = run_cli(capsys, ["homology", "torus", "--n", "5"])
+    assert code == 0 and out == "1 20 150 500 625\n"
 
 
 def test_complex_files_are_refused_above_the_n_guards(tmp_path, capsys):

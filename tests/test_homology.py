@@ -1,8 +1,11 @@
+import itertools
+import signal
+
 import pytest
 
 from conftest import example_t_complex
 from diagcx.forests import build_gamma_Fn
-from diagcx.groups import FiniteGroup
+from diagcx.groups import FiniteGroup, group_from_descriptor
 from diagcx.homology import (
     SimplicialComplexData,
     boundary_matrix,
@@ -13,38 +16,170 @@ from diagcx.homology import (
     simplicial_homology,
     smith_normal_form,
     torus_model_betti,
+    torus_model_generators,
     triplet_dump,
 )
 from diagcx.series import hilbert_polynomial
 
 
+@pytest.fixture(autouse=True)
+def _deadline():
+    """Fail, instead of hanging, when a reduction does not terminate."""
+
+    def expire(signum, frame):
+        raise TimeoutError("still running after 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
 # -- exact linear algebra -----------------------------------------------------
+
+
+def _sparse(matrix):
+    return [{c: v for c, v in enumerate(row) if v} for row in matrix]
+
+
+def _dense(rows, width):
+    return [[row.get(c, 0) for c in range(width)] for row in rows]
+
+
+def _bareiss_rank(rows):
+    """Rank of an integer matrix by Bareiss fraction-free elimination."""
+    matrix = [list(row) for row in rows]
+    if not matrix or not matrix[0]:
+        return 0
+    m, n = len(matrix), len(matrix[0])
+    rank = 0
+    prev = 1
+    col = 0
+    while rank < m and col < n:
+        pivot_row = next((r for r in range(rank, m) if matrix[r][col] != 0), None)
+        if pivot_row is None:
+            col += 1
+            continue
+        matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
+        pivot = matrix[rank][col]
+        for r in range(rank + 1, m):
+            factor = matrix[r][col]
+            for c in range(col, n):
+                matrix[r][c] = (matrix[r][c] * pivot - factor * matrix[rank][c]) // prev
+        prev = pivot
+        rank += 1
+        col += 1
+    return rank
+
+
+def _dense_smith_normal_form(rows):
+    """Invariant factors d_1 | d_2 | ... of an integer matrix."""
+    matrix = [list(row) for row in rows]
+    if not matrix or not matrix[0]:
+        return []
+    m, n = len(matrix), len(matrix[0])
+    factors = []
+    top = 0
+    while top < min(m, n):
+        # locate a nonzero entry of minimal absolute value
+        best = None
+        for r in range(top, m):
+            for c in range(top, n):
+                v = abs(matrix[r][c])
+                if v and (best is None or v < best[0]):
+                    best = (v, r, c)
+        if best is None:
+            break
+        _, r, c = best
+        matrix[top], matrix[r] = matrix[r], matrix[top]
+        for row in matrix:
+            row[top], row[c] = row[c], row[top]
+        pivot = matrix[top][top]
+        dirty = False
+        for r in range(top + 1, m):
+            q = matrix[r][top] // pivot
+            if q:
+                for k in range(top, n):
+                    matrix[r][k] -= q * matrix[top][k]
+            if matrix[r][top]:
+                dirty = True
+        for c in range(top + 1, n):
+            q = matrix[top][c] // pivot
+            if q:
+                for row in matrix:
+                    row[c] -= q * row[top]
+            if matrix[top][c]:
+                dirty = True
+        if dirty:
+            continue
+        # pivot must divide the remaining block
+        offender = None
+        for r in range(top + 1, m):
+            for c in range(top + 1, n):
+                if matrix[r][c] % pivot:
+                    offender = r
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            for k in range(top, n):
+                matrix[top][k] += matrix[offender][k]
+            continue
+        factors.append(abs(pivot))
+        top += 1
+    return factors
+
+
+def _random_matrices(seed, count, size, bound):
+    """Dense random matrices up to size x size, entries within +-bound, some of them sparse."""
+    import random
+
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, n = rng.randrange(1, size + 1), rng.randrange(1, size + 1)
+        density = rng.random()
+        yield [[rng.randrange(-bound, bound + 1) if rng.random() < density else 0 for _ in range(n)] for _ in range(m)]
+
+
+def _chain_matrices():
+    """Dense nerve boundaries of (Z/2)^3 and D4 and torus generators for n <= 4."""
+    for name in ("Z/2xZ/2xZ/2", "D4"):
+        group = group_from_descriptor(name)
+        nerve, _ = coset_nerve(group, list(group.subgroups()))
+        for k in range(1, nerve.dimension() + 1):
+            yield _dense(boundary_matrix(nerve, k), len(nerve.faces_of_dimension(k)))
+    for n in range(1, 5):
+        complex_ = build_gamma_Fn(n).complex
+        for k in range(1, n + 1):
+            rows = torus_model_generators(complex_, k)
+            yield _dense(rows, 1 + max((c for row in rows for c in row), default=-1))
 
 
 def test_integer_rank():
     assert integer_rank([]) == 0
-    assert integer_rank([[0, 0], [0, 0]]) == 0
-    assert integer_rank([[1, 2], [2, 4]]) == 1
-    assert integer_rank([[1, 2], [3, 4]]) == 2
-    assert integer_rank([[2, 0, 1], [0, 3, 1]]) == 2
+    assert integer_rank(_sparse([[0, 0], [0, 0]])) == 0
+    assert integer_rank(_sparse([[1, 2], [2, 4]])) == 1
+    assert integer_rank(_sparse([[1, 2], [3, 4]])) == 2
+    assert integer_rank(_sparse([[2, 0, 1], [0, 3, 1]])) == 2
     # values that would overflow floats stay exact
     big = 10**30
-    assert integer_rank([[big, big], [big, big + 1]]) == 2
+    assert integer_rank(_sparse([[big, big], [big, big + 1]])) == 2
 
 
 def test_smith_normal_form_examples():
-    assert smith_normal_form([[1, 0], [0, 1]]) == [1, 1]
-    assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
-    assert smith_normal_form([[0, 0], [0, 0]]) == []
-    assert smith_normal_form([[2, 4], [4, 8]]) == [2]
-    assert smith_normal_form([[2, 0], [0, 2]]) == [2, 2]
+    assert smith_normal_form(_sparse([[1, 0], [0, 1]])) == [1, 1]
+    assert smith_normal_form(_sparse([[2, 0], [0, 3]])) == [1, 6]
+    assert smith_normal_form(_sparse([[0, 0], [0, 0]])) == []
+    assert smith_normal_form(_sparse([[2, 4], [4, 8]])) == [2]
+    assert smith_normal_form(_sparse([[2, 0], [0, 2]])) == [2, 2]
 
 
 def test_smith_normal_form_divisibility_chain():
-    factors = smith_normal_form([[6, 4, 2], [4, 10, 2], [2, 2, 8]])
+    factors = smith_normal_form(_sparse([[6, 4, 2], [4, 10, 2], [2, 2, 8]]))
     for a, b in zip(factors, factors[1:]):
         assert b % a == 0
-    assert len(factors) == integer_rank([[6, 4, 2], [4, 10, 2], [2, 2, 8]])
+    assert len(factors) == integer_rank(_sparse([[6, 4, 2], [4, 10, 2], [2, 2, 8]]))
 
 
 def _det(matrix):
@@ -60,7 +195,6 @@ def _det(matrix):
 
 
 def _determinantal_divisor(matrix, k):
-    import itertools
     from math import gcd
 
     m, n = len(matrix), len(matrix[0])
@@ -81,7 +215,7 @@ def test_smith_normal_form_against_determinantal_divisors():
         m = rng.randrange(1, 4)
         n = rng.randrange(1, 5)
         matrix = [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(m)]
-        factors = smith_normal_form(matrix)
+        factors = smith_normal_form(_sparse(matrix))
         product = 1
         for k, d in enumerate(factors, start=1):
             product *= d
@@ -89,6 +223,10 @@ def test_smith_normal_form_against_determinantal_divisors():
         # one more minor size must vanish
         if len(factors) < min(m, n):
             assert _determinantal_divisor(matrix, len(factors) + 1) == 0
+        assert factors == _dense_smith_normal_form(matrix), matrix
+    # the dense minimum-entry Smith form on larger entries and on chain matrices
+    for matrix in itertools.chain(_random_matrices(433, 1000, 8, 100), _chain_matrices()):
+        assert smith_normal_form(_sparse(matrix)) == _dense_smith_normal_form(matrix), matrix
 
 
 def test_integer_rank_against_fraction_elimination():
@@ -116,7 +254,10 @@ def test_integer_rank_against_fraction_elimination():
         m = rng.randrange(1, 6)
         n = rng.randrange(1, 6)
         matrix = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(m)]
-        assert integer_rank(matrix) == fraction_rank(matrix), matrix
+        assert integer_rank(_sparse(matrix)) == fraction_rank(matrix), matrix
+        assert _bareiss_rank(matrix) == fraction_rank(matrix), matrix
+    for matrix in itertools.chain(_random_matrices(99, 1000, 8, 100), _chain_matrices()):
+        assert integer_rank(_sparse(matrix)) == _bareiss_rank(matrix), matrix
 
 
 # -- simplicial complexes ------------------------------------------------------
@@ -131,7 +272,7 @@ def test_complex_validation():
 
 def test_boundary_matrix_triangle():
     tri = SimplicialComplexData.from_maximal(3, [(0, 1, 2)])
-    matrix = boundary_matrix(tri, 1)
+    matrix = _dense(boundary_matrix(tri, 1), 3)
     assert len(matrix) == 3 and len(matrix[0]) == 3
     # every column sums to zero under the augmentation
     for j in range(3):
@@ -248,5 +389,5 @@ def test_torus_model_euler_characteristic():
 
 
 def test_triplet_dump():
-    assert triplet_dump([[0, 2], [1, 0]]) == "0 1 2\n1 0 1\n"
-    assert triplet_dump([[0]]) == ""
+    assert triplet_dump(_sparse([[0, 2], [1, 0]])) == "0 1 2\n1 0 1\n"
+    assert triplet_dump(_sparse([[0]])) == ""
