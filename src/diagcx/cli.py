@@ -28,7 +28,7 @@ CLOSURE_GUARD = 4
 TORUS_GUARD = 5  # sparse Smith forms: n=5 takes 0.4 s, n=6 8.7 s and 100 MiB
 ORBIT_GUARD = 6
 # Limits on predicted sizes rather than on n.
-GROUP_ORDER_GUARD = 24  # subgroup enumeration takes 0.5 s at order 24, 15 s at 48
+GROUP_ORDER_GUARD = 24  # subgroup enumeration takes 0.06 s at order 24 (S4), 0.9 s at 48 ((Z/2)^3xZ/6)
 VERIFY_GUARD = 1_000_000  # letters x partial conjugations composed; 4.3-5.6 s near the limit
 NERVE_FACE_GUARD = 20_000  # sparse Smith forms: 14671 faces take 1.0 s, 32093 take 1.5 s and 43 MiB
 DIGITS_GUARD = 4300  # Python's default limit on int-to-str conversion
@@ -334,10 +334,10 @@ def cmd_decomposition(args):
 def cmd_homology_torus(args):
     _check_n_guard(args, TORUS_GUARD, "torus-model rank", simplices=True)
     fc = forests.build_gamma_Fn(args.n)
-    betti = homology.torus_model_betti(fc.complex, fc.labelling)
-    if args.dump:
-        for degree in range(1, len(betti)):
-            rows = homology.torus_model_generators(fc.complex, degree)
+    betti = [1]
+    for degree, rows in enumerate(homology.torus_model_matrices(fc.complex, fc.labelling), start=1):
+        betti.append(homology.integer_rank(rows))  # smith_normal_form copies the rows
+        if args.dump:
             with open(f"{args.dump}.deg{degree}.txt", "w", encoding="utf-8") as handle:
                 handle.write(homology.triplet_dump(rows))
     _emit(args, " ".join(map(str, betti)), lambda: {"betti": betti})

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .partitions import PartialPartition, block_classes, meet, meet_masks
+from .partitions import PartialPartition, block_classes, meet_masks
 
 COMPLEX_JSON_SCHEMA = {
     "type": "object",
@@ -66,21 +66,22 @@ def _meet_closure(generators):
     """The nonempty meets of nonempty sets of generators.
 
     Meets are associative, so the closure is reached by meeting each new
-    object with the generators alone.  The meets run on block bitmasks
-    (:func:`partitions.meet_masks`); each new object is built by
-    :func:`partitions.meet`.
+    object with the generators alone.  The closure runs on block bitmasks
+    (:func:`partitions.meet_masks`), and each object is built as a
+    PartialPartition once, at the end.
     """
-    generators = {part.masks(): part for part in generators}
-    objects = dict(generators)
-    queue = list(generators.items())
+    generators = list(generators)
+    gen_masks = dict.fromkeys(part.masks() for part in generators)
+    objects = dict(gen_masks)  # a dict keeps the order of discovery
+    queue = list(gen_masks)
     while queue:
-        p_masks, p = queue.pop()
-        for g_masks, g in generators.items():
+        p_masks = queue.pop()
+        for g_masks in gen_masks:
             m_masks = meet_masks(p_masks, g_masks)
             if m_masks and m_masks not in objects:
-                objects[m_masks] = meet(p, g)
-                queue.append((m_masks, objects[m_masks]))
-    return objects.values()
+                objects[m_masks] = None
+                queue.append(m_masks)
+    return [PartialPartition.from_masks(generators[0].ground_size, masks) for masks in objects]
 
 
 class DiagonalComplex:
@@ -213,7 +214,8 @@ class DiagonalComplex:
                 level = grown
         return None
 
-    def _require_valid(self):
+    def require_valid(self):
+        """Raise ValueError naming the first axiom failure, if there is one."""
         report = self.validate()
         if not report.ok:
             raise ValueError(f"invalid diagonal complex: {report.failures()[0].witness}")
@@ -240,7 +242,7 @@ class DiagonalComplex:
         meeting each block and then to those avoiding every element
         outside U.
         """
-        self._require_valid()
+        self.require_valid()
         simplices = sorted(self.gamma, key=len)
         postings = [0] * self.ground_size
         smaller = {}  # size s -> bitset of the simplices with fewer than s elements
@@ -302,7 +304,7 @@ class DiagonalComplex:
 
     def filtration(self, k, coarse=False):
         """The subcomplex of simplices of level at most k."""
-        self._require_valid()
+        self.require_valid()
         gamma = {u: part for u, part in self.gamma.items() if self.level(u, coarse=coarse) <= k}
         return DiagonalComplex(self.ground_size, gamma)
 
@@ -335,7 +337,7 @@ class DiagonalComplex:
         Returns the objects sorted; order queries go through
         partitions.is_partial_coarsening.
         """
-        self._require_valid()
+        self.require_valid()
         labelling.check_against(self)
         objects = _meet_closure(self.gamma.values())
         for part in objects:

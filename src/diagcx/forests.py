@@ -361,7 +361,11 @@ class ColoredForest:
 class OrbitRow:
     representative: ColoredForest
     orbit_size: int
-    stabilizer_order: int
+    stabilizer: tuple  # the colour-preserving permutations fixing the representative
+
+    @property
+    def stabilizer_order(self):
+        return len(self.stabilizer)
 
 
 def _color_classes(n, multiplicities):
@@ -414,7 +418,7 @@ def orbit_decomposition(n, multiplicities):
         orbit = {_apply_perm(sigma, forest.parent) for sigma in perms}
         seen.update(orbit)
         rep = PlantedForest(n, min(orbit))
-        stab = sum(1 for sigma in perms if _apply_perm(sigma, rep.parent) == rep.parent)
+        stab = tuple(sigma for sigma in perms if _apply_perm(sigma, rep.parent) == rep.parent)
         rows.append(OrbitRow(ColoredForest(rep, colors), len(orbit), stab))
     rows.sort(key=lambda r: (r.representative.forest.edge_count(), r.representative.forest.parent))
     return rows
@@ -467,17 +471,6 @@ class DecompositionReport:
         return "\n".join(lines)
 
 
-def _stabilizer_moves_edges(rep, perms):
-    edges = set(rep.edges())
-    for sigma in perms:
-        if _apply_perm(sigma, rep.parent) != rep.parent:
-            continue
-        for a, b in edges:
-            if (sigma[a], sigma[b]) != (a, b):
-                return True
-    return False
-
-
 def decomposition_report(n, multiplicities, base_series):
     """One row per coloured-forest orbit with its coefficient module.
 
@@ -493,12 +486,12 @@ def decomposition_report(n, multiplicities, base_series):
     if len(truncations) != 1:
         raise ValueError("mixed truncations")
     truncation = truncations.pop()
-    _, classes = _color_classes(n, multiplicities)
-    perms = _group_elements(classes)
+    orbits = orbit_decomposition(n, multiplicities)
     reduced = [s.reduced() for s in base_series]
     rows = []
-    for orbit in orbit_decomposition(n, multiplicities):
+    for orbit in orbits:
         rep = orbit.representative
+        edges = rep.forest.edges()
         exponents = [0] * len(multiplicities)
         for v in range(1, n + 1):
             exponents[rep.colors[v - 1]] += rep.forest.out_degree(v)
@@ -510,10 +503,10 @@ def decomposition_report(n, multiplicities, base_series):
             DecompositionRow(
                 rep,
                 orbit.stabilizer_order,
-                rep.forest.edge_count(),
+                len(edges),
                 tuple(exponents),
                 module,
-                _stabilizer_moves_edges(rep.forest, perms),
+                any(sigma[a] != a or sigma[b] != b for sigma in orbit.stabilizer for a, b in edges),
             )
         )
     return DecompositionReport(n, tuple(multiplicities), tuple(rows))

@@ -2,8 +2,8 @@
 
 Element 0 is the identity.  Tables are validated on construction
 (closure, associativity, identity, inverses), which is affordable at the
-orders used here.  Subgroup enumeration is by closing small generating
-sets; that finds every subgroup for orders up to 8.
+orders used here.  Subgroups are enumerated by closing each subgroup
+found with one more element, starting from {0}; that finds all of them.
 """
 
 import itertools
@@ -116,37 +116,20 @@ class FiniteGroup:
 
     @classmethod
     def quaternion(cls):
-        """The quaternion group {1, -1, i, -i, j, -j, k, -k}."""
-        names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-        sign = {n: (-1 if n.startswith("-") else 1) for n in names}
-        unit = {n: n.lstrip("-") for n in names}
-        rule = {
-            ("1", "1"): (1, "1"),
-            ("1", "i"): (1, "i"),
-            ("1", "j"): (1, "j"),
-            ("1", "k"): (1, "k"),
-            ("i", "1"): (1, "i"),
-            ("j", "1"): (1, "j"),
-            ("k", "1"): (1, "k"),
-            ("i", "i"): (-1, "1"),
-            ("j", "j"): (-1, "1"),
-            ("k", "k"): (-1, "1"),
-            ("i", "j"): (1, "k"),
-            ("j", "i"): (-1, "k"),
-            ("j", "k"): (1, "i"),
-            ("k", "j"): (-1, "i"),
-            ("k", "i"): (1, "j"),
-            ("i", "k"): (-1, "j"),
-        }
+        """The quaternion group {1, -1, i, -i, j, -j, k, -k}, as 4-tuples a + bi + cj + dk."""
+        units = [tuple(sign * (axis == t) for t in range(4)) for axis in range(4) for sign in (1, -1)]
 
-        def mul(a, b):
-            s, u = rule[(unit[a], unit[b])]
-            s *= sign[a] * sign[b]
-            return ("" if s == 1 else "-") + u
+        def mul(p, q):
+            a1, b1, c1, d1 = p
+            a2, b2, c2, d2 = q
+            return (
+                a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+                a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+                a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+                a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+            )
 
-        index = {n: i for i, n in enumerate(names)}
-        table = [[index[mul(a, b)] for b in names] for a in names]
-        return cls(table, name="Q8")
+        return cls([[units.index(mul(p, q)) for q in units] for p in units], name="Q8")
 
     # -- subgroups and cosets --------------------------------------------
 
@@ -163,11 +146,19 @@ class FiniteGroup:
         return frozenset(seed)
 
     def subgroups(self):
-        """All subgroups, as frozensets of element indices."""
-        found = {frozenset([0]), frozenset(range(self.order))}
-        for size in (1, 2, 3):
-            for gens in itertools.combinations(range(1, self.order), size):
-                found.add(self.close_subset(gens))
+        """All subgroups, as frozensets of element indices.
+
+        The subgroup generated by h_1, ..., h_k is reached from {0} by
+        closing with h_1, then h_2, and so on: closing every subgroup found
+        with one more element finds them all.
+        """
+        found = {frozenset([0])}
+        queue = list(found)
+        while queue:
+            sub = queue.pop()
+            new = {self.close_subset(sub | {g}) for g in range(1, self.order) if g not in sub} - found
+            found |= new
+            queue.extend(new)
         return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
 
     def is_subgroup(self, subset):

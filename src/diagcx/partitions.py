@@ -81,6 +81,11 @@ class PartialPartition:
         """The blocks as bitmasks, bit x set for element x, in block order."""
         return tuple(sum(1 << x for x in block) for block in self.blocks)
 
+    @classmethod
+    def from_masks(cls, ground_size, masks):
+        """The inverse of :meth:`masks`: block bitmasks ordered by least element."""
+        return cls(ground_size, tuple(tuple(x for x in range(ground_size) if mask >> x & 1) for mask in masks))
+
     def block_of(self, x):
         """The block containing x, or None if x is uncovered."""
         for block in self.blocks:
@@ -141,10 +146,7 @@ def meet(p, q):
     if p.ground_size != q.ground_size:
         raise ValueError("mismatched ground sizes")
     blocks = meet_masks(p.masks(), q.masks())
-    if not blocks:
-        return EMPTY_MEET
-    n = p.ground_size
-    return PartialPartition(n, tuple(tuple(x for x in range(n) if mask >> x & 1) for mask in blocks))
+    return PartialPartition.from_masks(p.ground_size, blocks) if blocks else EMPTY_MEET
 
 
 def meet_masks(p, q):

@@ -5,7 +5,8 @@ Elements of a free product of finite groups are alternating words of
 one factor to its conjugate by a fixed letter of another factor and is
 determined by its letter images; compositions of such maps are handled
 the same way, so relations can be checked by honest evaluation instead
-of symbol pushing.
+of symbol pushing.  The literal pairwise-commutator checks are relations
+too, commutators of two pair letters checked like any other.
 
 Conventions: g^h = h^-1 g h, [a, b] = a^-1 b^-1 a b, and juxtaposition
 composes left to right (apply the left factor first).  The pair
@@ -229,16 +230,28 @@ def generator_name(letter):
     return f"c{base}_{targets}_g{element}"
 
 
-def _block_word(groups, pairs, element):
+def _block_word(pairs, element):
     """g_U spelt in pair generators, one per pair of the corolla."""
     return tuple(((pair,), element) for pair in pairs)
 
 
-def _commutator(invert_letter, word_a, word_b):
-    def invert(word):
-        return tuple(invert_letter(letter) for letter in reversed(word))
+def _mult_relations(base, group, source):
+    """g h (gh)^-1 for every pair of nonidentity elements, in letters (base, element)."""
+    relations = []
+    for g, h in itertools.product(group.nonidentity(), repeat=2):
+        gh = group.mul(g, h)
+        word = ((base, g), (base, h)) + (((base, group.inv(gh)),) if gh else ())
+        relations.append(Relation("mult", word, source=source))
+    return relations
 
-    return invert(word_a) + invert(word_b) + word_a + word_b
+
+def _commutator(group_a, word_a, group_b, word_b):
+    """[a, b] = a^-1 b^-1 a b; the letters of each word take elements of its group."""
+
+    def invert(group, word):
+        return tuple((base, group.inv(element)) for base, element in reversed(word))
+
+    return invert(group_a, word_a) + invert(group_b, word_b) + word_a + word_b
 
 
 def _two_edge_posets(forest_complex):
@@ -267,31 +280,15 @@ def fr_presentation(n, groups):
     generators = []
     relations = []
     for pair in x_n_pairs(n):
-        i = pair[0]
-        for e in groups[i - 1].nonidentity():
-            generators.append(((pair,), e))
-        for g, h in itertools.product(groups[i - 1].nonidentity(), repeat=2):
-            gh = groups[i - 1].mul(g, h)
-            word = [((pair,), g), ((pair,), h)]
-            if gh != 0:
-                word.append(((pair,), groups[i - 1].inv(gh)))
-            relations.append(Relation("mult", tuple(word), source=f"pair {pair}"))
-    def invert_letter(letter):
-        pairs, element = letter
-        base = pairs[0][0]
-        return (pairs, groups[base - 1].inv(element))
-
-    fc = build_gamma_Fn(n)
-    for block_a, block_b in _two_edge_posets(fc):
-        i, j = block_a[0][0], block_b[0][0]
-        for g in groups[i - 1].nonidentity():
-            for h in groups[j - 1].nonidentity():
-                word = _commutator(
-                    invert_letter, _block_word(groups, block_a, g), _block_word(groups, block_b, h)
-                )
-                relations.append(
-                    Relation("commute", word, source=f"forest {block_a} | {block_b}")
-                )
+        group = groups[pair[0] - 1]
+        generators.extend(((pair,), e) for e in group.nonidentity())
+        relations.extend(_mult_relations((pair,), group, f"pair {pair}"))
+    for block_a, block_b in _two_edge_posets(build_gamma_Fn(n)):
+        group_a, group_b = groups[block_a[0][0] - 1], groups[block_b[0][0] - 1]
+        for g in group_a.nonidentity():
+            for h in group_b.nonidentity():
+                word = _commutator(group_a, _block_word(block_a, g), group_b, _block_word(block_b, h))
+                relations.append(Relation("commute", word, source=f"forest {block_a} | {block_b}"))
     return Presentation(n, tuple(g.order for g in groups), tuple(generators), tuple(relations))
 
 
@@ -303,9 +300,7 @@ def dc_presentation(complex_, labelling, groups):
     any gamma, and the diagonal relation expressing g_U through the
     blocks of gamma(U).
     """
-    report = complex_.validate()
-    if not report.ok:
-        raise ValueError("invalid diagonal complex")
+    complex_.require_valid()
     labelling.check_against(complex_)
 
     def label_of(simplex):
@@ -321,19 +316,8 @@ def dc_presentation(complex_, labelling, groups):
             continue
         labelled.append((tuple(sorted(simplex)), label))
     for simplex, label in labelled:
-        group = groups[label]
-        for e in group.nonidentity():
-            generators.append((simplex, e))
-        for g, h in itertools.product(group.nonidentity(), repeat=2):
-            gh = group.mul(g, h)
-            word = [(simplex, g), (simplex, h)]
-            if gh != 0:
-                word.append((simplex, group.inv(gh)))
-            relations.append(Relation("mult", tuple(word), source=f"simplex {simplex}"))
-
-    def invert_letter(letter):
-        simplex, element = letter
-        return (simplex, groups[label_of(simplex)].inv(element))
+        generators.extend((simplex, e) for e in groups[label].nonidentity())
+        relations.extend(_mult_relations(simplex, groups[label], f"simplex {simplex}"))
 
     commutator_pairs = set()
     for w in complex_.simplices:
@@ -341,10 +325,10 @@ def dc_presentation(complex_, labelling, groups):
         for a, b in itertools.combinations(sorted(blocks), 2):
             commutator_pairs.add((a, b))
     for a, b in sorted(commutator_pairs):
-        la, lb = label_of(a), label_of(b)
-        for g in groups[la].nonidentity():
-            for h in groups[lb].nonidentity():
-                word = _commutator(invert_letter, ((a, g),), ((b, h),))
+        group_a, group_b = groups[label_of(a)], groups[label_of(b)]
+        for g in group_a.nonidentity():
+            for h in group_b.nonidentity():
+                word = _commutator(group_a, ((a, g),), group_b, ((b, h),))
                 relations.append(Relation("commute", word, source=f"blocks {a} | {b}"))
 
     for simplex, label in labelled:
@@ -443,25 +427,25 @@ def literal_pairwise_commutator_checks(groups):
     """The unrestricted 'distinct targets commute' relation, instance by instance.
 
     For every choice of targets i != k and conjugating letters g_j, h_l
-    this evaluates [a_i^{g_j}, a_k^{h_l}]; with overlapping indices the
+    this checks the relation [a_i^{g_j}, a_k^{h_l}] with
+    :func:`verify_relations`.  The partial conjugation a_i^{g_j} is the
+    pair letter ((j, i),) with element g^-1.  With overlapping indices the
     relation can fail, which these checks surface instead of hiding.
     """
-    checks = []
+    relations = []
     for i, j, k, l in itertools.product(range(1, len(groups) + 1), repeat=4):
         if i == j or k == l or i == k:
             continue
-        for g in groups[j - 1].nonidentity():
-            for h in groups[l - 1].nonidentity():
-                a = Automorphism.partial_conjugation(groups, i, (j, g))
-                b = Automorphism.partial_conjugation(groups, k, (l, h))
-                a_inv = Automorphism.partial_conjugation(groups, i, (j, groups[j - 1].inv(g)))
-                b_inv = Automorphism.partial_conjugation(groups, k, (l, groups[l - 1].inv(h)))
-                witness = a_inv.then(b_inv).then(a).then(b).moved_letter()
+        group_a, group_b = groups[j - 1], groups[l - 1]
+        for g in group_a.nonidentity():
+            for h in group_b.nonidentity():
+                a = (((j, i),), group_a.inv(g))  # a_i^{g_j}
+                b = (((l, k),), group_b.inv(h))  # a_k^{h_l}
+                word = _commutator(group_a, (a,), group_b, (b,))
                 label = f"[a_{i}^(g{g} in G{j}), a_{k}^(g{h} in G{l})]"
-                checks.append(
-                    RelationCheck(Relation("literal-commute", (), source=label), witness is None, witness)
-                )
-    return checks
+                relations.append(Relation("literal-commute", word, source=label))
+    orders = tuple(group.order for group in groups)
+    return verify_relations(Presentation(len(groups), orders, (), tuple(relations)), groups).checks
 
 
 # -- export ------------------------------------------------------------------

@@ -226,9 +226,6 @@ class GradedModuleSeries:
             tuple(a.direct_sum(b) for a, b in zip(self.coeffs, other.coeffs)),
         )
 
-    def __add__(self, other):
-        return self.add(other)
-
     def mul(self, other):
         """The Kunneth product: tensor in equal degree, Tor one degree up."""
         self._check(other)
@@ -244,9 +241,6 @@ class GradedModuleSeries:
                 if i + j + 1 <= self.truncation:
                     out[i + j + 1] = out[i + j + 1].direct_sum(a.tor(b))
         return GradedModuleSeries(self.truncation, tuple(out))
-
-    def __mul__(self, other):
-        return self.mul(other)
 
     def pow(self, k):
         if k < 0:
@@ -351,9 +345,6 @@ class MultiPoly:
             terms[e] = terms.get(e, 0) + c
         return MultiPoly.of(self.variables, terms)
 
-    def __add__(self, other):
-        return self.add(other)
-
     def mul(self, other):
         self._check(other)
         terms = {}
@@ -362,9 +353,6 @@ class MultiPoly:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 terms[e] = terms.get(e, 0) + c1 * c2
         return MultiPoly.of(self.variables, terms)
-
-    def __mul__(self, other):
-        return self.mul(other)
 
     def pow(self, k):
         result = MultiPoly.constant(self.variables, 1)
@@ -409,9 +397,7 @@ class MultiPoly:
 
 def hilbert_polynomial(complex_, labelling):
     """Sum of block-label monomials over all simplices (no constant term)."""
-    report = complex_.validate()
-    if not report.ok:
-        raise ValueError("invalid diagonal complex")
+    complex_.require_valid()
     variables = labelling.label_set
     index = {v: i for i, v in enumerate(variables)}
     terms = {}

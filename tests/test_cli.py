@@ -1,10 +1,11 @@
+import hashlib
 import json
 import re
 
 import jsonschema
 import pytest
 
-from diagcx import cli
+from diagcx import cli, homology
 from diagcx.complexes import COMPLEX_JSON_SCHEMA
 from diagcx.forests import (
     DECOMPOSITION_JSON_SCHEMA,
@@ -257,6 +258,53 @@ def test_homology_torus_dump(tmp_path, capsys):
     # two generator rows, one entry each
     assert len(lines) == 2
     assert all(len(line.split()) == 3 for line in lines)
+
+
+def test_homology_torus_dump_builds_each_matrix_once(tmp_path, capsys, monkeypatch):
+    built = []
+    original = homology.torus_model_generators
+
+    def counting(complex_, degree):
+        built.append(degree)
+        return original(complex_, degree)
+
+    monkeypatch.setattr(homology, "torus_model_generators", counting)
+    stem = str(tmp_path / "model")
+    code, out, _ = run_cli(capsys, ["homology", "torus", "--n", "4", "--dump", stem])
+    assert (code, out, built) == (0, "1 12 48 64\n", [1, 2, 3])
+    digests = [hashlib.sha256((tmp_path / f"model.deg{d}.txt").read_bytes()).hexdigest() for d in (1, 2, 3)]
+    assert digests == [
+        "df3f3a5184ee71a48817307f68b2ca8b041c39fdf9384448b413d0a6f384236e",
+        "6ffca654d3c45cede171dc030b66739830ecc8459c645dac41c4c7a36343ed83",
+        "55b65f0ef2f1d3fbf342ce9c54cedbbb1a83c3a9d38d6d585ccd88a21d3c62dc",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, size, digest",
+    [
+        (
+            ["present", "export", "--n", "3", "--factors", "Z/2,Z/3,S3"],
+            4528,
+            "cda6e63e5abcfbc678514489c149b62d8094c972bfa44cc91a93bec281f854ae",
+        ),
+        (
+            ["--format", "json", "present", "fr", "--n", "3", "--factors", "Q8,Z/2,Z/3"],
+            20497,
+            "7d3286447cf1bc6f1aab34404fc0fbebd15fd38995dd1b442beee98865f8adc7",
+        ),
+        (
+            ["--format", "json", "present", "verify", "--n", "3", "--factors", "S3,Z/6,Z/2xZ/3", "--dc", "--literal-rel3"],
+            71148,
+            "27ef55c66da3a90f5b04d961148437e3cacac5851576035e640bb96af49798d1",
+        ),
+    ],
+)
+def test_presentation_outputs_golden(capsys, argv, size, digest):
+    # the relation builders spell every word; these pin the bytes they print
+    code, out, _ = run_cli(capsys, argv)
+    data = out.encode()
+    assert (code, len(data), hashlib.sha256(data).hexdigest()) == (0, size, digest)
 
 
 def test_wh_zp_json_torsion_matches_text_counts(capsys):

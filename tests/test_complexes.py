@@ -5,7 +5,11 @@ import pytest
 from conftest import example_t_complex, example_t_improper, example_t_labelling
 from diagcx.complexes import DiagonalComplex, Labelling
 from diagcx.forests import build_gamma_Fn
+from diagcx.groups import FiniteGroup
+from diagcx.homology import torus_model_betti, torus_model_matrices
 from diagcx.partitions import PartialPartition
+from diagcx.present import dc_presentation
+from diagcx.series import hilbert_polynomial
 
 
 def full_simplex(n):
@@ -72,6 +76,26 @@ def test_is_proper_requires_valid_complex():
         broken.is_proper()
     with pytest.raises(ValueError):
         broken.filtration(1)
+
+
+def test_every_consumer_names_the_first_axiom_failure():
+    complex_ = example_t_complex()
+    broken = DiagonalComplex(3, {u: p for u, p in complex_.gamma.items() if u != frozenset([0, 1])})
+    labelling = Labelling(broken, [0, 0, 0])
+    message = f"invalid diagonal complex: {broken.validate().failures()[0].witness}"
+    consumers = [
+        broken.require_valid,
+        broken.is_proper,
+        lambda: broken.category_objects(labelling),
+        lambda: hilbert_polynomial(broken, labelling),
+        lambda: torus_model_betti(broken),
+        lambda: torus_model_matrices(broken),
+        lambda: dc_presentation(broken, labelling, {0: FiniteGroup.cyclic(2)}),
+    ]
+    for consumer in consumers:
+        with pytest.raises(ValueError) as err:
+            consumer()
+        assert str(err.value) == message
 
 
 def _descendants(complex_):

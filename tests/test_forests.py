@@ -415,6 +415,19 @@ def test_orbits_two_one_coloring_matches_displayed_list():
     assert by_parent[(3, 3, -1)].stabilizer_order == 2
 
 
+def test_orbit_rows_keep_the_stabiliser():
+    # brute force over all colour-preserving permutations of 1..4, classes {1, 2} and {3, 4}
+    perms = [(0,) + p for p in itertools.permutations(range(1, 5)) if {p[0], p[1]} == {1, 2}]
+    for row in orbit_decomposition(4, (2, 2)):
+        parent = row.representative.forest.parent
+
+        def fixes(sigma):
+            return all(sigma[parent[v - 1]] == parent[sigma[v] - 1] for v in range(1, 5))
+
+        assert row.stabilizer == tuple(sigma for sigma in perms if fixes(sigma))
+        assert row.stabilizer_order == len(row.stabilizer) == 4 // row.orbit_size
+
+
 def test_orbit_sizes_sum_to_forest_count():
     for n in (2, 3, 4):
         rows = orbit_decomposition(n, (n,))

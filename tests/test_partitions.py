@@ -30,6 +30,12 @@ def test_json_roundtrip():
     assert PartialPartition.from_json(5, p.to_json()) == p
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_mask_roundtrip(n):
+    for p in all_partial_partitions(n):
+        assert PartialPartition.from_masks(n, p.masks()) == p
+
+
 def test_coarsening_examples():
     p = PartialPartition.of(3, [[0, 1]])
     q = PartialPartition.of(3, [[0], [1], [2]])

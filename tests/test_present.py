@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import re
 
@@ -54,6 +56,48 @@ def test_group_descriptor_parsing():
     assert group_from_descriptor("Q8").order == 8
     with pytest.raises(ValueError):
         group_from_descriptor("F_2")
+
+
+def test_quaternion_table_golden():
+    # the table of the earlier string-based construction, order 1, -1, i, -i, j, -j, k, -k
+    assert FiniteGroup.quaternion().table == (
+        (0, 1, 2, 3, 4, 5, 6, 7),
+        (1, 0, 3, 2, 5, 4, 7, 6),
+        (2, 3, 1, 0, 6, 7, 5, 4),
+        (3, 2, 0, 1, 7, 6, 4, 5),
+        (4, 5, 7, 6, 1, 0, 2, 3),
+        (5, 4, 6, 7, 0, 1, 3, 2),
+        (6, 7, 4, 5, 3, 2, 1, 0),
+        (7, 6, 5, 4, 2, 3, 0, 1),
+    )
+
+
+SUBGROUP_DESCRIPTORS = ["V4", "S3", "S4", "D4", "Q8"] + [f"Z/{m}" for m in range(1, 25)] + [
+    "Z/2xZ/2", "Z/2xZ/4", "Z/2xZ/2xZ/2", "Z/3xZ/3", "Z/2xZ/6", "Z/2xZ/2xZ/2xZ/2", "Z/4xZ/4", "Z/2xZ/8",
+    "Z/2xZ/2xZ/4", "Z/3xZ/6", "Z/2xZ/10", "Z/2xZ/2xZ/5", "Z/2xZ/12", "Z/2xZ/2xZ/6", "Z/2xZ/2xZ/2xZ/3",
+]
+
+
+def test_subgroup_lists_up_to_order_24_are_unchanged():
+    # SHA-256 of the lists found by closing every 1-3 element subset plus the
+    # whole group: complete up to order 24, where only (Z/2)^4 itself needs 4 generators
+    lists = {d: [sorted(s) for s in group_from_descriptor(d).subgroups()] for d in SUBGROUP_DESCRIPTORS}
+    digest = hashlib.sha256(json.dumps(lists).encode()).hexdigest()
+    assert digest == "430e81a90380b6bcf84283abca68380994fce434a35a848edf43e897b76deb0d"
+
+
+def test_subgroups_needing_five_generators():
+    # the subgroups of (Z/2)^5 are the subspaces of F_2^5: a sum of Gaussian binomials
+    def gaussian(n, k):
+        num = den = 1
+        for i in range(k):
+            num *= 2 ** (n - i) - 1
+            den *= 2 ** (i + 1) - 1
+        return num // den
+
+    subs = group_from_descriptor("Z/2xZ/2xZ/2xZ/2xZ/2").subgroups()
+    assert len(subs) == sum(gaussian(5, k) for k in range(6)) == 374
+    assert all(len(s) == 2 ** k for s, k in zip(subs, [0] + [1] * 31 + [2] * 155 + [3] * 155 + [4] * 31 + [5]))
 
 
 def test_subgroups_and_cosets():
@@ -383,6 +427,11 @@ def test_literal_commutator_witnesses_match_probe_words():
         )
         witness = first_moved_probe_word(groups, composite)
         assert (check.passed, check.witness) == (witness is None, witness), check.relation.source
+        # a^-1 b^-1 a b in the pair letters ((j, i),) and ((l, k),)
+        assert check.relation.kind == "literal-commute"
+        assert check.relation.word == (
+            (((j, i),), g), (((l, k),), h), (((j, i),), S3.inv(g)), (((l, k),), S3.inv(h))
+        )
 
 
 def test_verify_report_shape():
