@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .partitions import PartialPartition, block_classes, meet_masks
+from .partitions import PartialPartition, block_classes, meet, meet_masks
 
 COMPLEX_JSON_SCHEMA = {
     "type": "object",
@@ -66,22 +66,21 @@ def _meet_closure(generators):
     """The nonempty meets of nonempty sets of generators.
 
     Meets are associative, so the closure is reached by meeting each new
-    object with the generators alone.  The closure runs on block bitmasks
-    (:func:`partitions.meet_masks`), and each object is built as a
-    PartialPartition once, at the end.
+    object with the generators alone.  The meets run on block bitmasks
+    (:func:`partitions.meet_masks`); each new object is built by
+    :func:`partitions.meet`.
     """
-    generators = list(generators)
-    gen_masks = dict.fromkeys(part.masks() for part in generators)
-    objects = dict(gen_masks)  # a dict keeps the order of discovery
-    queue = list(gen_masks)
+    generators = {part.masks(): part for part in generators}
+    objects = dict(generators)
+    queue = list(generators.items())
     while queue:
-        p_masks = queue.pop()
-        for g_masks in gen_masks:
+        p_masks, p = queue.pop()
+        for g_masks, g in generators.items():
             m_masks = meet_masks(p_masks, g_masks)
             if m_masks and m_masks not in objects:
-                objects[m_masks] = None
-                queue.append(m_masks)
-    return [PartialPartition.from_masks(generators[0].ground_size, masks) for masks in objects]
+                objects[m_masks] = meet(p, g)
+                queue.append((m_masks, objects[m_masks]))
+    return objects.values()
 
 
 class DiagonalComplex:

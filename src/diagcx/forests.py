@@ -486,10 +486,9 @@ def decomposition_report(n, multiplicities, base_series):
     if len(truncations) != 1:
         raise ValueError("mixed truncations")
     truncation = truncations.pop()
-    orbits = orbit_decomposition(n, multiplicities)
     reduced = [s.reduced() for s in base_series]
     rows = []
-    for orbit in orbits:
+    for orbit in orbit_decomposition(n, multiplicities):
         rep = orbit.representative
         edges = rep.forest.edges()
         exponents = [0] * len(multiplicities)
