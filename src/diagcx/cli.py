@@ -170,8 +170,8 @@ def cmd_complex_objects(args):
 
 
 def _check_products(args):
-    # at most (n+1)^(n-1) forests or monomials, each a product of n-1
-    # series with (truncate+1)^2 coefficient pairs per product
+    # an upper bound: products run once per distinct exponent vector, of which there are at
+    # most (n+1)^(n-1), each n-1 products of (truncate+1)^2 coefficient pairs
     pairs = (args.n + 1) ** (args.n - 1) * (args.n - 1) * (args.truncate + 1) ** 2
     _check_guard(pairs, PRODUCT_GUARD, args.unsafe_large, "coefficient pairs in series products")
 

@@ -109,9 +109,6 @@ class DiagonalComplex:
             raise ValueError(f"not a simplex: {sorted(simplex)}")
         return self.gamma[u]
 
-    def __contains__(self, simplex):
-        return frozenset(simplex) in self.gamma
-
     def __eq__(self, other):
         if not isinstance(other, DiagonalComplex):
             return NotImplemented
@@ -358,24 +355,23 @@ class DiagonalComplex:
 
     # -- serialisation -------------------------------------------------
 
-    def to_json_dict(self, labelling=None):
+    def to_json(self, labelling=None):
         simplices = sorted((sorted(u) for u in self.gamma), key=lambda s: (len(s), s))
         gamma = {
             _simplex_key(u): self.gamma[frozenset(u)].to_json()
             for u in map(frozenset, simplices)
         }
-        return {
+        data = {
             "ground": self.ground_size,
             "simplices": simplices,
             "gamma": gamma,
             "labels": list(labelling.labels) if labelling is not None else None,
         }
-
-    def to_json(self, labelling=None):
-        return json.dumps(self.to_json_dict(labelling), sort_keys=True, separators=(",", ":"))
+        return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
     @classmethod
-    def from_json_dict(cls, data):
+    def from_json(cls, text):
+        data = json.loads(text)
         _check_json_structure(data)
         ground = data["ground"]
         gamma = {}
@@ -388,10 +384,6 @@ class DiagonalComplex:
         labels = data.get("labels")
         labelling = Labelling(complex_, labels) if labels is not None else None
         return complex_, labelling
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_json_dict(json.loads(text))
 
 
 def _check_json_structure(data):

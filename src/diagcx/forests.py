@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .complexes import DiagonalComplex, Labelling
 from .partitions import PartialPartition
-from .series import GradedModuleSeries
+from .series import GradedModuleSeries, _monomial_modules, _reduced_factors
 
 FOREST_JSON_SCHEMA = {
     "type": "array",
@@ -96,9 +96,6 @@ class PlantedForest:
     def children(self, v):
         return tuple(c for c in range(1, self.n + 1) if self.parent[c - 1] == v)
 
-    def out_degree(self, v):
-        return sum(1 for c in range(1, self.n + 1) if self.parent[c - 1] == v)
-
     def edges(self):
         """Edges as (parent, child), sorted."""
         return tuple(
@@ -116,16 +113,6 @@ class PlantedForest:
             out.append(p)
             p = self.parent[p - 1]
         return tuple(out)
-
-    def subtree(self, v):
-        """All proper descendants of v."""
-        out = []
-        stack = list(self.children(v))
-        while stack:
-            w = stack.pop()
-            out.append(w)
-            stack.extend(self.children(w))
-        return tuple(sorted(out))
 
     def to_json(self):
         return [p if p else -1 for p in self.parent]
@@ -266,16 +253,15 @@ def build_gamma_Fn(n):
     gamma = {}
     for forest in enumerate_forests(n):
         simplex = set()
-        blocks = []
+        blocks = {}
         for v in range(1, n + 1):
-            for c in forest.children(v):
-                block = [index[(v, c)]]
-                simplex.add(index[(v, c)])
-                for w in forest.subtree(c):
-                    block.append(index[(v, w)])
-                    simplex.add(index[(v, w)])
-                blocks.append(block)
-        gamma[frozenset(simplex)] = PartialPartition.of(ground, blocks)
+            below, a = v, forest.parent[v - 1]
+            while a:  # (a, v) joins the block of the edge from a to the vertex below a
+                simplex.add(index[(a, v)])
+                blocks.setdefault((a, below), []).append(index[(a, v)])
+                below, a = a, forest.parent[a - 1]
+        # a frozenset copied from a set is sized for it; from an iterator it over-allocates
+        gamma[frozenset(simplex)] = PartialPartition.of(ground, blocks.values())
     complex_ = DiagonalComplex(ground, gamma)
     labelling = Labelling(complex_, [pair[0] for pair in pairs])
     return ForestComplex(n, complex_, labelling, pairs)
@@ -475,36 +461,31 @@ def decomposition_report(n, multiplicities, base_series):
     """One row per coloured-forest orbit with its coefficient module.
 
     The module of a forest is the product over vertices of the reduced
-    series of the vertex's colour, one factor per outgoing edge.  The
+    series of the vertex's colour, one factor per outgoing edge; each
+    distinct vector of edge counts per colour is evaluated once.  The
     sign flag marks orbits whose stabilizer moves edges, where the
     one-dimensional determinant module would twist the coefficients.
     The group homology itself is deliberately not evaluated.
     """
     if len(base_series) != len(multiplicities):
         raise ValueError("need one base series per colour")
-    truncations = {s.truncation for s in base_series}
-    if len(truncations) != 1:
-        raise ValueError("mixed truncations")
-    truncation = truncations.pop()
-    reduced = [s.reduced() for s in base_series]
+    truncation, reduced = _reduced_factors(base_series)
+    orbits = orbit_decomposition(n, multiplicities)
+    vectors = []
+    for orbit in orbits:
+        parent_colors = [orbit.representative.colors[a - 1] for a, _ in orbit.representative.forest.edges()]
+        vectors.append(tuple(parent_colors.count(c) for c in range(len(multiplicities))))
+    modules = _monomial_modules(truncation, reduced, vectors)
     rows = []
-    for orbit in orbit_decomposition(n, multiplicities):
-        rep = orbit.representative
-        edges = rep.forest.edges()
-        exponents = [0] * len(multiplicities)
-        for v in range(1, n + 1):
-            exponents[rep.colors[v - 1]] += rep.forest.out_degree(v)
-        module = GradedModuleSeries.unit(truncation)
-        for c, e in enumerate(exponents):
-            for _ in range(e):
-                module = module.mul(reduced[c])
+    for orbit, vector in zip(orbits, vectors):
+        edges = orbit.representative.forest.edges()
         rows.append(
             DecompositionRow(
-                rep,
+                orbit.representative,
                 orbit.stabilizer_order,
                 len(edges),
-                tuple(exponents),
-                module,
+                vector,
+                modules[vector],
                 any(sigma[a] != a or sigma[b] != b for sigma in orbit.stabilizer for a, b in edges),
             )
         )

@@ -377,13 +377,13 @@ def relation_automorphism(groups, relation):
     for determinism.  Conjugating a trivial factor is the identity and is
     skipped.
     """
-    auto = Automorphism.identity(groups)
+    images = Automorphism.identity(groups).images
     for pairs, element in relation.word:
         for i, j in sorted(pairs):
             if groups[j - 1].order > 1:
                 conj = (i, groups[i - 1].inv(element))
-                auto = auto.then(Automorphism.partial_conjugation(groups, j, conj))
-    return auto
+                images = {x: apply_partial_conjugation(groups, j, conj, w) for x, w in images.items()}
+    return Automorphism(groups, images)
 
 
 def verify_relations(presentation, groups):

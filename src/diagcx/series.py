@@ -424,33 +424,56 @@ def forest_hilbert_closed_form(n):
     return base.pow(n - 1)
 
 
+def _reduced_factors(factors, truncation=None, others=()):
+    """The one truncation of ``factors``, ``others`` and ``truncation`` (if given); the reduced ``factors``."""
+    truncations = {s.truncation for s in itertools.chain(factors, others)}
+    if truncation is not None:
+        truncations.add(truncation)
+    if len(truncations) != 1:
+        raise ValueError("mixed truncations" if truncations else "no variables: pass an explicit truncation")
+    return truncations.pop(), [s.reduced() for s in factors]
+
+
+def _monomial_modules(truncation, reduced, vectors):
+    """A dict from each exponent vector e, and each vector it is built from, to prod_k reduced[k]^e[k].
+
+    The module of e is that of e with its last nonzero exponent lowered by one, times that
+    factor, so each distinct vector costs one product.  A loop: degrees may pass the recursion limit.
+
+    >>> modules = _monomial_modules(3, [circle_series(3).reduced()], [(2,)])
+    >>> sorted(modules), str(modules[(2,)])
+    ([(0,), (1,), (2,)], 't^2')
+    """
+    memo = {(0,) * len(reduced): GradedModuleSeries.unit(truncation)}
+    for vector in vectors:
+        chain = []
+        while vector not in memo:
+            k = max(i for i, e in enumerate(vector) if e)
+            chain.append((vector, k))
+            vector = vector[:k] + (vector[k] - 1,) + vector[k + 1 :]
+        for upper, k in reversed(chain):
+            memo[upper], vector = memo[vector].mul(reduced[k]), upper
+    return memo
+
+
 def substitute(poly, assignment, truncation=None):
     """Evaluate a polynomial at (y_v - 1) in the Tor ring and add the unit.
 
     ``assignment`` maps each variable to the homology series of its
-    factor; subtraction of 1 is realised by taking reduced series, which
-    keeps everything inside the semiring.  ``truncation`` is only needed
-    when the polynomial has no variables at all.
+    factor, all with one truncation; subtraction of 1 is realised by
+    taking reduced series, which keeps everything inside the semiring.
+    Each distinct monomial is evaluated once.  ``truncation`` is only
+    needed when the polynomial has no variables at all.
     """
-    truncations = {s.truncation for s in assignment.values()}
-    if truncation is not None:
-        truncations.add(truncation)
-    if len(truncations) != 1:
-        raise ValueError("mixed truncations in assignment" if truncations else
-                         "no variables: pass an explicit truncation")
-    truncation = truncations.pop()
-    reduced = {}
     for var in poly.variables:
         if var not in assignment:
             raise ValueError(f"no series assigned to variable {var}")
-        reduced[var] = assignment[var].reduced()
+    factors = [assignment[var] for var in poly.variables]
+    truncation, reduced = _reduced_factors(factors, truncation, assignment.values())
+    modules = _monomial_modules(truncation, reduced, (e for e, _ in poly.terms))
     total = GradedModuleSeries.unit(truncation)
     for exponents, coeff in poly.terms:
-        term = GradedModuleSeries.unit(truncation)
-        for var, e in zip(poly.variables, exponents):
-            for _ in range(e):
-                term = term.mul(reduced[var])
-        total = total.add(term.scale(coeff))
+        total = total.add(modules[exponents].scale(coeff))
     return total
 
 
@@ -458,12 +481,10 @@ def free_product_series(factors):
     """Homology series of a wedge: 1 + sum of reduced factor series."""
     if not factors:
         raise ValueError("need at least one factor")
-    truncations = {s.truncation for s in factors}
-    if len(truncations) != 1:
-        raise ValueError("mixed truncations")
-    total = GradedModuleSeries.unit(truncations.pop())
-    for s in factors:
-        total = total.add(s.reduced())
+    truncation, reduced = _reduced_factors(factors)
+    total = GradedModuleSeries.unit(truncation)
+    for s in reduced:
+        total = total.add(s)
     return total
 
 

@@ -5,6 +5,20 @@ import pytest
 from diagcx.bipartite import set_partitions
 from diagcx.complexes import DiagonalComplex, Labelling
 from diagcx.partitions import PartialPartition
+from diagcx.series import GradedModuleSeries
+
+
+def term_product(truncation, factors, exponents):
+    """The product of factors[k].reduced()^exponents[k], one multiplication per factor.
+
+    The reference for ``series._monomial_modules``: each monomial is
+    multiplied out afresh, with no memo.
+    """
+    term = GradedModuleSeries.unit(truncation)
+    for factor, e in zip(factors, exponents):
+        for _ in range(e):
+            term = term.mul(factor.reduced())
+    return term
 
 
 def example_t_complex():

@@ -18,7 +18,8 @@ from diagcx.forests import (
     prufer_decode,
     prufer_encode,
 )
-from diagcx.series import circle_series, cyclic_classifying_series
+from conftest import term_product
+from diagcx.series import GradedModuleSeries, circle_series, cyclic_classifying_series
 
 
 def brute_force_forests(n):
@@ -51,7 +52,7 @@ def test_forest_validation():
     f = PlantedForest.of(3, {2: 1, 3: 1})
     assert f.roots() == (1,)
     assert f.children(1) == (2, 3)
-    assert f.out_degree(1) == 2 and f.out_degree(2) == 0
+    assert len(f.children(1)) == 2 and len(f.children(2)) == 0
     assert f.edges() == ((1, 2), (1, 3))
 
 
@@ -173,7 +174,7 @@ def test_monomial_is_out_degrees():
         simplex = fc.simplex_of_poset(poset_from_forest(f))
         monomial = fc.complex.monomial(fc.labelling, simplex)
         expected = {
-            v: f.out_degree(v) for v in range(1, 5) if f.out_degree(v) > 0
+            v: len(f.children(v)) for v in range(1, 5) if len(f.children(v)) > 0
         }
         assert monomial == expected
 
@@ -190,9 +191,10 @@ def test_levels_in_forest_complex():
     assert set(level0.gamma) == {frozenset([k]) for k in range(len(fc.pairs))}
 
 
-def test_gamma_matches_partition_map():
-    fc = build_gamma_Fn(3)
-    for f in enumerate_forests(3):
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_gamma_matches_partition_map(n):
+    fc = build_gamma_Fn(n)
+    for f in enumerate_forests(n):
         u = poset_from_forest(f)
         assert fc.complex.gamma_of(fc.simplex_of_poset(u)) == gamma_forest(u)
 
@@ -482,3 +484,34 @@ def test_decomposition_json_and_text():
     data = report.to_json()
     assert data["n"] == 2 and len(data["rows"]) == 1
     assert "module" in report.render_text().splitlines()[0]
+
+
+@pytest.mark.parametrize(
+    "n, multiplicities, factors",
+    [
+        (3, (3,), ["Z/4"]),
+        (4, (2, 2), ["circle", "Z/6"]),
+        (4, (1, 1, 1, 1), ["Z/2", "circle", "Z/4", "Z/3"]),
+        (5, (3, 2), ["Z/12", "Z/2"]),
+        (5, (2, 2, 1), ["circle", "Z/4", "Z/6"]),
+    ],
+)
+def test_decomposition_modules_match_term_products(n, multiplicities, factors):
+    base = [circle_series(5) if f == "circle" else cyclic_classifying_series(int(f[2:]), 5) for f in factors]
+    report = decomposition_report(n, multiplicities, base)
+    for row in report.rows:
+        forest, colors = row.representative.forest, row.representative.colors
+        out_degrees = [0] * len(multiplicities)
+        for v in range(1, n + 1):
+            out_degrees[colors[v - 1]] += len(forest.children(v))
+        assert row.exponents == tuple(out_degrees)
+        assert row.module == term_product(5, base, row.exponents)
+
+
+def test_decomposition_multiplies_once_per_exponent_vector(monkeypatch):
+    calls = []
+    mul = GradedModuleSeries.mul
+    monkeypatch.setattr(GradedModuleSeries, "mul", lambda a, b: calls.append(1) or mul(a, b))
+    base = [cyclic_classifying_series(2, 8), circle_series(8), cyclic_classifying_series(3, 8)]
+    report = decomposition_report(6, (3, 2, 1), base)
+    assert len(calls) <= len({row.exponents for row in report.rows}) == 55

@@ -3,8 +3,10 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import example_t_complex, example_t_labelling
+from conftest import example_t_complex, example_t_labelling, term_product
 from diagcx.forests import build_gamma_Fn
 from diagcx.series import (
     TRIAL_BOUND,
@@ -251,6 +253,47 @@ def test_free_product_series():
     assert single == cyclic_classifying_series(3, 4)
     with pytest.raises(ValueError):
         free_product_series([])
+
+
+@st.composite
+def substitutions(draw):
+    """A polynomial in up to 3 variables and a circle or B(Z/m) series for each."""
+    truncation = draw(st.integers(0, 6))
+    variables = tuple(range(1, draw(st.integers(0, 3)) + 1))
+    exponents = st.tuples(*[st.integers(0, 3)] * len(variables))
+    poly = MultiPoly.of(variables, draw(st.dictionaries(exponents, st.integers(1, 3), max_size=6)))
+    orders = draw(st.lists(st.sampled_from([0, 2, 3, 4, 6, 8, 12]), min_size=len(variables), max_size=len(variables)))
+    assignment = {
+        v: circle_series(truncation) if m == 0 else cyclic_classifying_series(m, truncation)
+        for v, m in zip(variables, orders)
+    }
+    return poly, assignment, truncation
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(substitutions())
+def test_substitute_matches_term_products(case):
+    poly, assignment, truncation = case
+    factors = [assignment[v] for v in poly.variables]
+    expected = GradedModuleSeries.unit(truncation)
+    for exponents, coeff in poly.terms:
+        expected = expected.add(term_product(truncation, factors, exponents).scale(coeff))
+    assert substitute(poly, assignment, truncation=truncation) == expected
+
+
+def test_substitute_multiplies_once_per_monomial(monkeypatch):
+    calls = []
+    mul = GradedModuleSeries.mul
+    monkeypatch.setattr(GradedModuleSeries, "mul", lambda a, b: calls.append(1) or mul(a, b))
+    closed = forest_hilbert_closed_form(4)  # every monomial of degree <= 3, the constant included
+    substitute(closed, {v: cyclic_classifying_series(6, 6) for v in closed.variables})
+    assert len(calls) == len(closed.terms) - 1
+
+
+def test_substitute_checks_every_assigned_truncation():
+    h = MultiPoly.of((1,), {(1,): 1})
+    with pytest.raises(ValueError, match="mixed truncations"):
+        substitute(h, {1: circle_series(4), 2: circle_series(5)})
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
