@@ -33,7 +33,7 @@ VERIFY_GUARD = 1_000_000  # letters x partial conjugations composed; 4.3-5.6 s n
 NERVE_FACE_GUARD = 20_000  # sparse Smith forms: 14671 faces take 1.0 s, 32093 take 1.5 s and 43 MiB
 DIGITS_GUARD = 4300  # Python's default limit on int-to-str conversion
 DEGREE_GUARD = 1000  # degrees computed for --truncate and --max-degree
-PRODUCT_GUARD = 10_000_000  # coefficient pairs in series products; 24M took 6.8 s
+PRODUCT_GUARD = 3_000_000  # coefficient pairs in series products; near it circles take 2.3 s, Z/2 16-43 s
 SUMMAND_GUARD = 10_000_000  # strings in a JSON torsion list; 6M took 500 MiB
 
 
@@ -169,10 +169,10 @@ def cmd_complex_objects(args):
     )
 
 
-def _check_products(args):
-    # an upper bound: products run once per distinct exponent vector, of which there are at
-    # most (n+1)^(n-1), each n-1 products of (truncate+1)^2 coefficient pairs
-    pairs = (args.n + 1) ** (args.n - 1) * (args.n - 1) * (args.truncate + 1) ** 2
+def _check_products(args, variables):
+    # one product of (truncate+1)^2 coefficient pairs per distinct nonzero exponent vector; a
+    # forest has at most n-1 edges, so over k variables there are at most C(n-1+k, k) - 1 of them
+    pairs = (math.comb(args.n - 1 + variables, variables) - 1) * (args.truncate + 1) ** 2
     _check_guard(pairs, PRODUCT_GUARD, args.unsafe_large, "coefficient pairs in series products")
 
 
@@ -191,7 +191,7 @@ def cmd_series_fr(args):
     factors = [f.strip() for f in args.factors.split(",")]
     if len(factors) != args.n:
         raise ValueError("need one factor per vertex")
-    _check_products(args)
+    _check_products(args, len(factors))
     fc = forests.build_gamma_Fn(args.n)
     h = series.hilbert_polynomial(fc.complex, fc.labelling)
     assignment = {v: _series_factor(factors[v - 1], args.truncate) for v in h.variables}
@@ -320,7 +320,7 @@ def cmd_decomposition(args):
     factors = [f.strip() for f in args.factors.split(",")]
     if len(factors) != len(multiplicities):
         raise ValueError("need one factor series per colour")
-    _check_products(args)
+    _check_products(args, len(factors))
     base = [_series_factor(f, args.truncate) for f in factors]
     report = forests.decomposition_report(args.n, multiplicities, base)
 

@@ -292,16 +292,37 @@ def prufer_encode(forest):
 
 
 def prufer_decode(word):
-    """The unique forest encoding to the given word, in O(n) steps."""
+    """The unique forest encoding to the given word, in O(n) steps.
+
+    Only the letters are checked: every word over 0..n decodes to a forest.
+
+    >>> forest = prufer_decode((1, 1))
+    >>> forest.parent, forest == PlantedForest(3, (0, 1, 1))
+    ((0, 1, 1), True)
+    """
     n = len(word) + 1
     for s in word:
         if not 0 <= s <= n:
             raise ValueError(f"letter {s} outside alphabet 0..{n}")
+    return _decode(word, n)
+
+
+def _decode(word, n):
+    """The forest of a word of length n-1 over 0..n; the caller checks the letters.
+
+    Each step hangs the largest remaining leaf below a vertex still present,
+    so the parent map is in range and acyclic by construction.  The forest is
+    built as the frozen dataclass's ``__init__`` builds it, without
+    ``__post_init__`` proving that again.
+    """
     degree = [1] * (n + 1)
     for s in word:
         degree[s] += 1
     # the largest leaf only moves down, unless the letter just written becomes a larger leaf
-    largest = leaf = max(v for v in range(n + 1) if degree[v] == 1)
+    largest = n
+    while degree[largest] != 1:
+        largest -= 1
+    leaf = largest
     parent = [0] * (n + 1)
     for s in word:
         parent[leaf] = s
@@ -314,20 +335,24 @@ def prufer_decode(word):
                 largest -= 1
             leaf = largest
     # the last leaf is a root: its parent stays 0
-    return PlantedForest(n, tuple(parent[1:]))
+    forest = object.__new__(PlantedForest)
+    object.__setattr__(forest, "n", n)
+    object.__setattr__(forest, "parent", tuple(parent[1:]))
+    return forest
 
 
 def enumerate_forests(n, include_empty=False):
     """An iterator over all planted forests on [n] in lexicographic word order.
 
-    There are (n+1)^(n-1) words; the all-zero word is the empty forest
-    and is dropped unless requested.  Each forest is decoded when it is
-    reached, so memory does not grow with the count.
+    There are (n+1)^(n-1) words; the first, all-zero word is the empty
+    forest and is dropped unless requested.  Each forest is decoded when
+    it is reached, so memory does not grow with the count; the words are
+    over 0..n by construction, so their letters are not checked either.
     """
     if n < 1:
         raise ValueError("n must be positive")
     words = itertools.product(range(n + 1), repeat=n - 1)
-    return (prufer_decode(word) for word in words if include_empty or any(word))
+    return (_decode(word, n) for word in itertools.islice(words, 0 if include_empty else 1, None))
 
 
 # -- symmetric-group orbits ----------------------------------------------

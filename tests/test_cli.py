@@ -335,6 +335,10 @@ def test_wh_zp_json_torsion_matches_text_counts(capsys):
          "n is 7 (262143 simplices), above the limit 6 (16806 simplices);"),
         (["complex", "objects", "--n", "5"], "n is 5 (1295 simplices), above the limit 4 (124 simplices);"),
         (["homology", "torus", "--n", "6"], "n is 6 (16806 simplices),"),
+        (["series", "fr", "--n", "6", "--factors", ",".join(["circle"] * 6), "--truncate", "80"],
+         "coefficient pairs in series products is 3024621, above the limit 3000000;"),
+        (["decomposition", "--n", "3", "--colors", "1,1,1", "--factors", "Z/2,Z/2,Z/2", "--truncate", "577"],
+         "coefficient pairs in series products is 3006756,"),
     ],
 )
 def test_size_guards_state_the_predicted_size(capsys, argv, predicted):
@@ -366,6 +370,10 @@ def test_size_guards_pass_the_largest_allowed_inputs(capsys):
     assert out.splitlines() == ["cosets: 234", "H_0: free=1 torsion=-"] + [f"H_{k}: free=0 torsion=-" for k in (1, 2, 3)]
     code, out, _ = run_cli(capsys, ["homology", "torus", "--n", "5"])
     assert code == 0 and out == "1 20 150 500 625\n"
+    # 461 exponent vectors x 13^2 coefficient pairs
+    circles = ",".join(["circle"] * 6)
+    code, out, _ = run_cli(capsys, ["series", "fr", "--n", "6", "--factors", circles, "--truncate", "12"])
+    assert code == 0 and out == "1 + 30t + 360t^2 + 2160t^3 + 6480t^4 + 7776t^5\n"
 
 
 def test_complex_files_are_refused_above_the_n_guards(tmp_path, capsys):

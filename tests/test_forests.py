@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from diagcx import forests
 from diagcx.forests import (
     ColoredForest,
     ForestPoset,
@@ -295,20 +296,25 @@ def test_enumeration_matches_brute_force(n):
 
 @pytest.fixture
 def post_init_calls(monkeypatch):
-    """The parent tuple of every PlantedForest validated while the test runs."""
+    """The word of every forest decoded while the test runs.
+
+    Decoded forests skip ``PlantedForest.__post_init__``, so this counts
+    calls of the one decoder that both ``prufer_decode`` and
+    ``enumerate_forests`` construct through.
+    """
     calls = []
-    validate = PlantedForest.__post_init__
+    decode = forests._decode
 
-    def counting(self):
-        calls.append(self.parent)
-        validate(self)
+    def counting(word, n):
+        calls.append(word)
+        return decode(word, n)
 
-    monkeypatch.setattr(PlantedForest, "__post_init__", counting)
+    monkeypatch.setattr(forests, "_decode", counting)
     return calls
 
 
 def test_enumeration_builds_each_forest_once(post_init_calls):
-    # 6^4 = 1296 words at n=5, less the empty one; decoding validates each forest
+    # 6^4 = 1296 words at n=5, less the empty one; each forest is decoded once
     count = sum(1 for _ in enumerate_forests(5))
     assert count == 1295
     assert len(post_init_calls) == 1295
@@ -342,6 +348,19 @@ def quadratic_decode(word):
 def test_prufer_decode_matches_quadratic_reference(n):
     for word in itertools.product(range(n + 1), repeat=n - 1):
         assert prufer_decode(word).parent == quadratic_decode(word), word
+
+
+@pytest.mark.parametrize("include_empty", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_decoded_forests_pass_the_public_checks(n, include_empty):
+    # decoding builds forests without PlantedForest.__post_init__; the public constructor re-checks each
+    words = list(itertools.product(range(n + 1), repeat=n - 1))[0 if include_empty else 1 :]
+    decoded = list(enumerate_forests(n, include_empty))
+    assert len(decoded) == len(words)
+    for forest, word in zip(decoded, words):
+        checked = PlantedForest(forest.n, forest.parent)
+        assert forest == checked and hash(forest) == hash(checked), word
+        assert forest.parent == quadratic_decode(word), word
 
 
 def reference_verdict(n, parent):
