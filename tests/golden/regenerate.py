@@ -1,0 +1,134 @@
+"""Regenerate ``cli.json``, the golden corpus of CLI invocations.
+
+Each record holds an argv, its exit code and the SHA-256 digests of its
+stdout, its stderr and every file it writes into the working directory
+(``--output`` and ``--dump`` files).  ``tests/test_cli.py`` replays the
+corpus in-process and compares every digest.  Run from the repository root:
+
+    PYTHONPATH=src python tests/golden/regenerate.py
+
+A change in the corpus is a change in CLI behaviour: review the diff of
+``cli.json`` argv by argv before committing it.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import pathlib
+import sys
+import tempfile
+
+from diagcx import cli
+
+CORPUS = pathlib.Path(__file__).with_name("cli.json")
+
+SIX_CIRCLES = ",".join(["circle"] * 6)
+SEVEN_CIRCLES = ",".join(["circle"] * 7)
+
+# Run in text and in --format json.
+COMMANDS = [
+    ["forests", "enumerate", "--n", "3"],
+    ["forests", "enumerate", "--n", "4", "--count-only"],
+    ["forests", "enumerate", "--n", "2", "--include-empty", "--workers", "2"],
+    ["complex", "verify", "--n", "3"],
+    ["complex", "objects", "--n", "3"],
+    ["series", "fr", "--n", "1", "--factors", "circle"],
+    ["series", "fr", "--n", "2", "--factors", "Z,Z/12"],
+    ["series", "fr", "--n", "3", "--factors", "circle,Z/2,Z/3"],
+    ["series", "fr", "--n", "4", "--factors", "Z/2,Z/2,Z/4Z,Z/6", "--truncate", "10"],
+    ["series", "fr", "--n", "5", "--factors", "Z/9,circle,Z/3,Z/2,Z/30", "--truncate", "5"],
+    ["series", "fr", "--n", "6", "--factors", "circle,Z/4,Z/2,circle,Z/5,Z/3"],
+    ["series", "wh-free", "--n", "4"],
+    ["series", "wh-zp", "--n", "3", "--p", "2"],
+    ["series", "wh-zp", "--n", "5", "--p", "3", "--truncate", "8"],
+    ["present", "fr", "--n", "3", "--factors", "S3,Z/2,Z/3"],
+    ["present", "export", "--n", "2", "--factors", "Z/2,Q8"],
+    ["present", "verify", "--n", "3", "--factors", "Z/2,Z/3,V4"],
+    ["present", "verify", "--n", "3", "--factors", "S3,Z/2,Z/3", "--dc", "--literal-rel3"],
+    ["orbits", "--n", "3", "--colors", "2,1"],
+    ["orbits", "--n", "4", "--colors", "2,2"],
+    ["decomposition", "--n", "3", "--colors", "2,1", "--factors", "Z/2,circle"],
+    ["decomposition", "--n", "4", "--colors", "1,3", "--factors", "Z/6,Z/4", "--truncate", "6"],
+    ["homology", "torus", "--n", "3"],
+    ["homology", "torus", "--n", "3", "--dump", "model"],
+    ["homology", "nerve", "--group", "V4", "--family", "klein", "--max-degree", "1"],
+    ["homology", "nerve", "--group", "S3"],
+    ["cactus", "coords", "--tree", "0,1,1", "--sizes", "2,2,2", "--labels", "0,1,1"],
+    ["--output", "out.txt", "series", "wh-free", "--n", "3"],
+]
+
+# Refusals, usage errors and guard boundaries; run once each.
+EDGES = [
+    # the cases of test_size_guards_state_the_predicted_size
+    ["series", "wh-free", "--n", "1372"],
+    ["series", "wh-free", "--n", "10000"],
+    ["present", "fr", "--n", "2", "--factors", "Z/100000,Z/2"],
+    ["homology", "nerve", "--group", "Z/5xZ/5"],
+    ["present", "verify", "--n", "3", "--factors", "S4,S4,S4"],
+    ["homology", "nerve", "--group", "Z/2xZ/2xZ/2xZ/2"],
+    ["forests", "enumerate", "--n", "9"],
+    ["forests", "enumerate", "--n", "100"],
+    ["orbits", "--n", "7", "--colors", "7"],
+    ["complex", "verify", "--n", "7"],
+    ["complex", "objects", "--n", "5"],
+    ["homology", "torus", "--n", "6"],
+    ["series", "fr", "--n", "6", "--factors", SIX_CIRCLES, "--truncate", "80"],
+    ["decomposition", "--n", "3", "--colors", "1,1,1", "--factors", "Z/2,Z/2,Z/2", "--truncate", "577"],
+    # the series fr guard boundary, the n cap and factor parsing
+    ["series", "fr", "--n", "6", "--factors", SIX_CIRCLES, "--truncate", "865"],
+    ["series", "fr", "--n", "6", "--factors", SIX_CIRCLES, "--truncate", "866"],
+    ["series", "fr", "--n", "7", "--factors", SEVEN_CIRCLES],
+    ["series", "fr", "--n", "1", "--factors", "bogus"],
+    ["series", "fr", "--n", "1", "--factors", "Z/1"],
+    ["series", "fr", "--n", "2", "--factors", "bogus,circle"],
+    ["series", "fr", "--n", "2", "--factors", "circle,Z/1"],
+    ["series", "fr", "--n", "3", "--factors", "circle"],
+    ["series", "fr", "--n", "0", "--factors", "circle"],
+    ["series", "fr", "--n", "2", "--factors", "circle,circle", "--truncate", "1001"],
+    ["decomposition", "--n", "2", "--colors", "2", "--factors", "Z/2", "--truncate", "-1"],
+    ["series", "wh-zp", "--n", "2", "--p", "6"],
+    ["forests", "enumerate", "--n", "3", "--workers", "0"],
+    ["complex", "verify"],
+]
+
+ARGVS = [argv for command in COMMANDS for argv in (command, ["--format", "json"] + command)] + EDGES
+
+
+def digest(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def record(argv, exit_code, out, err, directory):
+    """The corpus entry of one run whose files are those in ``directory``."""
+    files = {path.name: digest(path.read_bytes()) for path in sorted(pathlib.Path(directory).iterdir())}
+    return {"argv": argv, "exit": exit_code, "stdout": digest(out.encode()),
+            "stderr": digest(err.encode()), "files": files}
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as directory:
+        cwd = os.getcwd()
+        os.chdir(directory)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            return record(argv, code, out.getvalue(), err.getvalue(), directory)
+        finally:
+            os.chdir(cwd)
+
+
+def main():
+    os.environ.pop("DIAGCX_OUTPUT_DIR", None)
+    entries = [run(argv) for argv in ARGVS]
+    CORPUS.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(entries)} entries to {CORPUS}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

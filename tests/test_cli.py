@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pathlib
 import re
 
 import jsonschema
@@ -23,6 +24,31 @@ def run_cli(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+GOLDEN_CLI = pathlib.Path(__file__).parent / "golden" / "cli.json"
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_golden_cli_corpus(capsys, monkeypatch, tmp_path):
+    # regenerate with tests/golden/regenerate.py; a changed digest is a changed CLI output
+    monkeypatch.delenv("DIAGCX_OUTPUT_DIR", raising=False)
+    for index, entry in enumerate(json.loads(GOLDEN_CLI.read_text(encoding="utf-8"))):
+        directory = tmp_path / str(index)
+        directory.mkdir()
+        monkeypatch.chdir(directory)
+        try:
+            code, out, err = run_cli(capsys, entry["argv"])
+        except SystemExit as exc:
+            code, captured = exc.code, capsys.readouterr()
+            out, err = captured.out, captured.err
+        files = {path.name: _sha256(path.read_bytes()) for path in sorted(directory.iterdir())}
+        replay = {"argv": entry["argv"], "exit": code, "stdout": _sha256(out.encode()),
+                  "stderr": _sha256(err.encode()), "files": files}
+        assert replay == entry
 
 
 def test_wh_free_example(capsys):
