@@ -169,10 +169,9 @@ def cmd_complex_objects(args):
     )
 
 
-def _check_products(args, variables):
-    # one product of (truncate+1)^2 coefficient pairs per distinct nonzero exponent vector; a
-    # forest has at most n-1 edges, so over k variables there are at most C(n-1+k, k) - 1 of them
-    pairs = (math.comb(args.n - 1 + variables, variables) - 1) * (args.truncate + 1) ** 2
+def _check_products(args, products):
+    # each product of two series pairs up to (truncate+1)^2 coefficients
+    pairs = products * (args.truncate + 1) ** 2
     _check_guard(pairs, PRODUCT_GUARD, args.unsafe_large, "coefficient pairs in series products")
 
 
@@ -191,11 +190,11 @@ def cmd_series_fr(args):
     factors = [f.strip() for f in args.factors.split(",")]
     if len(factors) != args.n:
         raise ValueError("need one factor per vertex")
-    _check_products(args, len(factors))
-    fc = forests.build_gamma_Fn(args.n)
-    h = series.hilbert_polynomial(fc.complex, fc.labelling)
-    assignment = {v: _series_factor(factors[v - 1], args.truncate) for v in h.variables}
-    result = series.substitute(h, assignment, truncation=args.truncate)
+    # the wedge series to the power n-1: its first product multiplies by 1, the n-2 others count
+    _check_products(args, max(args.n - 2, 0))
+    if args.n > forests.BUILD_CAP:  # the n at which Γ(F_n) can be built to check the answer
+        raise ValueError(f"n must be between 1 and {forests.BUILD_CAP}")
+    result = series.free_product_series([_series_factor(f, args.truncate) for f in factors]).pow(args.n - 1)
     _emit(args, result.render(), lambda: _series_document(args, result))
 
 
@@ -320,7 +319,9 @@ def cmd_decomposition(args):
     factors = [f.strip() for f in args.factors.split(",")]
     if len(factors) != len(multiplicities):
         raise ValueError("need one factor series per colour")
-    _check_products(args, len(factors))
+    # one product per distinct nonzero exponent vector; a forest has at most n-1 edges,
+    # so over k variables there are at most C(n-1+k, k) - 1 of them
+    _check_products(args, math.comb(args.n - 1 + len(factors), len(factors)) - 1)
     base = [_series_factor(f, args.truncate) for f in factors]
     report = forests.decomposition_report(args.n, multiplicities, base)
 

@@ -372,28 +372,6 @@ class MultiPoly:
             total += term
         return total
 
-    def render(self, prefix="x"):
-        if not self.terms:
-            return "0"
-        parts = []
-        for exponents, coeff in self.terms:
-            factors = []
-            for var, e in zip(self.variables, exponents):
-                if e == 1:
-                    factors.append(f"{prefix}_{var}")
-                elif e > 1:
-                    factors.append(f"{prefix}_{var}^{e}")
-            if not factors:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append("*".join(factors))
-            else:
-                parts.append(f"{coeff}*" + "*".join(factors))
-        return " + ".join(parts)
-
-    def __str__(self):
-        return self.render()
-
 
 def hilbert_polynomial(complex_, labelling):
     """Sum of block-label monomials over all simplices (no constant term)."""
@@ -463,7 +441,9 @@ def substitute(poly, assignment, truncation=None):
     factor, all with one truncation; subtraction of 1 is realised by
     taking reduced series, which keeps everything inside the semiring.
     Each distinct monomial is evaluated once.  ``truncation`` is only
-    needed when the polynomial has no variables at all.
+    needed when the polynomial has no variables at all.  On the Hilbert
+    polynomial of Γ(F_n) this is the oracle for ``series fr``, which runs
+    ``free_product_series(...).pow(n - 1)``.
     """
     for var in poly.variables:
         if var not in assignment:
@@ -478,7 +458,11 @@ def substitute(poly, assignment, truncation=None):
 
 
 def free_product_series(factors):
-    """Homology series of a wedge: 1 + sum of reduced factor series."""
+    """Homology series of a wedge: 1 + sum of reduced factor series.
+
+    Its (n-1)-th power is what ``series fr`` prints; ``substitute`` on the
+    Hilbert polynomial of Γ(F_n) is the oracle that the tests compare it with.
+    """
     if not factors:
         raise ValueError("need at least one factor")
     truncation, reduced = _reduced_factors(factors)

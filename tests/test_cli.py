@@ -270,6 +270,17 @@ def test_series_fr_single_factor(capsys):
     assert out == "1\n"
 
 
+def test_series_fr_checks_n_and_every_factor(capsys):
+    for argv, message in (
+        (["--n", "1", "--factors", "bogus"], "error: unknown series factor 'bogus'; use circle or Z/m\n"),
+        (["--n", "2", "--factors", "circle,bogus"], "error: unknown series factor 'bogus'; use circle or Z/m\n"),
+        (["--n", "1", "--factors", "Z/1"], "error: m must be at least 2\n"),
+        (["--n", "2", "--factors", "Z/1,circle"], "error: m must be at least 2\n"),
+        (["--n", "7", "--factors", ",".join(["circle"] * 7)], "error: n must be between 1 and 6\n"),
+    ):
+        assert run_cli(capsys, ["series", "fr"] + argv) == (2, "", message), argv
+
+
 def test_homology_torus_command(capsys):
     code, out, _ = run_cli(capsys, ["homology", "torus", "--n", "3"])
     assert code == 0
@@ -361,8 +372,8 @@ def test_wh_zp_json_torsion_matches_text_counts(capsys):
          "n is 7 (262143 simplices), above the limit 6 (16806 simplices);"),
         (["complex", "objects", "--n", "5"], "n is 5 (1295 simplices), above the limit 4 (124 simplices);"),
         (["homology", "torus", "--n", "6"], "n is 6 (16806 simplices),"),
-        (["series", "fr", "--n", "6", "--factors", ",".join(["circle"] * 6), "--truncate", "80"],
-         "coefficient pairs in series products is 3024621, above the limit 3000000;"),
+        (["series", "fr", "--n", "6", "--factors", ",".join(["circle"] * 6), "--truncate", "866"],
+         "coefficient pairs in series products is 3006756, above the limit 3000000;"),
         (["decomposition", "--n", "3", "--colors", "1,1,1", "--factors", "Z/2,Z/2,Z/2", "--truncate", "577"],
          "coefficient pairs in series products is 3006756,"),
     ],
@@ -396,9 +407,9 @@ def test_size_guards_pass_the_largest_allowed_inputs(capsys):
     assert out.splitlines() == ["cosets: 234", "H_0: free=1 torsion=-"] + [f"H_{k}: free=0 torsion=-" for k in (1, 2, 3)]
     code, out, _ = run_cli(capsys, ["homology", "torus", "--n", "5"])
     assert code == 0 and out == "1 20 150 500 625\n"
-    # 461 exponent vectors x 13^2 coefficient pairs
+    # the wedge series to the fifth power: 4 products x 866^2 coefficient pairs
     circles = ",".join(["circle"] * 6)
-    code, out, _ = run_cli(capsys, ["series", "fr", "--n", "6", "--factors", circles, "--truncate", "12"])
+    code, out, _ = run_cli(capsys, ["series", "fr", "--n", "6", "--factors", circles, "--truncate", "865"])
     assert code == 0 and out == "1 + 30t + 360t^2 + 2160t^3 + 6480t^4 + 7776t^5\n"
 
 
