@@ -51,6 +51,7 @@ COMMANDS = [
     ["orbits", "--n", "4", "--colors", "2,2"],
     ["decomposition", "--n", "3", "--colors", "2,1", "--factors", "Z/2,circle"],
     ["decomposition", "--n", "4", "--colors", "1,3", "--factors", "Z/6,Z/4", "--truncate", "6"],
+    ["decomposition", "--n", "4", "--colors", "2,1,1", "--factors", "Z/4,Z/8,Z/12", "--truncate", "9"],
     ["homology", "torus", "--n", "3"],
     ["homology", "torus", "--n", "3", "--dump", "model"],
     ["homology", "nerve", "--group", "V4", "--family", "klein", "--max-degree", "1"],
@@ -62,6 +63,7 @@ COMMANDS = [
 # Refusals, usage errors and guard boundaries; run once each.
 EDGES = [
     # the cases of test_size_guards_state_the_predicted_size
+    ["series", "wh-free", "--n", "1371"],
     ["series", "wh-free", "--n", "1372"],
     ["series", "wh-free", "--n", "10000"],
     ["present", "fr", "--n", "2", "--factors", "Z/100000,Z/2"],
@@ -89,6 +91,7 @@ EDGES = [
     ["series", "fr", "--n", "2", "--factors", "circle,circle", "--truncate", "1001"],
     ["decomposition", "--n", "2", "--colors", "2", "--factors", "Z/2", "--truncate", "-1"],
     ["series", "wh-zp", "--n", "2", "--p", "6"],
+    ["homology", "nerve", "--group", "S3", "--max-degree", "-1"],
     ["forests", "enumerate", "--n", "3", "--workers", "0"],
     ["complex", "verify"],
 ]
