@@ -33,7 +33,7 @@ VERIFY_GUARD = 1_000_000  # letters x partial conjugations composed; 4.3-5.6 s n
 NERVE_FACE_GUARD = 20_000  # sparse Smith forms: 14671 faces take 1.0 s, 32093 take 1.5 s and 43 MiB
 DIGITS_GUARD = 4300  # Python's default limit on int-to-str conversion
 DEGREE_GUARD = 1000  # degrees computed for --truncate and --max-degree
-PRODUCT_GUARD = 3_000_000  # coefficient pairs in series products; near it circles take 2.3 s, Z/2 16-43 s
+PRODUCT_GUARD = 3_000_000  # coefficient pairs in series products; near it circles or Z/2 take 0.3-1.4 s, Z/30030 1.7-2.8 s
 SUMMAND_GUARD = 10_000_000  # strings in a JSON torsion list; 6M took 500 MiB
 
 
@@ -71,10 +71,7 @@ def _series_factor(text, truncation):
     if text in ("circle", "Z"):
         return series.circle_series(truncation)
     if text.startswith("Z/"):
-        tail = text[2:]
-        if tail.endswith("Z"):
-            tail = tail[:-1]
-        return series.cyclic_classifying_series(int(tail), truncation)
+        return series.cyclic_classifying_series(int(text[2:].removesuffix("Z")), truncation)
     raise ValueError(f"unknown series factor {text!r}; use circle or Z/m")
 
 
@@ -177,7 +174,7 @@ def _check_products(args, products):
 
 def _check_summands(args, *parts):
     # to_json lists one string per torsion summand
-    summands = sum(c for part in parts for coeff in part.coeffs for _, c in coeff.torsion)
+    summands = sum(sum(counts) for part in parts for kind, counts in part.terms if kind != series.FREE)
     _check_guard(summands, SUMMAND_GUARD, args.unsafe_large, "torsion summands listed in JSON")
 
 
@@ -203,8 +200,8 @@ def cmd_series_wh_free(args):
     digits = (args.n - 1) * math.floor(math.log10(args.n) * 10**6) // 10**6 + 1
     _check_guard(digits, DIGITS_GUARD, args.unsafe_large, f"digits of n^(n-1) at n={args.n}")
     coeffs, chi = series.series_Wh_free(args.n)
-    text = f"{series.render_poly_in_t(coeffs)}, chi = {chi}"
-    _emit(args, text, lambda: {"coefficients": coeffs, "chi": chi})
+    free = series.GradedModuleSeries.of(args.n - 1, map(series.AbelianGroup.free, coeffs))
+    _emit(args, f"{free.render()}, chi = {chi}", lambda: {"coefficients": coeffs, "chi": chi})
 
 
 def cmd_series_wh_zp(args):
@@ -487,14 +484,14 @@ def main(argv=None):
         parser.error("--n must be positive")
     if getattr(args, "workers", 1) < 1:
         parser.error("--workers must be positive")
-    if getattr(args, "truncate", 0) < 0:
-        parser.error("--truncate must be nonnegative")
     if getattr(args, "file", "missing") is None and getattr(args, "n", None) is None:
         parser.error("need --n or --file")
     try:
-        for flag in ("truncate", "max_degree"):
-            degree = getattr(args, flag, 0)
-            _check_guard(degree, DEGREE_GUARD, args.unsafe_large, "--" + flag.replace("_", "-"))
+        for flag in ("--truncate", "--max-degree"):
+            degree = getattr(args, flag[2:].replace("-", "_"), 0)
+            if degree < 0:
+                parser.error(f"{flag} must be nonnegative")
+            _check_guard(degree, DEGREE_GUARD, args.unsafe_large, flag)
         args.func(args)
     except GuardError as err:
         sys.stderr.write(f"resource guard: {err}\n")

@@ -451,7 +451,13 @@ class DecompositionReport:
     multiplicities: tuple
     rows: tuple
 
+    def _per_module(self, method):
+        """``method`` of each distinct module object, by id: rows with one exponent vector share one."""
+        modules = {id(row.module): row.module for row in self.rows}
+        return {key: method(module) for key, module in modules.items()}
+
     def to_json(self):
+        modules = self._per_module(GradedModuleSeries.to_json)
         return {
             "n": self.n,
             "multiplicities": list(self.multiplicities),
@@ -462,7 +468,7 @@ class DecompositionReport:
                     "aut_order": row.aut_order,
                     "edges": row.edge_count,
                     "exponents": list(row.exponents),
-                    "module": row.module.to_json(),
+                    "module": modules[id(row.module)],
                     "sign_twist": row.sign_twist,
                 }
                 for row in self.rows
@@ -472,12 +478,13 @@ class DecompositionReport:
     def render_text(self):
         header = f"{'forest':<20} {'colors':<12} {'|Aut|':>5} {'edges':>5} {'sign':>5}  module"
         lines = [header, "-" * len(header)]
+        modules = self._per_module(GradedModuleSeries.render)
         for row in self.rows:
             forest = ",".join(map(str, row.representative.forest.to_json()))
             colors = ",".join(map(str, row.representative.colors))
             lines.append(
                 f"{forest:<20} {colors:<12} {row.aut_order:>5} {row.edge_count:>5} "
-                f"{'yes' if row.sign_twist else 'no':>5}  {row.module.render()}"
+                f"{'yes' if row.sign_twist else 'no':>5}  {modules[id(row.module)]}"
             )
         return "\n".join(lines)
 

@@ -4,8 +4,9 @@ Two layers of generating functions live here.  MultiPoly is an honest
 integer polynomial in variables indexed by labels; the polynomial of a
 labelled diagonal complex sums the block-label monomials over all
 simplices (no constant term).  GradedModuleSeries is a truncated power
-series whose degree-k coefficient is a finitely generated abelian group;
-multiplication follows the Kunneth rule, so cyclic summands obey
+series of abelian groups, stored as one polynomial of summand counts per
+summand kind (Z, or Z/p^e); AbelianGroup is the view of one degree.  The
+product follows the Kunneth rule, one convolution per pair of kinds:
 
     Z/p^i . Z/q^j = (1 + t) Z/p^min(i,j)   if p = q, and 0 otherwise,
 
@@ -14,9 +15,10 @@ polynomial and adding the unit gives the homology series of the complex
 product.
 """
 
+import functools
 import itertools
 import math
-from collections import Counter
+import operator
 from dataclasses import dataclass
 
 SERIES_JSON_SCHEMA = {
@@ -90,11 +92,12 @@ class AbelianGroup:
     Torsion is a tuple of ((prime, exponent), count) entries, one per
     distinct cyclic summand Z/prime^exponent, with keys strictly
     increasing and every count positive; so equal groups compare equal.
+    A group is the view of one degree of a GradedModuleSeries, which does the arithmetic.
 
     >>> AbelianGroup.of_order(12)
     AbelianGroup(free_rank=0, torsion=(((2, 2), 1), ((3, 1), 1)))
-    >>> print(AbelianGroup(1, (((2, 1), 3),)).tensor(AbelianGroup.of_order(4)))
-    (Z/2)^3 + Z/4
+    >>> print(AbelianGroup(1, (((2, 1), 3), ((2, 2), 1))))
+    Z + (Z/2)^3 + Z/4
     """
 
     free_rank: int
@@ -112,11 +115,6 @@ class AbelianGroup:
             raise ValueError("torsion entries must be ((p, e), count) with p >= 2, e >= 1, count >= 1")
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValueError("torsion keys must be strictly increasing")
-
-    @classmethod
-    def _of_counts(cls, free_rank, counts):
-        """The group with the given {(p, e): count} torsion; zero counts dropped."""
-        return cls(free_rank, tuple(sorted((key, c) for key, c in counts.items() if c)))
 
     @classmethod
     def zero(cls):
@@ -143,32 +141,6 @@ class AbelianGroup:
     def is_zero(self):
         return self.free_rank == 0 and not self.torsion
 
-    def direct_sum(self, other):
-        counts = Counter(dict(self.torsion)) + Counter(dict(other.torsion))
-        return AbelianGroup._of_counts(self.free_rank + other.free_rank, counts)
-
-    def tensor(self, other):
-        """Tensor product over Z: torsion times the other free rank, plus the tor part."""
-        counts = Counter()
-        for a, b in ((self, other), (other, self)):
-            for key, c in a.torsion:
-                counts[key] += c * b.free_rank
-        scaled = AbelianGroup._of_counts(self.free_rank * other.free_rank, counts)
-        return scaled.direct_sum(self.tor(other))
-
-    def tor(self, other):
-        """Tor_1 over Z: Z/p^i and Z/p^j give Z/p^min(i,j); other pairs give 0."""
-        counts = Counter()
-        for ((p, i), a), ((q, j), b) in itertools.product(self.torsion, other.torsion):
-            if p == q:
-                counts[(p, min(i, j))] += a * b
-        return AbelianGroup._of_counts(0, counts)
-
-    def scale(self, k):
-        if k < 0:
-            raise ValueError("scale factor must be nonnegative")
-        return AbelianGroup._of_counts(k * self.free_rank, {key: k * c for key, c in self.torsion})
-
     def render(self):
         if self.is_zero:
             return "0"
@@ -190,30 +162,70 @@ class AbelianGroup:
         return self.render()
 
 
+# The kind of the summand Z; Z/p^e has the kind (p, e), and FREE sorts first.
+FREE = (0, 0)
+
+
 @dataclass(frozen=True)
 class GradedModuleSeries:
-    """A power series truncated at a fixed degree with AbelianGroup coefficients."""
+    """A power series truncated at a fixed degree with abelian group coefficients.
+
+    ``terms`` is a sorted tuple of (kind, counts) pairs, one per summand
+    kind that occurs: the kind is FREE for Z or (p, e) for Z/p^e, and
+    counts[d] is the number of such summands in degree d.  Every counts
+    tuple has truncation + 1 entries and is not all zero, so equal series
+    compare equal.  ``coeffs`` is the view by degree.
+
+    >>> s = cyclic_classifying_series(12, 3)
+    >>> s.terms
+    (((0, 0), (1, 0, 0, 0)), ((2, 2), (0, 1, 0, 1)), ((3, 1), (0, 1, 0, 1)))
+    >>> print(s.mul(s))
+    1 + ((Z/3)^2 + (Z/4)^2) t + (Z/3 + Z/4) t^2 + ((Z/3)^3 + (Z/4)^3) t^3
+    """
 
     truncation: int
-    coeffs: tuple
+    terms: tuple
 
     def __post_init__(self):
-        if len(self.coeffs) != self.truncation + 1:
-            raise ValueError("coefficient count must match truncation")
+        kinds = [kind for kind, _ in self.terms]
+        if any(a >= b for a, b in zip(kinds, kinds[1:])):
+            raise ValueError("summand kinds must be strictly increasing")
+        if any(len(c) != self.truncation + 1 or not any(c) or min(c) < 0 for _, c in self.terms):
+            raise ValueError("each kind needs truncation + 1 nonnegative counts, not all zero")
+
+    @classmethod
+    def _of_table(cls, truncation, table):
+        """The series with table[kind][d] summands of each kind in degree d; lists are padded or cut."""
+        size = truncation + 1
+        padded = {kind: tuple(counts[:size]) + (0,) * (size - len(counts)) for kind, counts in table.items()}
+        return cls(truncation, tuple(sorted((kind, c) for kind, c in padded.items() if any(c))))
 
     @classmethod
     def of(cls, truncation, coeffs):
-        coeffs = list(coeffs)
-        coeffs += [AbelianGroup.zero()] * (truncation + 1 - len(coeffs))
-        return cls(truncation, tuple(coeffs[: truncation + 1]))
+        """The series with the given AbelianGroup coefficients, padded with zeros or cut."""
+        table = {}
+        for degree, coeff in enumerate(itertools.islice(coeffs, truncation + 1)):
+            for kind, count in ((FREE, coeff.free_rank), *coeff.torsion):
+                table.setdefault(kind, [0] * (truncation + 1))[degree] = count
+        return cls._of_table(truncation, table)
 
     @classmethod
     def unit(cls, truncation):
-        return cls.of(truncation, [AbelianGroup.free(1)])
+        return cls._of_table(truncation, {FREE: [1]})
 
     @classmethod
     def zero(cls, truncation):
-        return cls.of(truncation, [])
+        return cls(truncation, ())
+
+    @property
+    def coeffs(self):
+        """The AbelianGroup of each degree, built afresh on every access."""
+        free = dict(self.terms).get(FREE, (0,) * (self.truncation + 1))
+        torsion = [(kind, counts) for kind, counts in self.terms if kind != FREE]
+        return tuple(
+            AbelianGroup(rank, tuple((kind, counts[d]) for kind, counts in torsion if counts[d]))
+            for d, rank in enumerate(free)
+        )
 
     def _check(self, other):
         if self.truncation != other.truncation:
@@ -221,26 +233,35 @@ class GradedModuleSeries:
 
     def add(self, other):
         self._check(other)
-        return GradedModuleSeries(
-            self.truncation,
-            tuple(a.direct_sum(b) for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        table = dict(self.terms)
+        zeros = (0,) * (self.truncation + 1)
+        for kind, counts in other.terms:
+            table[kind] = [a + b for a, b in zip(table.get(kind, zeros), counts)]
+        return GradedModuleSeries._of_table(self.truncation, table)
 
     def mul(self, other):
-        """The Kunneth product: tensor in equal degree, Tor one degree up."""
+        """The Kunneth product, the one place where its rule is written.
+
+        Z times a kind gives that kind; Z/p^i times Z/p^j gives Z/p^min(i,j) in
+        the same degree (tensor) and one degree up (Tor); other primes give nothing.
+        """
         self._check(other)
-        out = [AbelianGroup.zero() for _ in range(self.truncation + 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero:
+        size = self.truncation + 1
+        table = {}
+        for ka, a in self.terms:
+            for kb, b in other.terms:
+                if FREE in (ka, kb):
+                    kind, shifts = max(ka, kb), (0,)
+                elif ka[0] == kb[0]:
+                    kind, shifts = min(ka, kb), (0, 1)
+                else:
                     continue
-                if i + j <= self.truncation:
-                    out[i + j] = out[i + j].direct_sum(a.tensor(b))
-                if i + j + 1 <= self.truncation:
-                    out[i + j + 1] = out[i + j + 1].direct_sum(a.tor(b))
-        return GradedModuleSeries(self.truncation, tuple(out))
+                # the count polynomials' product, cut at the truncation
+                product = [sum(map(operator.mul, a[: d + 1], b[d::-1])) for d in range(size)]
+                counts = table.setdefault(kind, [0] * size)
+                for shift in shifts:
+                    counts[shift:] = map(operator.add, counts[shift:], product)
+        return GradedModuleSeries._of_table(self.truncation, table)
 
     def pow(self, k):
         if k < 0:
@@ -251,15 +272,18 @@ class GradedModuleSeries:
         return result
 
     def scale(self, k):
-        return GradedModuleSeries(self.truncation, tuple(c.scale(k) for c in self.coeffs))
+        if k < 0:
+            raise ValueError("scale factor must be nonnegative")
+        table = {kind: [k * c for c in counts] for kind, counts in self.terms}
+        return GradedModuleSeries._of_table(self.truncation, table)
 
     def reduced(self):
         """Drop one Z from degree zero (the reduced series of a connected space)."""
-        head = self.coeffs[0]
-        if head.free_rank < 1:
+        table = {kind: list(counts) for kind, counts in self.terms}
+        if table.get(FREE, [0])[0] < 1:
             raise ValueError("degree-0 coefficient has no Z summand to remove")
-        head = AbelianGroup(head.free_rank - 1, head.torsion)
-        return GradedModuleSeries(self.truncation, (head,) + self.coeffs[1:])
+        table[FREE][0] -= 1
+        return GradedModuleSeries._of_table(self.truncation, table)
 
     def render(self):
         parts = []
@@ -269,15 +293,10 @@ class GradedModuleSeries:
             t_part = "" if degree == 0 else ("t" if degree == 1 else f"t^{degree}")
             if coeff.torsion:
                 body = coeff.render()
-                if " + " in body:
-                    body = f"({body})"
-                parts.append(f"{body} {t_part}".rstrip())
-            else:
-                r = coeff.free_rank
-                if not t_part:
-                    parts.append(str(r))
-                else:
-                    parts.append(t_part if r == 1 else f"{r}{t_part}")
+                body = f"({body}) " if " + " in body else f"{body} "
+            else:  # a free rank is written as an integer coefficient, 1 t as t
+                body = "" if coeff.free_rank == 1 and t_part else str(coeff.free_rank)
+            parts.append(f"{body}{t_part}".rstrip())
         return " + ".join(parts) if parts else "0"
 
     def to_json(self):
@@ -289,18 +308,15 @@ class GradedModuleSeries:
 
 def circle_series(truncation):
     """Homology series of the circle: 1 + t."""
-    return GradedModuleSeries.of(truncation, [AbelianGroup.free(1), AbelianGroup.free(1)])
+    return GradedModuleSeries._of_table(truncation, {FREE: [1, 1]})
 
 
 def cyclic_classifying_series(m, truncation):
     """Homology series of B(Z/m): Z in degree 0, Z/m in odd degrees."""
     if m < 2:
         raise ValueError("m must be at least 2")
-    torsion = AbelianGroup.of_order(m)
-    coeffs = [AbelianGroup.free(1)]
-    for degree in range(1, truncation + 1):
-        coeffs.append(torsion if degree % 2 == 1 else AbelianGroup.zero())
-    return GradedModuleSeries.of(truncation, coeffs)
+    odd = [d % 2 for d in range(truncation + 1)]
+    return GradedModuleSeries._of_table(truncation, {FREE: [1], **dict.fromkeys(_factor_prime_powers(m), odd)})
 
 
 # -- integer polynomials ------------------------------------------------
@@ -451,10 +467,8 @@ def substitute(poly, assignment, truncation=None):
     factors = [assignment[var] for var in poly.variables]
     truncation, reduced = _reduced_factors(factors, truncation, assignment.values())
     modules = _monomial_modules(truncation, reduced, (e for e, _ in poly.terms))
-    total = GradedModuleSeries.unit(truncation)
-    for exponents, coeff in poly.terms:
-        total = total.add(modules[exponents].scale(coeff))
-    return total
+    terms = (modules[exponents].scale(coeff) for exponents, coeff in poly.terms)
+    return functools.reduce(GradedModuleSeries.add, terms, GradedModuleSeries.unit(truncation))
 
 
 def free_product_series(factors):
@@ -466,10 +480,7 @@ def free_product_series(factors):
     if not factors:
         raise ValueError("need at least one factor")
     truncation, reduced = _reduced_factors(factors)
-    total = GradedModuleSeries.unit(truncation)
-    for s in reduced:
-        total = total.add(s)
-    return total
+    return functools.reduce(GradedModuleSeries.add, reduced, GradedModuleSeries.unit(truncation))
 
 
 # -- closed forms for the forest complex --------------------------------
@@ -482,20 +493,6 @@ def series_Wh_free(n):
     coeffs = [math.comb(n - 1, k) * n**k for k in range(n)]
     chi = (1 - n) ** (n - 1)
     return coeffs, chi
-
-
-def render_poly_in_t(coeffs):
-    parts = []
-    for degree, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        if degree == 0:
-            parts.append(str(c))
-        elif degree == 1:
-            parts.append("t" if c == 1 else f"{c}t")
-        else:
-            parts.append(f"t^{degree}" if c == 1 else f"{c}t^{degree}")
-    return " + ".join(parts) if parts else "0"
 
 
 def series_Wh_Zp(n, p, truncation):
@@ -513,12 +510,10 @@ def series_Wh_Zp(n, p, truncation):
         raise ValueError("p must be a prime >= 2")
     weights = [math.comb(n - 1, k) * n**k for k in range(1, min(truncation, n - 1) + 1)]
     row = [1]  # C(d-1, k-1) for k = 1..d
-    coeffs = [AbelianGroup.free(1)]
-    count = 0
+    counts = [0]
     for _ in range(truncation):
-        count = sum(w * c for w, c in zip(weights, row)) - count
-        if count < 0:
+        counts.append(sum(w * c for w, c in zip(weights, row)) - counts[-1])
+        if counts[-1] < 0:
             raise ValueError("negative summand count; series is corrupt")
-        coeffs.append(AbelianGroup._of_counts(0, {(p, 1): count}))
         row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
-    return GradedModuleSeries.of(truncation, coeffs)
+    return GradedModuleSeries._of_table(truncation, {FREE: [1], (p, 1): counts})

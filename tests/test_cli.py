@@ -145,6 +145,7 @@ def test_usage_error_exit_code(capsys):
         ["series", "wh-zp", "--n", "2", "--p", "3", "--truncate", "-1"],
         ["series", "fr", "--n", "2", "--factors", "circle,circle", "--truncate", "-1"],
         ["decomposition", "--n", "2", "--colors", "2", "--factors", "Z/2", "--truncate", "-1"],
+        ["homology", "nerve", "--group", "S3", "--max-degree", "-1"],
         ["forests", "enumerate", "--n", "3", "--workers", "0"],
         ["forests", "enumerate", "--n", "3", "--workers", "-5"],
     ):

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import series_oracle as oracle
 from conftest import example_t_complex, example_t_labelling, term_product
 from diagcx.forests import build_gamma_Fn
 from diagcx.series import (
+    FREE,
     TRIAL_BOUND,
     AbelianGroup,
     GradedModuleSeries,
@@ -20,7 +22,6 @@ from diagcx.series import (
     hilbert_polynomial,
     _factor_prime_powers,
     _is_prime,
-    render_poly_in_t,
     series_Wh_Zp,
     series_Wh_free,
     substitute,
@@ -64,21 +65,40 @@ def test_torsion_is_stored_as_counts():
     assert s.coeffs[12].torsion == (((5, 1), 2237760),)
     # only to_json lists the summands one by one
     assert s.coeffs[2].to_json() == {"free": 0, "torsion": ["5^1"] * s.coeffs[2].torsion[0][1]}
+    # the series holds one count polynomial per summand kind
+    assert [kind for kind, _ in s.terms] == [FREE, (5, 1)]
+    assert dict(s.terms)[(5, 1)][12] == 2237760
+    # the oracle's group arithmetic on the same counts
     mixed = AbelianGroup(2, (((2, 1), 3), ((3, 2), 1)))
-    assert mixed.direct_sum(mixed) == AbelianGroup(4, (((2, 1), 6), ((3, 2), 2)))
-    assert mixed.scale(0) == AbelianGroup.zero()
-    assert mixed.tor(mixed) == AbelianGroup(0, (((2, 1), 9), ((3, 2), 1)))
-    assert mixed.tensor(mixed) == AbelianGroup(4, (((2, 1), 21), ((3, 2), 5)))
+    assert oracle.direct_sum(mixed, mixed) == AbelianGroup(4, (((2, 1), 6), ((3, 2), 2)))
+    assert oracle.scale_group(mixed, 0) == AbelianGroup.zero()
+    assert oracle.tor(mixed, mixed) == AbelianGroup(0, (((2, 1), 9), ((3, 2), 1)))
+    assert oracle.tensor(mixed, mixed) == AbelianGroup(4, (((2, 1), 21), ((3, 2), 5)))
 
 
 def test_tensor_and_tor():
     z4 = AbelianGroup.of_order(4)
     z6 = AbelianGroup.of_order(6)
-    assert z4.tensor(z6) == AbelianGroup.of_order(2)
-    assert z4.tor(z6) == AbelianGroup.of_order(2)
-    assert AbelianGroup.free(2).tensor(z4) == AbelianGroup(0, (((2, 2), 2),))
-    assert AbelianGroup.free(1).tor(z4).is_zero
-    assert z4.tensor(AbelianGroup.of_order(3)).is_zero
+    assert oracle.tensor(z4, z6) == AbelianGroup.of_order(2)
+    assert oracle.tor(z4, z6) == AbelianGroup.of_order(2)
+    assert oracle.tensor(AbelianGroup.free(2), z4) == AbelianGroup(0, (((2, 2), 2),))
+    assert oracle.tor(AbelianGroup.free(1), z4).is_zero
+    assert oracle.tensor(z4, AbelianGroup.of_order(3)).is_zero
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        ((FREE, (1, 0)),),  # counts shorter than truncation + 1
+        ((FREE, (0, 0, 0)),),  # all zero
+        ((FREE, (1, -1, 0)),),  # a negative count
+        (((2, 1), (0, 1, 0)), (FREE, (1, 0, 0))),  # kinds out of order
+        ((FREE, (1, 0, 0)), (FREE, (0, 1, 0))),  # a repeated kind
+    ],
+)
+def test_malformed_terms_are_a_value_error(terms):
+    with pytest.raises(ValueError):
+        GradedModuleSeries(2, terms)
 
 
 def test_series_product_rules():
@@ -124,6 +144,57 @@ def _random_series(rng, truncation):
     return GradedModuleSeries.of(truncation, coeffs)
 
 
+# torsion kinds: several powers of one prime, and other primes; free ranks are drawn apart
+SERIES_KINDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
+
+
+@st.composite
+def random_series(draw, truncation):
+    """A series whose coefficients draw free ranks and summand counts of SERIES_KINDS."""
+    coeffs = []
+    for _ in range(draw(st.integers(0, truncation + 1))):
+        kinds = draw(st.lists(st.sampled_from(SERIES_KINDS), max_size=4, unique=True))
+        torsion = tuple(sorted((kind, draw(st.integers(1, 3))) for kind in kinds))
+        coeffs.append(AbelianGroup(draw(st.integers(0, 3)), torsion))
+    return GradedModuleSeries.of(truncation, coeffs)
+
+
+@st.composite
+def series_pairs(draw):
+    truncation = draw(st.integers(0, 8))
+    return draw(random_series(truncation)), draw(random_series(truncation))
+
+
+def _same(operation, *args):
+    """operation applied by the library and by the oracle: both raise ValueError, or both agree."""
+    results = []
+    for route in (getattr(GradedModuleSeries, operation), getattr(oracle, operation)):
+        try:
+            results.append(route(*args))
+        except ValueError:
+            results.append(ValueError)
+    return results[0] == results[1]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(series_pairs(), st.integers(0, 3))
+def test_series_arithmetic_matches_the_per_degree_oracle(pair, k):
+    a, b = pair
+    assert GradedModuleSeries.of(a.truncation, a.coeffs) == a
+    assert a.mul(b) == oracle.mul(a, b)
+    assert a.add(b) == oracle.add(a, b)
+    assert a.scale(k) == oracle.scale(a, k)
+    assert a.pow(k) == oracle.power(a, k)
+    assert _same("reduced", a)
+
+
+def test_scale_and_pow_refuse_negative_arguments():
+    with pytest.raises(ValueError, match="scale factor must be nonnegative"):
+        circle_series(2).scale(-1)
+    with pytest.raises(ValueError, match="negative power"):
+        circle_series(2).pow(-1)
+
+
 def test_product_commutative_and_associative():
     rng = random.Random(20240817)
     for _ in range(25):
@@ -146,7 +217,9 @@ def test_classifying_series():
 def test_render():
     assert circle_series(2).render() == "1 + t"
     coeffs, _ = series_Wh_free(3)
-    assert render_poly_in_t(coeffs) == "1 + 6t + 9t^2"
+    assert GradedModuleSeries.of(2, map(AbelianGroup.free, coeffs)).render() == "1 + 6t + 9t^2"
+    assert GradedModuleSeries.of(3, map(AbelianGroup.free, [0, 1, 0, 2])).render() == "t + 2t^3"
+    assert GradedModuleSeries.zero(2).render() == "0"
     assert series_Wh_Zp(2, 2, 3).render() == "1 + (Z/2)^2 t + (Z/2)^2 t^3"
 
 
