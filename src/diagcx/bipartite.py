@@ -12,7 +12,7 @@ objects of the meet-closed category of the forest diagonal complex.
 import itertools
 from dataclasses import dataclass
 
-from .forests import PlantedForest, x_n_pairs
+from .forests import PlantedForest, x_n_index
 from .partitions import PartialPartition
 
 BIPARTITE_JSON_SCHEMA = {
@@ -138,7 +138,7 @@ def subdivide(forest):
 def partial_partition_of(forest):
     """One block per internal vertex: pairs (parent, reachable ordinary vertex)."""
     n = forest.n
-    index = {pair: k for k, pair in enumerate(x_n_pairs(n))}
+    index = x_n_index(n)
     blocks = []
     for x in forest.internal_vertices():
         p = forest.parent[x - 1]

@@ -152,7 +152,7 @@ def cmd_complex_objects(args):
         lines = [
             " | ".join(
                 "{" + ",".join(f"({i},{j})" for i, j in block) + "}"
-                for block in forests.blocks_as_pairs(part, fc.n)
+                for block in forests.blocks_as_pairs(part.blocks, fc.n)
             )
             for part in objects
         ]
@@ -249,10 +249,9 @@ def cmd_present_verify(args):
         pres = present.fr_presentation(args.n, groups)
     sizes = [group.order - 1 for group in groups]
     letters = sum(sizes)
-    # one per pair of a relation letter whose target factor is nontrivial; four per
-    # literal instance (targets i != k, conjugating letters from factors j != i, l != k)
-    conjugations = sum(sizes[j - 1] > 0 for rel in pres.relations for pairs, _ in rel.word for _, j in pairs)
+    conjugations = sum(1 for rel in pres.relations for _ in present.partial_conjugations(groups, rel))
     if args.literal_rel3:
+        # four per literal instance (targets i != k, conjugating letters from factors j != i, l != k)
         conjugations += 4 * sum((letters - a) * (letters - b) for a, b in itertools.permutations(sizes, 2))
     _check_guard(
         letters * conjugations,
@@ -333,7 +332,7 @@ def cmd_homology_torus(args):
     _check_n_guard(args, TORUS_GUARD, "torus-model rank", simplices=True)
     fc = forests.build_gamma_Fn(args.n)
     betti = [1]
-    for degree, rows in enumerate(homology.torus_model_matrices(fc.complex, fc.labelling), start=1):
+    for degree, rows in enumerate(homology.torus_model_matrices(fc.complex), start=1):
         betti.append(homology.integer_rank(rows))  # smith_normal_form copies the rows
         if args.dump:
             with open(f"{args.dump}.deg{degree}.txt", "w", encoding="utf-8") as handle:

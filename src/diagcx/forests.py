@@ -201,6 +201,11 @@ def x_n_pairs(n):
     return tuple((i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j)
 
 
+def x_n_index(n):
+    """The index of each pair of X_n in :func:`x_n_pairs` order."""
+    return {pair: k for k, pair in enumerate(x_n_pairs(n))}
+
+
 def gamma_forest(poset):
     """The partition of a forest poset by first edges, over indexed X_n.
 
@@ -208,7 +213,7 @@ def gamma_forest(poset):
     with the same edge; blocks correspond to edges of the forest.
     """
     n = poset.n
-    index = {pair: k for k, pair in enumerate(x_n_pairs(n))}
+    index = x_n_index(n)
     forest = forest_from_poset(poset)
     blocks = {}
     for i, j in poset.pairs:
@@ -219,10 +224,14 @@ def gamma_forest(poset):
     return PartialPartition.of(n * (n - 1), blocks.values())
 
 
-def blocks_as_pairs(partition, n):
-    """Render an X_n partition as tuples of (i, j) pairs."""
+def blocks_as_pairs(blocks, n):
+    """Spell blocks of X_n indices as tuples of (i, j) pairs.
+
+    The pairs are in index order, which is lexicographic, so ascending
+    indices spell ascending pairs.
+    """
     pairs = x_n_pairs(n)
-    return tuple(tuple(pairs[k] for k in block) for block in partition.blocks)
+    return tuple(tuple(pairs[k] for k in block) for block in blocks)
 
 
 @dataclass(frozen=True)
@@ -232,10 +241,9 @@ class ForestComplex:
     n: int
     complex: DiagonalComplex
     labelling: Labelling
-    pairs: tuple
 
     def simplex_of_poset(self, poset):
-        index = {pair: k for k, pair in enumerate(self.pairs)}
+        index = x_n_index(self.n)
         return frozenset(index[p] for p in poset.pairs)
 
 
@@ -247,9 +255,8 @@ def build_gamma_Fn(n):
     """
     if not 1 <= n <= BUILD_CAP:
         raise ValueError(f"n must be between 1 and {BUILD_CAP}")
-    pairs = x_n_pairs(n)
-    index = {pair: k for k, pair in enumerate(pairs)}
-    ground = len(pairs)
+    index = x_n_index(n)
+    ground = len(index)
     gamma = {}
     for forest in enumerate_forests(n):
         simplex = set()
@@ -263,8 +270,8 @@ def build_gamma_Fn(n):
         # a frozenset copied from a set is sized for it; from an iterator it over-allocates
         gamma[frozenset(simplex)] = PartialPartition.of(ground, blocks.values())
     complex_ = DiagonalComplex(ground, gamma)
-    labelling = Labelling(complex_, [pair[0] for pair in pairs])
-    return ForestComplex(n, complex_, labelling, pairs)
+    labelling = Labelling(complex_, [i for i, _ in index])
+    return ForestComplex(n, complex_, labelling)
 
 
 # -- Prufer words --------------------------------------------------------

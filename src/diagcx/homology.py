@@ -259,16 +259,14 @@ def torus_model_generators(complex_, degree):
     return [dict(vector) for vector in sorted(vectors)]
 
 
-def torus_model_matrices(complex_, labelling=None):
+def torus_model_matrices(complex_):
     """Validate, then yield the generator rows of degrees 1 to the largest block count."""
     complex_.require_valid()
-    if labelling is not None:
-        labelling.check_against(complex_)
     max_blocks = max((len(part.blocks) for part in complex_.gamma.values()), default=0)
     return (torus_model_generators(complex_, k) for k in range(1, max_blocks + 1))
 
 
-def torus_model_betti(complex_, labelling=None):
+def torus_model_betti(complex_):
     """Betti numbers of the complex product with every factor a circle.
 
     The ambient chain complex of the torus has one basis element per
@@ -276,7 +274,7 @@ def torus_model_betti(complex_, labelling=None):
     k is the exact integer rank of the degree-k generator vectors.
     Nothing here assumes the splitting theorem.
     """
-    return [1] + [integer_rank(rows) for rows in torus_model_matrices(complex_, labelling)]
+    return [1] + [integer_rank(rows) for rows in torus_model_matrices(complex_)]
 
 
 def triplet_dump(rows):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .forests import build_gamma_Fn, x_n_pairs
+from .forests import blocks_as_pairs, build_gamma_Fn, x_n_pairs
 
 PRESENTATION_JSON_SCHEMA = {
     "type": "object",
@@ -201,8 +201,6 @@ class Relation:
 
 @dataclass(frozen=True)
 class Presentation:
-    n: int
-    factor_orders: tuple
     generators: tuple  # (pairs, element) with element nonidentity in the base factor
     relations: tuple
 
@@ -255,14 +253,8 @@ def _commutator(group_a, word_a, group_b, word_b):
 
 
 def _two_edge_posets(forest_complex):
-    out = []
-    for simplex, part in forest_complex.complex.gamma.items():
-        if len(part.blocks) == 2:
-            blocks = [
-                tuple(sorted(forest_complex.pairs[k] for k in block)) for block in part.blocks
-            ]
-            out.append(tuple(sorted(blocks)))
-    return sorted(out)
+    gamma = forest_complex.complex.gamma
+    return sorted(blocks_as_pairs(part.blocks, forest_complex.n) for part in gamma.values() if len(part.blocks) == 2)
 
 
 def fr_presentation(n, groups):
@@ -289,7 +281,7 @@ def fr_presentation(n, groups):
             for h in group_b.nonidentity():
                 word = _commutator(group_a, _block_word(block_a, g), group_b, _block_word(block_b, h))
                 relations.append(Relation("commute", word, source=f"forest {block_a} | {block_b}"))
-    return Presentation(n, tuple(g.order for g in groups), tuple(generators), tuple(relations))
+    return Presentation(tuple(generators), tuple(relations))
 
 
 def dc_presentation(complex_, labelling, groups):
@@ -321,9 +313,7 @@ def dc_presentation(complex_, labelling, groups):
 
     commutator_pairs = set()
     for w in complex_.simplices:
-        blocks = [tuple(sorted(b)) for b in complex_.gamma_of(w).blocks]
-        for a, b in itertools.combinations(sorted(blocks), 2):
-            commutator_pairs.add((a, b))
+        commutator_pairs.update(itertools.combinations(complex_.gamma_of(w).blocks, 2))
     for a, b in sorted(commutator_pairs):
         group_a, group_b = groups[label_of(a)], groups[label_of(b)]
         for g in group_a.nonidentity():
@@ -332,18 +322,17 @@ def dc_presentation(complex_, labelling, groups):
                 relations.append(Relation("commute", word, source=f"blocks {a} | {b}"))
 
     for simplex, label in labelled:
-        blocks = [tuple(sorted(b)) for b in complex_.gamma_of(frozenset(simplex)).blocks]
+        blocks = complex_.gamma_of(frozenset(simplex)).blocks
         if len(blocks) < 2:
             continue
         group = groups[label]
         for g in group.nonidentity():
             word = [(simplex, g)]
-            for block in reversed(sorted(blocks)):
+            for block in reversed(blocks):
                 word.append((block, group.inv(g)))
             relations.append(Relation("diagonal", tuple(word), source=f"simplex {simplex}"))
 
-    orders = tuple(groups[label].order for label in sorted(groups))
-    return Presentation(complex_.ground_size, orders, tuple(generators), tuple(relations))
+    return Presentation(tuple(generators), tuple(relations))
 
 
 # -- verification ----------------------------------------------------------
@@ -368,21 +357,27 @@ class VerificationReport:
         return [c for c in self.checks if not c.passed]
 
 
-def relation_automorphism(groups, relation):
-    """The composite of a relation's letters, one partial conjugation at a time.
+def partial_conjugations(groups, relation):
+    """The partial conjugations a relation composes, as (target, conjugator) steps.
 
     The letter g_U for a corolla of pairs with base i contributes, for
     each pair (i, j), the partial conjugation of factor j by the inverse
-    of its element; those conjugations commute, so the sort order is only
-    for determinism.  Conjugating a trivial factor is the identity and is
-    skipped.
+    of its element; those conjugations commute, so they are taken in the
+    letter's pair order.  Conjugating a trivial factor is the identity
+    and is skipped.  The verifier composes these steps and the CLI guard
+    counts them.
     """
-    images = Automorphism.identity(groups).images
     for pairs, element in relation.word:
-        for i, j in sorted(pairs):
+        for i, j in pairs:
             if groups[j - 1].order > 1:
-                conj = (i, groups[i - 1].inv(element))
-                images = {x: apply_partial_conjugation(groups, j, conj, w) for x, w in images.items()}
+                yield j, (i, groups[i - 1].inv(element))
+
+
+def relation_automorphism(groups, relation):
+    """The composite of a relation's letters, one partial conjugation at a time."""
+    images = Automorphism.identity(groups).images
+    for j, conj in partial_conjugations(groups, relation):
+        images = {x: apply_partial_conjugation(groups, j, conj, w) for x, w in images.items()}
     return Automorphism(groups, images)
 
 
@@ -402,17 +397,17 @@ def verify_relations(presentation, groups):
     return VerificationReport(tuple(checks))
 
 
-def translate_indexed_presentation(presentation, pairs):
-    """Rewrite ground-index generator letters to (i, j) pair letters."""
+def translate_indexed_presentation(presentation, n):
+    """Rewrite ground-index generator letters over X_n to (i, j) pair letters."""
 
     def fix(word):
-        return tuple((tuple(sorted(pairs[k] for k in simplex)), e) for simplex, e in word)
+        spelt = blocks_as_pairs((simplex for simplex, _ in word), n)
+        return tuple((pairs, e) for pairs, (_, e) in zip(spelt, word))
 
     relations = tuple(
         Relation(rel.kind, fix(rel.word), rel.source) for rel in presentation.relations
     )
-    generators = tuple(fix([g])[0] for g in presentation.generators)
-    return Presentation(presentation.n, presentation.factor_orders, generators, relations)
+    return Presentation(fix(presentation.generators), relations)
 
 
 def forest_dc_presentation(n, groups):
@@ -420,7 +415,7 @@ def forest_dc_presentation(n, groups):
     fc = build_gamma_Fn(n)
     label_groups = {i: groups[i - 1] for i in range(1, n + 1)}
     raw = dc_presentation(fc.complex, fc.labelling, label_groups)
-    return translate_indexed_presentation(raw, fc.pairs)
+    return translate_indexed_presentation(raw, n)
 
 
 def literal_pairwise_commutator_checks(groups):
@@ -444,8 +439,7 @@ def literal_pairwise_commutator_checks(groups):
                 word = _commutator(group_a, (a,), group_b, (b,))
                 label = f"[a_{i}^(g{g} in G{j}), a_{k}^(g{h} in G{l})]"
                 relations.append(Relation("literal-commute", word, source=label))
-    orders = tuple(group.order for group in groups)
-    return verify_relations(Presentation(len(groups), orders, (), tuple(relations)), groups).checks
+    return verify_relations(Presentation((), tuple(relations)), groups).checks
 
 
 # -- export ------------------------------------------------------------------

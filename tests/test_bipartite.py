@@ -61,7 +61,7 @@ def test_single_block_partition():
     # one internal vertex below k = 3 with children 1 and 2
     f = BipartiteForest.of(3, {9: 3, 1: 9, 2: 9})
     part = partial_partition_of(f)
-    assert blocks_as_pairs(part, 3) == (((3, 1), (3, 2)),)
+    assert blocks_as_pairs(part.blocks, 3) == (((3, 1), (3, 2)),)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -79,7 +79,7 @@ def test_horizontal_fold_figure():
     assert folded == BipartiteForest.of(3, {10: 3, 1: 10, 2: 10})
     # blocks merge
     merged = partial_partition_of(folded)
-    assert blocks_as_pairs(merged, 3) == (((3, 1), (3, 2)),)
+    assert blocks_as_pairs(merged.blocks, 3) == (((3, 1), (3, 2)),)
 
 
 def _block_of_internal(f, x):

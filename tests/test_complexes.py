@@ -4,7 +4,7 @@ import pytest
 
 from conftest import example_t_complex, example_t_improper, example_t_labelling
 from diagcx.complexes import DiagonalComplex, Labelling
-from diagcx.forests import build_gamma_Fn
+from diagcx.forests import build_gamma_Fn, x_n_pairs
 from diagcx.groups import FiniteGroup
 from diagcx.homology import torus_model_betti, torus_model_matrices
 from diagcx.partitions import PartialPartition
@@ -238,7 +238,7 @@ def test_universal_labelling_forest_complex():
     fc = build_gamma_Fn(3)
     universal = Labelling.universal(fc.complex)
     by_first = {}
-    for k, (i, _) in enumerate(fc.pairs):
+    for k, (i, _) in enumerate(x_n_pairs(fc.n)):
         by_first.setdefault(i, []).append(k)
     assert set(universal.classes()) == {tuple(v) for v in by_first.values()}
 

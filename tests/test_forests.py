@@ -18,6 +18,7 @@ from diagcx.forests import (
     poset_from_forest,
     prufer_decode,
     prufer_encode,
+    x_n_pairs,
 )
 from conftest import term_product
 from diagcx.series import GradedModuleSeries, circle_series, cyclic_classifying_series
@@ -108,17 +109,17 @@ def test_mu():
 
 def test_gamma_forest_examples():
     single = ForestPoset.of(2, [(1, 2)])
-    assert blocks_as_pairs(gamma_forest(single), 2) == (((1, 2),),)
+    assert blocks_as_pairs(gamma_forest(single).blocks, 2) == (((1, 2),),)
     # the branching example: one block per edge, chains grouped by first step
     u = poset_from_forest(PlantedForest.of(4, {1: 2, 2: 3, 4: 3}))
-    blocks = set(map(frozenset, blocks_as_pairs(gamma_forest(u), 4)))
+    blocks = set(map(frozenset, blocks_as_pairs(gamma_forest(u).blocks, 4)))
     assert blocks == {
         frozenset({(2, 1)}),
         frozenset({(3, 1), (3, 2)}),
         frozenset({(3, 4)}),
     }
     cherry = poset_from_forest(PlantedForest.of(3, {2: 1, 3: 1}))
-    assert set(map(frozenset, blocks_as_pairs(gamma_forest(cherry), 3))) == {
+    assert set(map(frozenset, blocks_as_pairs(gamma_forest(cherry).blocks, 3))) == {
         frozenset({(1, 2)}),
         frozenset({(1, 3)}),
     }
@@ -133,7 +134,7 @@ def test_block_count_is_edge_count():
 
 def test_build_gamma_F2():
     fc = build_gamma_Fn(2)
-    index = {pair: k for k, pair in enumerate(fc.pairs)}
+    index = {pair: k for k, pair in enumerate(x_n_pairs(fc.n))}
     assert set(fc.complex.gamma) == {
         frozenset([index[(1, 2)]]),
         frozenset([index[(2, 1)]]),
@@ -165,7 +166,7 @@ def test_two_edge_breakdown_n3():
 
 def test_labels_are_first_coordinates():
     fc = build_gamma_Fn(3)
-    for k, (i, _) in enumerate(fc.pairs):
+    for k, (i, _) in enumerate(x_n_pairs(fc.n)):
         assert fc.labelling.labels[k] == i
 
 
@@ -189,7 +190,7 @@ def test_levels_in_forest_complex():
     assert fc.complex.level(cherry) == 1
     assert fc.complex.level(chain) == 2
     level0 = fc.complex.filtration(0)
-    assert set(level0.gamma) == {frozenset([k]) for k in range(len(fc.pairs))}
+    assert set(level0.gamma) == {frozenset([k]) for k in range(len(x_n_pairs(fc.n)))}
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -217,8 +218,6 @@ def test_coarse_filtration_skeleton(n):
 
 
 def _pairs_of(simplex, n):
-    from diagcx.forests import x_n_pairs
-
     pairs = x_n_pairs(n)
     return [pairs[k] for k in simplex]
 

@@ -362,7 +362,7 @@ def test_torus_model_betti_forest_complexes():
 def test_torus_model_matches_block_counts():
     for n in (2, 3):
         fc = build_gamma_Fn(n)
-        betti = torus_model_betti(fc.complex, fc.labelling)
+        betti = torus_model_betti(fc.complex)
         counts = {}
         for part in fc.complex.gamma.values():
             k = len(part.blocks)
@@ -382,7 +382,7 @@ def test_torus_model_example_t():
 def test_torus_model_euler_characteristic():
     for n in (2, 3):
         fc = build_gamma_Fn(n)
-        betti = torus_model_betti(fc.complex, fc.labelling)
+        betti = torus_model_betti(fc.complex)
         h = hilbert_polynomial(fc.complex, fc.labelling)
         chi = sum((-1) ** k * b for k, b in enumerate(betti))
         assert chi == 1 + h.evaluate_int({v: -1 for v in h.variables})

@@ -406,7 +406,7 @@ def test_letter_images_match_probe_words_on_corrupted_relations():
     for build, groups in cases:
         pres = build(3, groups)
         relations = tuple(corrupted(pres.relations, rng))
-        report = verify_relations(Presentation(3, (), (), relations), groups)
+        report = verify_relations(Presentation((), relations), groups)
         for check in report.checks:
             witness = first_moved_probe_word(groups, oracle_automorphism(groups, check.relation))
             assert (check.passed, check.witness) == (witness is None, witness), check.relation
