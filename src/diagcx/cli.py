@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 usage error, 3 resource guard exceeded.
 """
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -35,6 +36,7 @@ DIGITS_GUARD = 4300  # Python's default limit on int-to-str conversion
 DEGREE_GUARD = 1000  # degrees computed for --truncate and --max-degree
 PRODUCT_GUARD = 3_000_000  # coefficient pairs in series products; near it circles or Z/2 take 0.3-1.4 s, Z/30030 1.7-2.8 s
 SUMMAND_GUARD = 10_000_000  # strings in a JSON torsion list; 6M took 500 MiB
+CACTUS_CELL_GUARD = 4_000_000  # coordinate matrix cells; a 2000-vertex path takes 0.8 s as text, 1.0 s and 110 MiB as JSON
 
 
 class GuardError(Exception):
@@ -80,20 +82,17 @@ def _parse_int_list(text):
 
 
 def _emit(args, text, payload):
-    """Write text, or under --format json the document payload() builds."""
-    if args.format == "json":
-        out = json.dumps(payload(), sort_keys=True, separators=(",", ":")) + "\n"
-    else:
-        out = text if text.endswith("\n") else text + "\n"
+    """Write the text text() builds, or under --format json the document payload() builds."""
+    out = json.dumps(payload(), sort_keys=True, separators=(",", ":")) if args.format == "json" else text()
     path = getattr(args, "output", None)
     if path:
         directory = os.environ.get("DIAGCX_OUTPUT_DIR")
         if directory and not os.path.isabs(path):
             path = os.path.join(directory, path)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(out)
-    else:
-        sys.stdout.write(out)
+    with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as handle:
+        handle.write(out)
+        if not out.endswith("\n"):  # a separate write, so the output is not copied to add it
+            handle.write("\n")
 
 
 # -- command implementations -------------------------------------------------
@@ -104,11 +103,14 @@ def cmd_forests_enumerate(args):
     items = forests.enumerate_forests(args.n, include_empty=args.include_empty)
     if args.count_only:
         count = sum(1 for _ in items)
-        _emit(args, str(count), lambda: {"n": args.n, "count": count})
+        _emit(args, lambda: str(count), lambda: {"n": args.n, "count": count})
         return
     items = list(items)
-    text = "\n".join(",".join(map(str, f.to_json())) for f in items)
-    _emit(args, text, lambda: {"n": args.n, "forests": [f.to_json() for f in items]})
+    _emit(
+        args,
+        lambda: "\n".join(",".join(map(str, f.to_json())) for f in items),
+        lambda: {"n": args.n, "forests": [f.to_json() for f in items]},
+    )
 
 
 def _load_complex(args, limit, what):
@@ -135,7 +137,7 @@ def cmd_complex_verify(args):
         status = "pass" if check.passed else f"FAIL ({check.witness})"
         lines.append(f"axiom {check.axiom}: {status}")
     lines.append(f"proper: {'yes' if proper else 'no'}")
-    _emit(args, "\n".join(lines), lambda: {
+    _emit(args, lambda: "\n".join(lines), lambda: {
         "simplices": len(complex_.gamma),
         "axioms": [
             {"axiom": c.axiom, "passed": c.passed, "witness": c.witness}
@@ -148,20 +150,16 @@ def cmd_complex_verify(args):
 def cmd_complex_objects(args):
     complex_, labelling, fc = _load_complex(args, CLOSURE_GUARD, "meet closure")
     objects = complex_.category_objects(labelling)
-    if fc is not None:
-        lines = [
-            " | ".join(
-                "{" + ",".join(f"({i},{j})" for i, j in block) + "}"
-                for block in forests.blocks_as_pairs(part.blocks, fc.n)
-            )
-            for part in objects
-        ]
-    else:
-        lines = [str(part) for part in objects]
-    header = f"objects: {len(objects)}"
+
+    def show(part):
+        if fc is None:
+            return str(part)
+        blocks = forests.blocks_as_pairs(part.blocks, fc.n)
+        return " | ".join("{" + ",".join(f"({i},{j})" for i, j in block) + "}" for block in blocks)
+
     _emit(
         args,
-        "\n".join([header] + lines),
+        lambda: "\n".join([f"objects: {len(objects)}"] + [show(part) for part in objects]),
         lambda: {"count": len(objects), "objects": [part.to_json() for part in objects]},
     )
 
@@ -192,7 +190,7 @@ def cmd_series_fr(args):
     if args.n > forests.BUILD_CAP:  # the n at which Γ(F_n) can be built to check the answer
         raise ValueError(f"n must be between 1 and {forests.BUILD_CAP}")
     result = series.free_product_series([_series_factor(f, args.truncate) for f in factors]).pow(args.n - 1)
-    _emit(args, result.render(), lambda: _series_document(args, result))
+    _emit(args, result.render, lambda: _series_document(args, result))
 
 
 def cmd_series_wh_free(args):
@@ -201,7 +199,7 @@ def cmd_series_wh_free(args):
     _check_guard(digits, DIGITS_GUARD, args.unsafe_large, f"digits of n^(n-1) at n={args.n}")
     coeffs, chi = series.series_Wh_free(args.n)
     free = series.GradedModuleSeries.of(args.n - 1, map(series.AbelianGroup.free, coeffs))
-    _emit(args, f"{free.render()}, chi = {chi}", lambda: {"coefficients": coeffs, "chi": chi})
+    _emit(args, lambda: f"{free.render()}, chi = {chi}", lambda: {"coefficients": coeffs, "chi": chi})
 
 
 def cmd_series_wh_zp(args):
@@ -210,7 +208,7 @@ def cmd_series_wh_zp(args):
     digits = int(2 * min(d, n - 1) * math.log10(n) + d * math.log10(2)) + 1
     _check_guard(digits, DIGITS_GUARD, args.unsafe_large, "digits of the summand counts")
     result = series.series_Wh_Zp(args.n, args.p, args.truncate)
-    _emit(args, result.render(), lambda: _series_document(args, result))
+    _emit(args, result.render, lambda: _series_document(args, result))
 
 
 def _group(args, text):
@@ -229,16 +227,15 @@ def _parse_factor_groups(args, count):
 def cmd_present_fr(args):
     groups = _parse_factor_groups(args, args.n)
     pres = present.fr_presentation(args.n, groups)
-    lines = [f"generators: {len(pres.generators)}", f"relations: {len(pres.relations)}"]
-    lines.extend(name for name in pres.generator_names())
-    _emit(args, "\n".join(lines), pres.to_json)
+    header = [f"generators: {len(pres.generators)}", f"relations: {len(pres.relations)}"]
+    _emit(args, lambda: "\n".join(header + pres.generator_names()), pres.to_json)
 
 
 def cmd_present_export(args):
     groups = _parse_factor_groups(args, args.n)
     pres = present.fr_presentation(args.n, groups)
     text = present.export_gap(pres)
-    _emit(args, text, lambda: {"gap": text})
+    _emit(args, lambda: text, lambda: {"gap": text})
 
 
 def cmd_present_verify(args):
@@ -260,18 +257,22 @@ def cmd_present_verify(args):
         f"relation check work ({letters} letters x {conjugations} partial conjugations)",
     )
     report = present.verify_relations(pres, groups)
-    lines = []
-    for check in report.checks:
-        status = "PASS" if check.passed else f"FAIL witness={check.witness}"
-        lines.append(f"{check.relation.kind} [{check.relation.source}]: {status}")
-    lines.append(f"all passed: {'yes' if report.all_passed else 'no'}")
     literal = present.literal_pairwise_commutator_checks(groups) if args.literal_rel3 else []
-    if args.literal_rel3:
-        lines.append("literal pairwise commutators (no side conditions):")
-    for check in literal:
-        status = "PASS" if check.passed else f"FAIL witness={check.witness}"
-        lines.append(f"  {check.relation.source}: {status}")
-    _emit(args, "\n".join(lines), lambda: {
+
+    def text():
+        lines = []
+        for check in report.checks:
+            status = "PASS" if check.passed else f"FAIL witness={check.witness}"
+            lines.append(f"{check.relation.kind} [{check.relation.source}]: {status}")
+        lines.append(f"all passed: {'yes' if report.all_passed else 'no'}")
+        if args.literal_rel3:
+            lines.append("literal pairwise commutators (no side conditions):")
+        for check in literal:
+            status = "PASS" if check.passed else f"FAIL witness={check.witness}"
+            lines.append(f"  {check.relation.source}: {status}")
+        return "\n".join(lines)
+
+    _emit(args, text, lambda: {
         "all_passed": report.all_passed,
         "checks": [
             {
@@ -291,12 +292,12 @@ def cmd_orbits(args):
     _check_n_guard(args, ORBIT_GUARD, "orbit enumeration")
     multiplicities = _parse_int_list(args.colors)
     rows = forests.orbit_decomposition(args.n, multiplicities)
-    lines = [
+    lines = (
         f"{','.join(map(str, row.representative.forest.to_json()))} "
         f"orbit={row.orbit_size} aut={row.stabilizer_order}"
         for row in rows
-    ]
-    _emit(args, "\n".join([f"orbits: {len(rows)}"] + lines), lambda: {
+    )
+    _emit(args, lambda: "\n".join([f"orbits: {len(rows)}", *lines]), lambda: {
         "orbits": [
             {
                 "forest": row.representative.forest.to_json(),
@@ -325,7 +326,7 @@ def cmd_decomposition(args):
         _check_summands(args, *(row.module for row in report.rows))
         return report.to_json()
 
-    _emit(args, report.render_text(), payload)
+    _emit(args, report.render_text, payload)
 
 
 def cmd_homology_torus(args):
@@ -337,7 +338,7 @@ def cmd_homology_torus(args):
         if args.dump:
             with open(f"{args.dump}.deg{degree}.txt", "w", encoding="utf-8") as handle:
                 handle.write(homology.triplet_dump(rows))
-    _emit(args, " ".join(map(str, betti)), lambda: {"betti": betti})
+    _emit(args, lambda: " ".join(map(str, betti)), lambda: {"betti": betti})
 
 
 def _nerve_family(group, name):
@@ -363,7 +364,7 @@ def cmd_homology_nerve(args):
     for degree, (free, torsion) in enumerate(result):
         torsion_text = ",".join(map(str, torsion)) if torsion else "-"
         lines.append(f"H_{degree}: free={free} torsion={torsion_text}")
-    _emit(args, "\n".join(lines), lambda: {
+    _emit(args, lambda: "\n".join(lines), lambda: {
         "cosets": len(cosets),
         "homology": [{"free": free, "torsion": list(torsion)} for free, torsion in result],
     })
@@ -371,11 +372,13 @@ def cmd_homology_nerve(args):
 
 def cmd_cactus_coords(args):
     parent = _parse_int_list(args.tree)
+    n = len(parent)
+    _check_guard(n * n, CACTUS_CELL_GUARD, args.unsafe_large, f"coordinate matrix cells ({n} x {n})")
     sizes = _parse_int_list(args.sizes)
     labels = _parse_int_list(args.labels)
-    diagram = cactus.CactusDiagram(len(parent), tuple(parent), tuple(labels), tuple(sizes))
+    diagram = cactus.CactusDiagram(n, tuple(parent), tuple(labels), tuple(sizes))
     matrix = cactus.coordinates(diagram)
-    _emit(args, cactus.render_matrix(matrix), lambda: {"coordinates": [list(r) for r in matrix]})
+    _emit(args, lambda: cactus.render_matrix(matrix), lambda: {"coordinates": [list(r) for r in matrix]})
 
 
 # -- parser -------------------------------------------------------------------

@@ -25,7 +25,7 @@ class FiniteGroup:
             raise ValueError("table must be square")
         for row in self.table:
             for entry in row:
-                if not isinstance(entry, int) or not 0 <= entry < m:
+                if type(entry) is not int or not 0 <= entry < m:
                     raise ValueError("table entries must be element indices")
         for g in range(m):
             if self.table[0][g] != g or self.table[g][0] != g:

@@ -78,6 +78,7 @@ EDGES = [
     ["homology", "torus", "--n", "6"],
     ["series", "fr", "--n", "6", "--factors", SIX_CIRCLES, "--truncate", "80"],
     ["decomposition", "--n", "3", "--colors", "1,1,1", "--factors", "Z/2,Z/2,Z/2", "--truncate", "577"],
+    ["cactus", "coords", "--tree", "0" + ",1" * 2000, "--sizes", "2" + ",2" * 2000, "--labels", "0" + ",1" * 2000],
     # the series fr guard boundary, the n cap and factor parsing
     ["series", "fr", "--n", "6", "--factors", SIX_CIRCLES, "--truncate", "865"],
     ["series", "fr", "--n", "6", "--factors", SIX_CIRCLES, "--truncate", "866"],

@@ -377,6 +377,8 @@ def test_wh_zp_json_torsion_matches_text_counts(capsys):
          "coefficient pairs in series products is 3006756, above the limit 3000000;"),
         (["decomposition", "--n", "3", "--colors", "1,1,1", "--factors", "Z/2,Z/2,Z/2", "--truncate", "577"],
          "coefficient pairs in series products is 3006756,"),
+        (["cactus", "coords", "--tree", "0" + ",1" * 2000, "--sizes", "2" + ",2" * 2000, "--labels", "0" + ",1" * 2000],
+         "coordinate matrix cells (2001 x 2001) is 4004001, above the limit 4000000;"),
     ],
 )
 def test_size_guards_state_the_predicted_size(capsys, argv, predicted):
@@ -412,6 +414,10 @@ def test_size_guards_pass_the_largest_allowed_inputs(capsys):
     circles = ",".join(["circle"] * 6)
     code, out, _ = run_cli(capsys, ["series", "fr", "--n", "6", "--factors", circles, "--truncate", "865"])
     assert code == 0 and out == "1 + 30t + 360t^2 + 2160t^3 + 6480t^4 + 7776t^5\n"
+    # a star on 2000 vertices: 2000 x 2000 coordinate cells
+    star = ["--tree", "0" + ",1" * 1999, "--sizes", "2" + ",2" * 1999, "--labels", "0" + ",1" * 1999]
+    code, out, _ = run_cli(capsys, ["cactus", "coords", *star])
+    assert code == 0 and len(out.splitlines()) == 2000 and out.startswith("- 1 1 ")
 
 
 def test_complex_files_are_refused_above_the_n_guards(tmp_path, capsys):
@@ -435,3 +441,12 @@ def test_group_table_files_are_checked_before_validation(tmp_path, capsys):
         bad.write_text(json.dumps(document), encoding="utf-8")
         code, _, err = run_cli(capsys, ["homology", "nerve", "--group", f"@{bad}"])
         assert code == 2 and err.startswith("error: "), document
+
+
+def test_group_table_entries_must_be_json_integers(tmp_path, capsys):
+    # JSON false and true would pass an isinstance(entry, int) check and run as Z/2
+    table = tmp_path / "t.json"
+    table.write_text(json.dumps([[False, True], [True, False]]), encoding="utf-8")
+    for argv in (["homology", "nerve", "--group", f"@{table}"], ["present", "fr", "--n", "2", "--factors", f"@{table},Z/2"]):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, err) == (2, "", "error: table entries must be element indices\n"), argv

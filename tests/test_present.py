@@ -16,6 +16,7 @@ from diagcx.present import (
     fr_presentation,
     literal_pairwise_commutator_checks,
     normal_form,
+    partial_conjugations,
     probe_words,
     verify_relations,
 )
@@ -385,6 +386,12 @@ def first_moved_probe_word(groups, auto):
     return None
 
 
+def conjugation_count(groups, relations):
+    """One partial conjugation per pair of a relation letter whose target factor is nontrivial."""
+    sizes = [group.order - 1 for group in groups]
+    return sum(sizes[j - 1] > 0 for rel in relations for pairs, _ in rel.word for _, j in pairs)
+
+
 def corrupted(relations, rng):
     """Each relation with one letter dropped, and with its letters shuffled."""
     for rel in relations:
@@ -406,6 +413,9 @@ def test_letter_images_match_probe_words_on_corrupted_relations():
     for build, groups in cases:
         pres = build(3, groups)
         relations = tuple(corrupted(pres.relations, rng))
+        for rels in (pres.relations, relations):
+            steps = sum(1 for rel in rels for _ in partial_conjugations(groups, rel))
+            assert steps == conjugation_count(groups, rels)
         report = verify_relations(Presentation((), relations), groups)
         for check in report.checks:
             witness = first_moved_probe_word(groups, oracle_automorphism(groups, check.relation))
