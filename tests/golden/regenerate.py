@@ -47,6 +47,7 @@ COMMANDS = [
     ["present", "export", "--n", "2", "--factors", "Z/2,Q8"],
     ["present", "verify", "--n", "3", "--factors", "Z/2,Z/3,V4"],
     ["present", "verify", "--n", "3", "--factors", "S3,Z/2,Z/3", "--dc", "--literal-rel3"],
+    ["present", "verify", "--n", "3", "--factors", "Z/1,Z/2,Z/3", "--literal-rel3"],
     ["orbits", "--n", "3", "--colors", "2,1"],
     ["orbits", "--n", "4", "--colors", "2,2"],
     ["decomposition", "--n", "3", "--colors", "2,1", "--factors", "Z/2,circle"],
