@@ -146,25 +146,31 @@ def partial_partition_of(forest):
     return PartialPartition.of(n * (n - 1), blocks)
 
 
+def _check_internal_pair(forest, x, y):
+    internal = set(forest.internal_vertices())
+    if x == y or x not in internal or y not in internal:
+        raise ValueError("need two distinct internal vertices")
+
+
+def _fold(forest, keep, drop):
+    """The forest without internal vertex ``drop``, its children re-hung on ``keep``."""
+    parent_map = {}
+    for v in range(1, forest.n + forest.internal + 1):
+        p = forest.parent[v - 1]
+        if v != drop and p != 0:
+            parent_map[v] = keep if p == drop else p
+    return BipartiteForest.of(forest.n, parent_map)
+
+
 def horizontal_fold(forest, x, y):
     """Identify two internal vertices with a common parent.
 
     The blocks U_x and U_y merge; everything else is untouched.
     """
-    internal = set(forest.internal_vertices())
-    if x == y or x not in internal or y not in internal:
-        raise ValueError("need two distinct internal vertices")
+    _check_internal_pair(forest, x, y)
     if forest.parent[x - 1] != forest.parent[y - 1]:
         raise ValueError("horizontal folding needs a common parent")
-    parent_map = {}
-    for v in range(1, forest.n + forest.internal + 1):
-        if v == y:
-            continue
-        p = forest.parent[v - 1]
-        if p == 0:
-            continue
-        parent_map[v] = x if p == y else p
-    return BipartiteForest.of(forest.n, parent_map)
+    return _fold(forest, x, y)
 
 
 def vertical_fold(forest, x, y):
@@ -173,21 +179,11 @@ def vertical_fold(forest, x, y):
     Requires the chain y -> j -> x with j ordinary; the block U_x
     disappears and U_y keeps its pairs.
     """
-    internal = set(forest.internal_vertices())
-    if x == y or x not in internal or y not in internal:
-        raise ValueError("need two distinct internal vertices")
+    _check_internal_pair(forest, x, y)
     j = forest.parent[x - 1]
     if not 1 <= j <= forest.n or forest.parent[j - 1] != y:
         raise ValueError("vertical folding needs the chain y -> j -> x")
-    parent_map = {}
-    for v in range(1, forest.n + forest.internal + 1):
-        if v == x:
-            continue
-        p = forest.parent[v - 1]
-        if p == 0:
-            continue
-        parent_map[v] = y if p == x else p
-    return BipartiteForest.of(forest.n, parent_map)
+    return _fold(forest, y, x)
 
 
 def set_partitions(items):

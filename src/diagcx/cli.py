@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 usage error, 3 resource guard exceeded.
 
 import argparse
 import contextlib
-import itertools
 import json
 import math
 import os
@@ -18,7 +17,7 @@ import sys
 
 from . import cactus, forests, homology, present, series
 from .complexes import DiagonalComplex
-from .groups import descriptor_order, group_from_descriptor
+from .groups import parse_descriptor
 
 GUARD_EXIT = 3
 USAGE_EXIT = 2
@@ -185,7 +184,7 @@ def cmd_series_fr(args):
     factors = [f.strip() for f in args.factors.split(",")]
     if len(factors) != args.n:
         raise ValueError("need one factor per vertex")
-    # the wedge series to the power n-1: its first product multiplies by 1, the n-2 others count
+    # the wedge series to the power n-1, in n-2 products
     _check_products(args, max(args.n - 2, 0))
     if args.n > forests.BUILD_CAP:  # the n at which Γ(F_n) can be built to check the answer
         raise ValueError(f"n must be between 1 and {forests.BUILD_CAP}")
@@ -212,9 +211,9 @@ def cmd_series_wh_zp(args):
 
 
 def _group(args, text):
-    order = descriptor_order(text)
+    order, build = parse_descriptor(text)
     _check_guard(order, GROUP_ORDER_GUARD, args.unsafe_large, f"order of group {text.strip()}")
-    return group_from_descriptor(text)
+    return build()
 
 
 def _parse_factor_groups(args, count):
@@ -244,12 +243,10 @@ def cmd_present_verify(args):
         pres = present.forest_dc_presentation(args.n, groups)
     else:
         pres = present.fr_presentation(args.n, groups)
-    sizes = [group.order - 1 for group in groups]
-    letters = sum(sizes)
+    letters = sum(group.order - 1 for group in groups)
     conjugations = sum(1 for rel in pres.relations for _ in present.partial_conjugations(groups, rel))
     if args.literal_rel3:
-        # four per literal instance (targets i != k, conjugating letters from factors j != i, l != k)
-        conjugations += 4 * sum((letters - a) * (letters - b) for a, b in itertools.permutations(sizes, 2))
+        conjugations += present.literal_partial_conjugation_count(groups)
     _check_guard(
         letters * conjugations,
         VERIFY_GUARD,
@@ -355,10 +352,10 @@ def _nerve_family(group, name):
 def cmd_homology_nerve(args):
     group = _group(args, args.group)
     family = _nerve_family(group, args.family)
-    nerve, cosets = homology.coset_nerve(group, family)
-    # the faces whose boundaries the Smith forms reduce
-    faces = sum(1 for face in nerve.faces if len(face) <= args.max_degree + 2)
+    # the faces whose boundaries the Smith forms reduce, counted before the nerve is built
+    faces = homology.coset_nerve_face_count(group, family, args.max_degree + 2)
     _check_guard(faces, NERVE_FACE_GUARD, args.unsafe_large, "coset nerve face count")
+    nerve, cosets = homology.coset_nerve(group, family)
     result = homology.simplicial_homology(nerve, args.max_degree)
     lines = [f"cosets: {len(cosets)}"]
     for degree, (free, torsion) in enumerate(result):

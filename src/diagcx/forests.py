@@ -185,15 +185,19 @@ def forest_from_poset(poset):
     return PlantedForest(poset.n, tuple(parent))
 
 
-def mu(poset, i, j):
-    """The first edge (i, c) of the unique chain from i down to j."""
-    if (i, j) not in poset.pairs:
-        raise ValueError(f"({i}, {j}) is not in the poset")
-    forest = forest_from_poset(poset)
+def _first_edge(forest, poset, i, j):
+    """The edge (i, c) of the poset's forest that starts the chain from i down to j."""
     for c in forest.children(i):
         if c == j or (c, j) in poset.pairs:
             return (i, c)
     raise ValueError("no first edge found; invariants violated")
+
+
+def mu(poset, i, j):
+    """The first edge (i, c) of the unique chain from i down to j."""
+    if (i, j) not in poset.pairs:
+        raise ValueError(f"({i}, {j}) is not in the poset")
+    return _first_edge(forest_from_poset(poset), poset, i, j)
 
 
 def x_n_pairs(n):
@@ -217,10 +221,7 @@ def gamma_forest(poset):
     forest = forest_from_poset(poset)
     blocks = {}
     for i, j in poset.pairs:
-        for c in forest.children(i):
-            if c == j or (c, j) in poset.pairs:
-                blocks.setdefault((i, c), []).append(index[(i, j)])
-                break
+        blocks.setdefault(_first_edge(forest, poset, i, j), []).append(index[(i, j)])
     return PartialPartition.of(n * (n - 1), blocks.values())
 
 
@@ -459,8 +460,8 @@ class DecompositionReport:
     rows: tuple
 
     def _per_module(self, method):
-        """``method`` of each distinct module object, by id: rows with one exponent vector share one."""
-        modules = {id(row.module): row.module for row in self.rows}
+        """``method`` of each distinct module, by exponent vector: rows with one vector share one."""
+        modules = {row.exponents: row.module for row in self.rows}
         return {key: method(module) for key, module in modules.items()}
 
     def to_json(self):
@@ -475,7 +476,7 @@ class DecompositionReport:
                     "aut_order": row.aut_order,
                     "edges": row.edge_count,
                     "exponents": list(row.exponents),
-                    "module": modules[id(row.module)],
+                    "module": modules[row.exponents],
                     "sign_twist": row.sign_twist,
                 }
                 for row in self.rows
@@ -491,7 +492,7 @@ class DecompositionReport:
             colors = ",".join(map(str, row.representative.colors))
             lines.append(
                 f"{forest:<20} {colors:<12} {row.aut_order:>5} {row.edge_count:>5} "
-                f"{'yes' if row.sign_twist else 'no':>5}  {modules[id(row.module)]}"
+                f"{'yes' if row.sign_twist else 'no':>5}  {modules[row.exponents]}"
             )
         return "\n".join(lines)
 
@@ -510,14 +511,14 @@ def decomposition_report(n, multiplicities, base_series):
         raise ValueError("need one base series per colour")
     truncation, reduced = _reduced_factors(base_series)
     orbits = orbit_decomposition(n, multiplicities)
+    edge_lists = [orbit.representative.forest.edges() for orbit in orbits]
     vectors = []
-    for orbit in orbits:
-        parent_colors = [orbit.representative.colors[a - 1] for a, _ in orbit.representative.forest.edges()]
+    for orbit, edges in zip(orbits, edge_lists):
+        parent_colors = [orbit.representative.colors[a - 1] for a, _ in edges]
         vectors.append(tuple(parent_colors.count(c) for c in range(len(multiplicities))))
     modules = _monomial_modules(truncation, reduced, vectors)
     rows = []
-    for orbit, vector in zip(orbits, vectors):
-        edges = orbit.representative.forest.edges()
+    for orbit, edges, vector in zip(orbits, edge_lists, vectors):
         rows.append(
             DecompositionRow(
                 orbit.representative,

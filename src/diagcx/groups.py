@@ -173,8 +173,8 @@ class FiniteGroup:
         return tuple(sorted(out, key=lambda s: sorted(s)))
 
 
-def _parse_descriptor(text):
-    """(order, build) for a group descriptor; the order needs no table."""
+def parse_descriptor(text):
+    """(order, build) for a group descriptor; the order needs no table, and a ``@table.json`` is read once."""
     text = text.strip()
     if text.startswith("@"):
         with open(text[1:], encoding="utf-8") as handle:
@@ -196,10 +196,7 @@ def _parse_descriptor(text):
         part = part.strip()
         if not part.startswith("Z/"):
             raise ValueError(f"unrecognised group descriptor: {text}")
-        tail = part[2:]
-        if tail.endswith("Z"):
-            tail = tail[:-1]
-        orders.append(int(tail))
+        orders.append(int(part[2:].removesuffix("Z")))
     if any(m < 1 for m in orders):
         raise ValueError(f"cyclic factors need order >= 1: {text}")
 
@@ -212,11 +209,6 @@ def _parse_descriptor(text):
     return math.prod(orders), build
 
 
-def descriptor_order(text):
-    """The order of the group a descriptor names, found without building its table."""
-    return _parse_descriptor(text)[0]
-
-
 def group_from_descriptor(text):
     """Parse group names like Z/4, Z/2xZ/3, V4, S3, D4, Q8, or @table.json."""
-    return _parse_descriptor(text)[1]()
+    return parse_descriptor(text)[1]()

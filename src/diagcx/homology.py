@@ -230,6 +230,23 @@ def coset_nerve(group, family):
     return SimplicialComplexData(len(cosets), frozenset(faces)), cosets
 
 
+def coset_nerve_face_count(group, family, max_vertices):
+    """The faces of :func:`coset_nerve` with at most ``max_vertices`` vertices, without building it.
+
+    A face is a strict chain of cosets gH_0 < gH_1 < ... < gH_k, fixed by
+    its least coset gH_0 and the strict chain H_0 < ... < H_k in the
+    family.  So the count is the sum over H of [G : H] times the chains
+    that start at H, counted per length from the members above H.
+    """
+    family = sorted(set(map(frozenset, family)), key=len, reverse=True)
+    by_length = {}  # H -> the strict chains starting at H with 1, 2, ... members
+    for h in family:  # larger members first, so each member above h is done
+        above = [by_length[k] for k in family if h < k]
+        longest = max(map(len, above), default=0)
+        by_length[h] = [1] + [sum(c[r] for c in above if r < len(c)) for r in range(longest)]
+    return sum(group.order // len(h) * sum(by_length[h][:max_vertices]) for h in family)
+
+
 # -- circle-coefficient chain model ------------------------------------------
 
 

@@ -365,7 +365,7 @@ def partial_conjugations(groups, relation):
     of its element; those conjugations commute, so they are taken in the
     letter's pair order.  Conjugating a trivial factor is the identity
     and is skipped.  The verifier composes these steps and the CLI guard
-    counts them.
+    counts them (the literal checks by :func:`literal_partial_conjugation_count`).
     """
     for pairs, element in relation.word:
         for i, j in pairs:
@@ -440,6 +440,16 @@ def literal_pairwise_commutator_checks(groups):
                 label = f"[a_{i}^(g{g} in G{j}), a_{k}^(g{h} in G{l})]"
                 relations.append(Relation("literal-commute", word, source=label))
     return verify_relations(Presentation((), tuple(relations)), groups).checks
+
+
+def literal_partial_conjugation_count(groups):
+    """The partial conjugations the literal checks compose: two per letter whose target is nontrivial.
+
+    Targets i != k have (L - s_i)(L - s_k) instances, with s_f nonidentity elements in factor f and L = sum s_f.
+    """
+    sizes = [group.order - 1 for group in groups]
+    letters = sum(sizes)
+    return sum(2 * ((a > 0) + (b > 0)) * (letters - a) * (letters - b) for a, b in itertools.permutations(sizes, 2))
 
 
 # -- export ------------------------------------------------------------------

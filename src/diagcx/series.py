@@ -264,12 +264,10 @@ class GradedModuleSeries:
         return GradedModuleSeries._of_table(self.truncation, table)
 
     def pow(self, k):
+        """The k-th power in k - 1 products; the unit for k = 0."""
         if k < 0:
             raise ValueError("negative power")
-        result = GradedModuleSeries.unit(self.truncation)
-        for _ in range(k):
-            result = result.mul(self)
-        return result
+        return functools.reduce(GradedModuleSeries.mul, [self] * k) if k else GradedModuleSeries.unit(self.truncation)
 
     def scale(self, k):
         if k < 0:

@@ -6,7 +6,7 @@ import re
 import jsonschema
 import pytest
 
-from diagcx import cli, homology
+from diagcx import cli, groups, homology
 from diagcx.complexes import COMPLEX_JSON_SCHEMA
 from diagcx.forests import (
     DECOMPOSITION_JSON_SCHEMA,
@@ -395,6 +395,13 @@ def test_present_verify_refusal_names_both_factors(capsys):
     assert code == 3 and "(51 letters x 46716 partial conjugations) is 2382516," in err
 
 
+def test_present_verify_guard_skips_literal_letters_with_a_trivial_target(capsys):
+    # 33 letters; a literal letter whose target is Z/1 composes nothing (four per instance would give 41316)
+    argv = ["present", "verify", "--n", "4", "--factors", "Z/1,Z/12,Z/12,Z/12", "--literal-rel3"]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 3 and "(33 letters x 32604 partial conjugations) is 1075932," in err
+
+
 def test_size_guards_pass_the_largest_allowed_inputs(capsys):
     code, out, _ = run_cli(capsys, ["series", "wh-free", "--n", "1371"])
     assert code == 0 and len(out.split(", chi")[0].split(" + ")[-1]) == 4298 + len("t^1370")
@@ -441,6 +448,22 @@ def test_group_table_files_are_checked_before_validation(tmp_path, capsys):
         bad.write_text(json.dumps(document), encoding="utf-8")
         code, _, err = run_cli(capsys, ["homology", "nerve", "--group", f"@{bad}"])
         assert code == 2 and err.startswith("error: "), document
+
+
+def test_group_table_files_are_read_once(tmp_path, monkeypatch):
+    # the order the guard checks and the table the group is built from come from one read
+    table = tmp_path / "z3.json"
+    table.write_text(json.dumps([[(a + b) % 3 for b in range(3)] for a in range(3)]), encoding="utf-8")
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(groups, "open", counting_open, raising=False)
+    args = cli.build_parser().parse_args(["homology", "nerve", "--group", f"@{table}"])
+    assert cli._group(args, args.group).order == 3
+    assert opened == [str(table)]
 
 
 def test_group_table_entries_must_be_json_integers(tmp_path, capsys):

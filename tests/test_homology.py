@@ -4,12 +4,14 @@ import signal
 import pytest
 
 from conftest import example_t_complex
+from diagcx.cli import _nerve_family
 from diagcx.forests import build_gamma_Fn
 from diagcx.groups import FiniteGroup, group_from_descriptor
 from diagcx.homology import (
     SimplicialComplexData,
     boundary_matrix,
     coset_nerve,
+    coset_nerve_face_count,
     integer_rank,
     is_acyclic,
     reduced_betti,
@@ -391,3 +393,18 @@ def test_torus_model_euler_characteristic():
 def test_triplet_dump():
     assert triplet_dump(_sparse([[0, 2], [1, 0]])) == "0 1 2\n1 0 1\n"
     assert triplet_dump(_sparse([[0]])) == ""
+
+
+@pytest.mark.parametrize(
+    "name", ["V4", "S3", "S4", "D4", "Q8", "Z/6", "Z/2xZ/2", "Z/2xZ/2xZ/2", "Z/2xZ/2xZ/2xZ/2", "Z/5xZ/5"]
+)
+def test_nerve_face_count_matches_the_built_nerve(name):
+    group = group_from_descriptor(name)
+    families = ["all", "klein"] if name in ("V4", "Z/2xZ/2") else ["all"]
+    for family_name in families:
+        family = _nerve_family(group, family_name)
+        nerve, _ = coset_nerve(group, family)
+        for max_vertices in range(0, 8):
+            built = sum(1 for face in nerve.faces if len(face) <= max_vertices)
+            assert coset_nerve_face_count(group, family, max_vertices) == built, (family_name, max_vertices)
+        assert coset_nerve_face_count(group, family, 1000) == len(nerve.faces)

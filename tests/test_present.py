@@ -15,6 +15,7 @@ from diagcx.present import (
     forest_dc_presentation,
     fr_presentation,
     literal_pairwise_commutator_checks,
+    literal_partial_conjugation_count,
     normal_form,
     partial_conjugations,
     probe_words,
@@ -422,6 +423,24 @@ def test_letter_images_match_probe_words_on_corrupted_relations():
             assert (check.passed, check.witness) == (witness is None, witness), check.relation
             failing += witness is not None
     assert failing >= 300
+
+
+def test_literal_count_is_the_partial_conjugations_the_checks_compose():
+    trivial = FiniteGroup.cyclic(1)
+    cases = [
+        [trivial, Z2, Z3],
+        [Z2, Z3],
+        [trivial, S3],
+        [trivial, trivial, Z2],
+        [Z2, trivial, V4, trivial],
+        [S3, Z4, Z2],
+    ]
+    for groups in cases:
+        checks = literal_pairwise_commutator_checks(groups)
+        composed = sum(1 for c in checks for _ in partial_conjugations(groups, c.relation))
+        assert literal_partial_conjugation_count(groups) == composed, groups
+    # four per instance would give 88: a letter whose target is Z/1 composes nothing
+    assert literal_partial_conjugation_count([trivial, Z2, Z3]) == 52
 
 
 def test_literal_commutator_witnesses_match_probe_words():

@@ -183,6 +183,23 @@ def test_series_arithmetic_matches_the_per_degree_oracle(pair, k):
         assert a.reduced() == expected
 
 
+def test_pow_runs_one_product_fewer_than_its_exponent(monkeypatch):
+    # the series fr guard predicts n - 2 products for the power n - 1
+    calls = []
+    mul = GradedModuleSeries.mul
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(GradedModuleSeries, "mul", counting)
+    base = cyclic_classifying_series(6, 4)
+    for k in range(6):
+        calls.clear()
+        assert base.pow(k) == oracle.power(base, k)
+        assert len(calls) == max(k - 1, 0), k
+
+
 def test_scale_and_pow_refuse_negative_arguments():
     with pytest.raises(ValueError, match="scale factor must be nonnegative"):
         circle_series(2).scale(-1)
