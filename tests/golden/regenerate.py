@@ -57,6 +57,7 @@ COMMANDS = [
     ["homology", "torus", "--n", "3", "--dump", "model"],
     ["homology", "nerve", "--group", "V4", "--family", "klein", "--max-degree", "1"],
     ["homology", "nerve", "--group", "S3"],
+    ["homology", "nerve", "--group", "S4", "--max-degree", "1000"],
     ["cactus", "coords", "--tree", "0,1,1", "--sizes", "2,2,2", "--labels", "0,1,1"],
     ["--output", "out.txt", "series", "wh-free", "--n", "3"],
 ]
@@ -71,6 +72,10 @@ EDGES = [
     ["homology", "nerve", "--group", "Z/5xZ/5"],
     ["present", "verify", "--n", "3", "--factors", "S4,S4,S4"],
     ["homology", "nerve", "--group", "Z/2xZ/2xZ/2xZ/2"],
+    # the nerve is built only up to the faces the guard counts, and homology stops at its dimension
+    ["homology", "nerve", "--group", "Z/2xZ/2xZ/2xZ/2", "--max-degree", "0"],
+    ["homology", "nerve", "--group", "Z/2xZ/2xZ/2xZ/2", "--max-degree", "1"],
+    ["homology", "nerve", "--group", "Z/1", "--max-degree", "5"],
     ["forests", "enumerate", "--n", "9"],
     ["forests", "enumerate", "--n", "100"],
     ["orbits", "--n", "7", "--colors", "7"],
