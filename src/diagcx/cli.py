@@ -352,10 +352,10 @@ def _nerve_family(group, name):
 def cmd_homology_nerve(args):
     group = _group(args, args.group)
     family = _nerve_family(group, args.family)
-    # the faces whose boundaries the Smith forms reduce, counted before the nerve is built
+    # H_k for k <= max-degree needs the faces of at most max-degree + 2 vertices: counted, then built
     faces = homology.coset_nerve_face_count(group, family, args.max_degree + 2)
     _check_guard(faces, NERVE_FACE_GUARD, args.unsafe_large, "coset nerve face count")
-    nerve, cosets = homology.coset_nerve(group, family)
+    nerve, cosets = homology.coset_nerve(group, family, args.max_degree + 2)
     result = homology.simplicial_homology(nerve, args.max_degree)
     lines = [f"cosets: {len(cosets)}"]
     for degree, (free, torsion) in enumerate(result):

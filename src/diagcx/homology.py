@@ -165,18 +165,19 @@ def boundary_matrix(complex_, k):
 
 
 def simplicial_homology(complex_, max_degree=None):
-    """Integral homology per degree as (free rank, torsion invariants)."""
+    """Integral homology per degree as (free rank, torsion invariants); zero above the dimension."""
+    dimension = complex_.dimension()
     if max_degree is None:
-        max_degree = complex_.dimension()
+        max_degree = dimension
     out = []
     rank_k = 0  # rank of the boundary out of degree k, from the previous Smith form
-    for k in range(max_degree + 1):
+    for k in range(min(max_degree, dimension) + 1):
         # one nonzero invariant factor per unit of rank
         factors = smith_normal_form(boundary_matrix(complex_, k + 1))
         free = len(complex_.faces_of_dimension(k)) - rank_k - len(factors)
         out.append((free, tuple(d for d in factors if d > 1)))
         rank_k = len(factors)
-    return out
+    return out + [(0, ())] * (max_degree - len(out) + 1)
 
 
 def reduced_betti(complex_, max_degree):
@@ -198,12 +199,13 @@ def is_acyclic(complex_, max_degree):
 # -- coset nerves -----------------------------------------------------------
 
 
-def coset_nerve(group, family):
+def coset_nerve(group, family, max_vertices=None):
     """The order complex of the coset poset of an intersection-closed family.
 
     Vertices are cosets gH for H in the family; faces are chains under
-    inclusion.  Returns the complex together with the coset list in
-    vertex order.
+    inclusion, built level by level up to ``max_vertices`` cosets (by
+    default, every chain).  Returns the complex together with the coset
+    list in vertex order.
     """
     family = [frozenset(h) for h in family]
     for h in family:
@@ -218,15 +220,10 @@ def coset_nerve(group, family):
     cosets = sorted(cosets, key=lambda s: (len(s), sorted(s)))
     index = {c: i for i, c in enumerate(cosets)}
     above = {c: [d for d in cosets if c < d] for c in cosets}
-    faces = set()
-
-    def grow(chain):
-        faces.add(frozenset(index[c] for c in chain))
-        for d in above[chain[-1]]:
-            grow(chain + [d])
-
-    for c in cosets:
-        grow([c])
+    faces, chains = set(), [[c] for c in cosets]
+    for _ in range(len(cosets) if max_vertices is None else max_vertices):
+        faces.update(frozenset(index[c] for c in chain) for chain in chains)
+        chains = [chain + [d] for chain in chains for d in above[chain[-1]]]
     return SimplicialComplexData(len(cosets), frozenset(faces)), cosets
 
 

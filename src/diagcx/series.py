@@ -1,12 +1,13 @@
 """Hilbert-Poincare polynomials and graded-module series.
 
-Two layers of generating functions live here.  MultiPoly is an honest
-integer polynomial in variables indexed by labels; the polynomial of a
-labelled diagonal complex sums the block-label monomials over all
-simplices (no constant term).  GradedModuleSeries is a truncated power
-series of abelian groups, stored as one polynomial of summand counts per
-summand kind (Z, or Z/p^e); AbelianGroup is the view of one degree.  The
-product follows the Kunneth rule, one convolution per pair of kinds:
+Two layers of generating functions live here.  MultiPoly is a table of
+monomial counts, the terms of an integer polynomial in variables indexed
+by labels; the polynomial of a labelled diagonal complex counts its
+simplices by block-label monomial (no constant term).
+GradedModuleSeries is a truncated power series of abelian groups, stored
+as one polynomial of summand counts per summand kind (Z, or Z/p^e);
+AbelianGroup is the view of one degree.  The product follows the
+Kunneth rule, one convolution per pair of kinds:
 
     Z/p^i . Z/q^j = (1 + t) Z/p^min(i,j)   if p = q, and 0 otherwise,
 
@@ -317,15 +318,15 @@ def cyclic_classifying_series(m, truncation):
     return GradedModuleSeries._of_table(truncation, {FREE: [1], **dict.fromkeys(_factor_prime_powers(m), odd)})
 
 
-# -- integer polynomials ------------------------------------------------
+# -- monomial-count tables ----------------------------------------------
 
 
 @dataclass(frozen=True)
 class MultiPoly:
-    """An integer polynomial in a fixed ordered tuple of variables."""
+    """The terms of an integer polynomial in a fixed ordered tuple of variables."""
 
     variables: tuple
-    terms: tuple  # sorted tuple of (exponent-vector, coefficient)
+    terms: tuple  # sorted tuple of (exponent-vector, coefficient), no zero coefficients
 
     @classmethod
     def of(cls, variables, term_map):
@@ -335,56 +336,6 @@ class MultiPoly:
             if len(exponents) != len(variables) or any(e < 0 for e in exponents):
                 raise ValueError("bad exponent vector")
         return cls(variables, terms)
-
-    @classmethod
-    def constant(cls, variables, value):
-        variables = tuple(variables)
-        return cls.of(variables, {tuple([0] * len(variables)): value})
-
-    @classmethod
-    def variable(cls, variables, var):
-        variables = tuple(variables)
-        exponents = [0] * len(variables)
-        exponents[variables.index(var)] = 1
-        return cls.of(variables, {tuple(exponents): 1})
-
-    def _check(self, other):
-        if self.variables != other.variables:
-            raise ValueError("mixed variable sets")
-
-    def add(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms:
-            terms[e] = terms.get(e, 0) + c
-        return MultiPoly.of(self.variables, terms)
-
-    def mul(self, other):
-        self._check(other)
-        terms = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return MultiPoly.of(self.variables, terms)
-
-    def pow(self, k):
-        result = MultiPoly.constant(self.variables, 1)
-        for _ in range(k):
-            result = result.mul(self)
-        return result
-
-    def coefficient(self, exponents):
-        return dict(self.terms).get(tuple(exponents), 0)
-
-    def evaluate_int(self, values):
-        total = 0
-        for exponents, coeff in self.terms:
-            term = coeff
-            for var, e in zip(self.variables, exponents):
-                term *= values[var] ** e
-            total += term
-        return total
 
 
 def hilbert_polynomial(complex_, labelling):
@@ -403,17 +354,25 @@ def hilbert_polynomial(complex_, labelling):
 
 
 def forest_hilbert_closed_form(n):
-    """(1 + x_1 + ... + x_n)^(n-1), the word-count closed form.
+    """(1 + x_1 + ... + x_n)^(n-1), the word-count closed form, read off Prüfer words.
 
-    Includes the constant term contributed by the empty word; the
-    polynomial of the forest complex itself omits it, so the two sides
-    differ by exactly 1.
+    A planted forest on [n] is a word of n - 1 letters over 0..n, and a
+    letter v >= 1 is one child of v.  So the coefficient of x^e counts the
+    words with e_v letters v: the multinomial (n-1)! / prod_a (count of a)!,
+    letter 0 included.  The word of n - 1 zeros, the forest with no edges,
+    gives the constant term; the polynomial of the forest complex omits it,
+    so the two differ by exactly 1.
+
+    >>> forest_hilbert_closed_form(2).terms
+    (((0, 0), 1), ((0, 1), 1), ((1, 0), 1))
+    >>> dict(forest_hilbert_closed_form(3).terms)[(1, 1, 0)]
+    2
     """
-    variables = tuple(range(1, n + 1))
-    base = MultiPoly.constant(variables, 1)
-    for v in variables:
-        base = base.add(MultiPoly.variable(variables, v))
-    return base.pow(n - 1)
+    terms = {}
+    for letters in itertools.combinations_with_replacement(range(n + 1), n - 1):
+        counts = [letters.count(a) for a in range(n + 1)]
+        terms[tuple(counts[1:])] = math.factorial(n - 1) // math.prod(map(math.factorial, counts))
+    return MultiPoly.of(range(1, n + 1), terms)
 
 
 def _reduced_factors(factors, truncation=None, others=()):

@@ -284,6 +284,10 @@ def test_boundary_matrix_triangle():
 def test_full_simplex_is_acyclic():
     full = SimplicialComplexData.from_maximal(4, [(0, 1, 2, 3)])
     assert simplicial_homology(full, 3) == [(1, ()), (0, ()), (0, ()), (0, ())]
+    assert simplicial_homology(full, 6) == [(1, ())] + [(0, ())] * 6  # zero above the dimension
+    empty = SimplicialComplexData(0, frozenset())  # dimension -1
+    assert simplicial_homology(empty) == []
+    assert simplicial_homology(empty, 2) == [(0, ())] * 3
     assert is_acyclic(full, 3)
 
 
@@ -387,7 +391,7 @@ def test_torus_model_euler_characteristic():
         betti = torus_model_betti(fc.complex)
         h = hilbert_polynomial(fc.complex, fc.labelling)
         chi = sum((-1) ** k * b for k, b in enumerate(betti))
-        assert chi == 1 + h.evaluate_int({v: -1 for v in h.variables})
+        assert chi == 1 + sum(c * (-1) ** sum(e) for e, c in h.terms)
 
 
 def test_triplet_dump():
@@ -404,7 +408,8 @@ def test_nerve_face_count_matches_the_built_nerve(name):
     for family_name in families:
         family = _nerve_family(group, family_name)
         nerve, _ = coset_nerve(group, family)
-        for max_vertices in range(0, 8):
-            built = sum(1 for face in nerve.faces if len(face) <= max_vertices)
-            assert coset_nerve_face_count(group, family, max_vertices) == built, (family_name, max_vertices)
+        for max_vertices in range(nerve.dimension() + 3):  # one bound past the longest chain
+            built = coset_nerve(group, family, max_vertices)[0].faces
+            assert built == {face for face in nerve.faces if len(face) <= max_vertices}, (family_name, max_vertices)
+            assert coset_nerve_face_count(group, family, max_vertices) == len(built), (family_name, max_vertices)
         assert coset_nerve_face_count(group, family, 1000) == len(nerve.faces)
