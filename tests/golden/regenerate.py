@@ -58,6 +58,9 @@ COMMANDS = [
     ["homology", "nerve", "--group", "V4", "--family", "klein", "--max-degree", "1"],
     ["homology", "nerve", "--group", "S3"],
     ["homology", "nerve", "--group", "S4", "--max-degree", "1000"],
+    ["homology", "nerve", "--group", "Q8"],
+    ["homology", "nerve", "--group", "D4", "--max-degree", "2"],
+    ["homology", "nerve", "--group", "Z/2xZ/2xZ/2"],  # the algebra workload's nerve-z2-cubed job
     ["cactus", "coords", "--tree", "0,1,1", "--sizes", "2,2,2", "--labels", "0,1,1"],
     ["--output", "out.txt", "series", "wh-free", "--n", "3"],
 ]
