@@ -28,9 +28,9 @@ CLOSURE_GUARD = 4
 TORUS_GUARD = 5  # sparse Smith forms: n=5 takes 0.4 s, n=6 8.7 s and 100 MiB
 ORBIT_GUARD = 6
 # Limits on predicted sizes rather than on n.
-GROUP_ORDER_GUARD = 24  # subgroup enumeration takes 0.06 s at order 24 (S4), 0.9 s at 48 ((Z/2)^3xZ/6)
+GROUP_ORDER_GUARD = 24  # subgroup enumeration takes 0.01 s at order 24 (S4), 0.2 s at 48 ((Z/2)^3xZ/6)
 VERIFY_GUARD = 1_000_000  # letters x partial conjugations composed; 4.3-5.6 s near the limit
-NERVE_FACE_GUARD = 20_000  # sparse Smith forms: 14671 faces take 1.0 s, 32093 take 1.5 s and 43 MiB
+NERVE_FACE_GUARD = 20_000  # sparse Smith forms: 14671 faces take 0.5 s, 32093 take 1.0 s and 34 MiB
 DIGITS_GUARD = 4300  # Python's default limit on int-to-str conversion
 DEGREE_GUARD = 1000  # degrees computed for --truncate and --max-degree
 PRODUCT_GUARD = 3_000_000  # coefficient pairs in series products; near it circles or Z/2 take 0.3-1.4 s, Z/30030 1.7-2.8 s

@@ -2,8 +2,10 @@
 
 Element 0 is the identity.  Tables are validated on construction
 (closure, associativity, identity, inverses), which is affordable at the
-orders used here.  Subgroups are enumerated by closing each subgroup
-found with one more element, starting from {0}; that finds all of them.
+orders used here.  Elements close to the subgroup they generate under
+right multiplication by themselves alone, as every inverse is a power.
+Subgroups are enumerated by closing each subgroup found with one more
+element, starting from {0}; that finds all of them.
 """
 
 import itertools
@@ -134,15 +136,20 @@ class FiniteGroup:
     # -- subgroups and cosets --------------------------------------------
 
     def close_subset(self, elements):
-        seed = set(elements) | {0}
+        """The subgroup ``elements`` generate: {0} and them, closed under right multiplication by them.
+
+        Inverses need no step of their own: g^-1 = g^(m-1) for g of order m.
+        """
+        generators = set(elements)
+        seed = generators | {0}
         frontier = list(seed)
         while frontier:
             a = frontier.pop()
-            for b in list(seed):
-                for c in (self.mul(a, b), self.mul(b, a), self.inv(a)):
-                    if c not in seed:
-                        seed.add(c)
-                        frontier.append(c)
+            for g in generators:
+                c = self.mul(a, g)
+                if c not in seed:
+                    seed.add(c)
+                    frontier.append(c)
         return frozenset(seed)
 
     def subgroups(self):

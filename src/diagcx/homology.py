@@ -120,80 +120,63 @@ def integer_rank(rows):
 
 @dataclass(frozen=True)
 class SimplicialComplexData:
-    """A finite abstract simplicial complex, downward closed."""
+    """A finite abstract simplicial complex, downward closed.
 
-    vertex_count: int
+    A face is the strictly increasing tuple of its vertices.  Only the
+    facets of each face are looked up: by induction on dimension, every
+    nonempty subset of a face is then a face.
+    """
+
     faces: frozenset
 
     def __post_init__(self):
         for face in self.faces:
-            if not face:
-                raise ValueError("faces are nonempty")
-            for v in face:
-                if not 0 <= v < self.vertex_count:
-                    raise ValueError(f"vertex {v} out of range")
-            for k in range(1, len(face)):
-                for sub in itertools.combinations(sorted(face), k):
-                    if frozenset(sub) not in self.faces:
-                        raise ValueError(f"missing face {sub}")
+            if not face or any(a >= b for a, b in zip(face, face[1:])):
+                raise ValueError(f"a face is a nonempty increasing tuple of vertices, not {face}")
+            for facet in itertools.combinations(face, len(face) - 1):
+                if facet and facet not in self.faces:
+                    raise ValueError(f"missing face {facet}")
 
     @classmethod
-    def from_maximal(cls, vertex_count, maximal_faces):
-        faces = set()
-        for face in maximal_faces:
-            face = tuple(sorted(face))
-            for k in range(1, len(face) + 1):
-                for sub in itertools.combinations(face, k):
-                    faces.add(frozenset(sub))
-        return cls(vertex_count, frozenset(faces))
+    def from_maximal(cls, maximal_faces):
+        faces = (itertools.combinations(face, k) for face in map(sorted, maximal_faces) for k in range(1, len(face) + 1))
+        return cls(frozenset(itertools.chain.from_iterable(faces)))
 
     def faces_of_dimension(self, k):
-        return sorted(tuple(sorted(f)) for f in self.faces if len(f) == k + 1)
+        return sorted(f for f in self.faces if len(f) == k + 1)
 
     def dimension(self):
-        return max((len(f) for f in self.faces), default=0) - 1
+        return max(map(len, self.faces), default=0) - 1
 
 
-def boundary_matrix(complex_, k):
-    """The boundary map from k-faces to (k-1)-faces: one row per (k-1)-face, columns the k-faces."""
-    index = {f: i for i, f in enumerate(complex_.faces_of_dimension(k - 1))}
-    rows = [{} for _ in index]
-    for j, face in enumerate(complex_.faces_of_dimension(k)):
+def boundary_matrix(lower, upper):
+    """The boundary map from the k-faces ``upper`` to the (k-1)-faces ``lower``, as one row per face of ``lower``."""
+    index = {f: i for i, f in enumerate(lower)}
+    rows = [{} for _ in lower]
+    for j, face in enumerate(upper):
         for omit in range(len(face)):
             rows[index[face[:omit] + face[omit + 1 :]]][j] = (-1) ** omit
     return rows
 
 
 def simplicial_homology(complex_, max_degree=None):
-    """Integral homology per degree as (free rank, torsion invariants); zero above the dimension."""
+    """Integral homology per degree as (free rank, torsion invariants); zero above the dimension.
+
+    >>> simplicial_homology(SimplicialComplexData.from_maximal([(0, 1), (1, 2), (0, 2)]))
+    [(1, ()), (1, ())]
+    """
     dimension = complex_.dimension()
-    if max_degree is None:
-        max_degree = dimension
+    max_degree = dimension if max_degree is None else max_degree
     out = []
     rank_k = 0  # rank of the boundary out of degree k, from the previous Smith form
+    lower = complex_.faces_of_dimension(0)
     for k in range(min(max_degree, dimension) + 1):
+        upper = complex_.faces_of_dimension(k + 1)
         # one nonzero invariant factor per unit of rank
-        factors = smith_normal_form(boundary_matrix(complex_, k + 1))
-        free = len(complex_.faces_of_dimension(k)) - rank_k - len(factors)
-        out.append((free, tuple(d for d in factors if d > 1)))
-        rank_k = len(factors)
+        factors = smith_normal_form(boundary_matrix(lower, upper))
+        out.append((len(lower) - rank_k - len(factors), tuple(d for d in factors if d > 1)))
+        rank_k, lower = len(factors), upper
     return out + [(0, ())] * (max_degree - len(out) + 1)
-
-
-def reduced_betti(complex_, max_degree):
-    """Free ranks with one Z removed from degree zero."""
-    homology = simplicial_homology(complex_, max_degree)
-    betti = [free for free, _ in homology]
-    if betti:
-        betti[0] -= 1
-    return betti
-
-
-def is_acyclic(complex_, max_degree):
-    homology = simplicial_homology(complex_, max_degree)
-    if homology[0] != (1, ()):
-        return False
-    return all(h == (0, ()) for h in homology[1:])
 
 
 # -- coset nerves -----------------------------------------------------------
@@ -208,23 +191,18 @@ def coset_nerve(group, family, max_vertices=None):
     list in vertex order.
     """
     family = [frozenset(h) for h in family]
-    for h in family:
-        if not group.is_subgroup(h):
-            raise ValueError("family members must be subgroups")
-    for h1, h2 in itertools.combinations(family, 2):
-        if h1 & h2 not in family:
-            raise ValueError("family must be closed under pairwise intersection")
-    cosets = set()
-    for h in family:
-        cosets.update(group.cosets(h))
-    cosets = sorted(cosets, key=lambda s: (len(s), sorted(s)))
+    if not all(map(group.is_subgroup, family)):
+        raise ValueError("family members must be subgroups")
+    if any(h1 & h2 not in family for h1, h2 in itertools.combinations(family, 2)):
+        raise ValueError("family must be closed under pairwise intersection")
+    cosets = sorted({c for h in family for c in group.cosets(h)}, key=lambda s: (len(s), sorted(s)))
     index = {c: i for i, c in enumerate(cosets)}
     above = {c: [d for d in cosets if c < d] for c in cosets}
     faces, chains = set(), [[c] for c in cosets]
     for _ in range(len(cosets) if max_vertices is None else max_vertices):
-        faces.update(frozenset(index[c] for c in chain) for chain in chains)
+        faces.update(tuple(index[c] for c in chain) for chain in chains)  # sorted by size, cosets go up a chain
         chains = [chain + [d] for chain in chains for d in above[chain[-1]]]
-    return SimplicialComplexData(len(cosets), frozenset(faces)), cosets
+    return SimplicialComplexData(frozenset(faces)), cosets
 
 
 def coset_nerve_face_count(group, family, max_vertices):

@@ -18,7 +18,7 @@ from diagcx.forests import (
     prufer_encode,
 )
 from diagcx.groups import FiniteGroup
-from diagcx.homology import coset_nerve, is_acyclic, reduced_betti, torus_model_betti
+from diagcx.homology import coset_nerve, simplicial_homology, torus_model_betti
 from diagcx.partitions import EMPTY_MEET, meet
 from diagcx.present import (
     forest_dc_presentation,
@@ -264,10 +264,10 @@ def test_criterion_13_coset_nerves():
     ]
     for group in groups:
         nerve, _ = coset_nerve(group, list(group.subgroups()))
-        assert is_acyclic(nerve, 3), group.name
+        assert simplicial_homology(nerve, 3) == [(1, ()), (0, ()), (0, ()), (0, ())], group.name
     klein = product(cyclic(2), cyclic(2))
     halves = [s for s in klein.subgroups() if len(s) == 2]
     nerve, cosets = coset_nerve(klein, [frozenset([0]), halves[0], halves[1]])
     assert len(cosets) == 8
-    assert reduced_betti(nerve, 1) == [0, 1]
+    assert simplicial_homology(nerve, 1) == [(1, ()), (1, ())]
     report(13, "coset nerves: acyclic families and the Klein-four circle")

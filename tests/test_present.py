@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -109,6 +110,23 @@ def test_subgroups_and_cosets():
     cosets = V4.cosets(two)
     assert len(cosets) == 2
     assert all(len(c) == 2 for c in cosets)
+
+
+def test_close_subset_is_the_generated_subgroup():
+    def generated(group, elements):
+        """Close under products both ways and inverses until nothing new appears."""
+        closed = set(elements) | {0}
+        while True:
+            new = {group.mul(a, b) for a in closed for b in closed} | {group.inv(a) for a in closed}
+            if new <= closed:
+                return frozenset(closed)
+            closed |= new
+
+    for name in ("V4", "S3", "D4", "Q8", "S4", "Z/2xZ/6"):
+        group = group_from_descriptor(name)
+        for size in range(3):
+            for subset in itertools.combinations(group.elements(), size):
+                assert group.close_subset(subset) == generated(group, subset), (name, subset)
 
 
 # -- words -----------------------------------------------------------------------
