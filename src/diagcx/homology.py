@@ -139,7 +139,7 @@ class SimplicialComplexData:
 
     @classmethod
     def from_maximal(cls, maximal_faces):
-        faces = (itertools.combinations(face, k) for face in map(sorted, maximal_faces) for k in range(1, len(face) + 1))
+        faces = (itertools.combinations(f, k) for f in map(sorted, maximal_faces) for k in range(1, len(f) + 1))
         return cls(frozenset(itertools.chain.from_iterable(faces)))
 
     def faces_of_dimension(self, k):
