@@ -32,6 +32,11 @@ COMMANDS = [
     ["forests", "enumerate", "--n", "3"],
     ["forests", "enumerate", "--n", "4", "--count-only"],
     ["forests", "enumerate", "--n", "2", "--include-empty", "--workers", "2"],
+    # listings written in several batches, and the empty and one-row listings
+    ["forests", "enumerate", "--n", "6"],
+    ["forests", "enumerate", "--n", "1"],
+    ["forests", "enumerate", "--n", "1", "--include-empty"],
+    ["--output", "out.txt", "forests", "enumerate", "--n", "5"],
     ["complex", "verify", "--n", "3"],
     ["complex", "objects", "--n", "3"],
     ["series", "fr", "--n", "1", "--factors", "circle"],
@@ -50,9 +55,11 @@ COMMANDS = [
     ["present", "verify", "--n", "3", "--factors", "Z/1,Z/2,Z/3", "--literal-rel3"],
     ["orbits", "--n", "3", "--colors", "2,1"],
     ["orbits", "--n", "4", "--colors", "2,2"],
+    ["orbits", "--n", "6", "--colors", "3,2,1"],
     ["decomposition", "--n", "3", "--colors", "2,1", "--factors", "Z/2,circle"],
     ["decomposition", "--n", "4", "--colors", "1,3", "--factors", "Z/6,Z/4", "--truncate", "6"],
     ["decomposition", "--n", "4", "--colors", "2,1,1", "--factors", "Z/4,Z/8,Z/12", "--truncate", "9"],
+    ["decomposition", "--n", "5", "--colors", "1,1,1,1,1", "--factors", "circle,Z/2,Z/3,Z/4,Z/6"],
     ["homology", "torus", "--n", "3"],
     ["homology", "torus", "--n", "3", "--dump", "model"],
     ["homology", "nerve", "--group", "V4", "--family", "klein", "--max-degree", "1"],
