@@ -10,14 +10,14 @@ Exit codes: 0 success, 2 usage error, 3 resource guard exceeded.
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
 import sys
 
-from . import cactus, forests, homology, present, series
-from .complexes import DiagonalComplex
-from .groups import parse_descriptor
+# Each command imports the modules it uses, so a command loads and compiles only those.
+from . import BUILD_CAP
 
 GUARD_EXIT = 3
 USAGE_EXIT = 2
@@ -36,6 +36,9 @@ DEGREE_GUARD = 1000  # degrees computed for --truncate and --max-degree
 PRODUCT_GUARD = 3_000_000  # coefficient pairs in series products; near it circles or Z/2 take 0.3-1.4 s, Z/30030 1.7-2.8 s
 SUMMAND_GUARD = 10_000_000  # strings in a JSON torsion list; 6M took 500 MiB
 CACTUS_CELL_GUARD = 4_000_000  # coordinate matrix cells; a 2000-vertex path takes 0.8 s as text, 1.0 s and 110 MiB as JSON
+
+BATCH = 512  # listing items per written chunk, so a listing's memory does not follow its length
+SEPARATORS = (",", ":")
 
 
 class GuardError(Exception):
@@ -68,6 +71,8 @@ def _check_n_guard(args, limit, what, simplices=False):
 
 
 def _series_factor(text, truncation):
+    from . import series
+
     text = text.strip()
     if text in ("circle", "Z"):
         return series.circle_series(truncation)
@@ -80,17 +85,60 @@ def _parse_int_list(text):
     return [int(part) for part in text.split(",") if part.strip() != ""]
 
 
+def _batches(items):
+    """Lists of BATCH items, in order, until ``items`` runs out."""
+    items = iter(items)
+    return iter(lambda: list(itertools.islice(items, BATCH)), [])
+
+
+def _joined(sep, chunks):
+    """The iterator ``chunks`` with ``sep`` between its chunks, each as it comes."""
+    yield next(chunks, "")
+    for chunk in chunks:
+        yield sep
+        yield chunk
+
+
+def _text_lines(lines):
+    """The chunks of ``"\\n".join(lines)``, one batch of lines to a chunk."""
+    return _joined("\n", map("\n".join, _batches(lines)))
+
+
+def _json_list(head, items, tail):
+    """The chunks of ``head``, the JSON list of ``items`` and ``tail``, one batch of items to a chunk.
+
+    Each batch is encoded by ``json.dumps``, as the whole document would be, without its brackets.
+    """
+    encoded = (json.dumps(batch, sort_keys=True, separators=SEPARATORS)[1:-1] for batch in _batches(items))
+    yield head + "["
+    yield from _joined(",", encoded)
+    yield "]" + tail
+
+
 def _emit(args, text, payload):
-    """Write the text text() builds, or under --format json the document payload() builds."""
-    out = json.dumps(payload(), sort_keys=True, separators=(",", ":")) if args.format == "json" else text()
+    """Write what text() returns, or under --format json what payload() returns.
+
+    A string, or a dict as a sorted-keys JSON document, is written whole; any
+    other result is an iterable of string chunks, written as they are built.
+    text() or payload() and the first chunk run before the output is opened, so
+    a check in them refuses with nothing written.  A newline ends the output.
+    """
+    out = payload() if args.format == "json" else text()
+    if isinstance(out, dict):
+        out = json.dumps(out, sort_keys=True, separators=SEPARATORS)
+    chunks = iter((out,) if isinstance(out, str) else out)
+    last = next(chunks, "")
     path = getattr(args, "output", None)
     if path:
         directory = os.environ.get("DIAGCX_OUTPUT_DIR")
         if directory and not os.path.isabs(path):
             path = os.path.join(directory, path)
     with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as handle:
-        handle.write(out)
-        if not out.endswith("\n"):  # a separate write, so the output is not copied to add it
+        handle.write(last)
+        for chunk in chunks:
+            handle.write(chunk)
+            last = chunk or last
+        if not last.endswith("\n"):
             handle.write("\n")
 
 
@@ -98,23 +146,26 @@ def _emit(args, text, payload):
 
 
 def cmd_forests_enumerate(args):
+    from .forests import enumerate_forests
+
     _check_n_guard(args, ENUM_GUARD, "forest enumeration")
-    items = forests.enumerate_forests(args.n, include_empty=args.include_empty)
+    items = enumerate_forests(args.n, include_empty=args.include_empty)
     if args.count_only:
         count = sum(1 for _ in items)
         _emit(args, lambda: str(count), lambda: {"n": args.n, "count": count})
         return
-    items = list(items)
     _emit(
         args,
-        lambda: "\n".join(",".join(map(str, f.to_json())) for f in items),
-        lambda: {"n": args.n, "forests": [f.to_json() for f in items]},
+        lambda: _text_lines(",".join(map(str, f.to_json())) for f in items),
+        lambda: _json_list('{"forests":', (f.to_json() for f in items), f',"n":{args.n}}}'),
     )
 
 
 def _load_complex(args, limit, what):
     """The complex of --file, with as many simplices as Γ(F_limit) at most, or of --n."""
     if args.file is not None:
+        from .complexes import DiagonalComplex
+
         with open(args.file, encoding="utf-8") as handle:
             complex_, labelling = DiagonalComplex.from_json(handle.read())
         if labelling is None:
@@ -122,13 +173,15 @@ def _load_complex(args, limit, what):
         simplices = (limit + 1) ** (limit - 1) - 1
         _check_guard(len(complex_.gamma), simplices, args.unsafe_large, f"simplex count of {args.file}")
         return complex_, labelling, None
+    from .forests import build_gamma_Fn
+
     _check_n_guard(args, limit, what, simplices=True)
-    fc = forests.build_gamma_Fn(args.n)
+    fc = build_gamma_Fn(args.n)
     return fc.complex, fc.labelling, fc
 
 
 def cmd_complex_verify(args):
-    complex_, labelling, _ = _load_complex(args, forests.BUILD_CAP, "complex construction")
+    complex_, labelling, _ = _load_complex(args, BUILD_CAP, "complex construction")
     report = complex_.validate()
     proper = complex_.is_proper() if report.ok else False
     lines = [f"simplices: {len(complex_.gamma)}"]
@@ -153,7 +206,9 @@ def cmd_complex_objects(args):
     def show(part):
         if fc is None:
             return str(part)
-        blocks = forests.blocks_as_pairs(part.blocks, fc.n)
+        from .forests import blocks_as_pairs
+
+        blocks = blocks_as_pairs(part.blocks, fc.n)
         return " | ".join("{" + ",".join(f"({i},{j})" for i, j in block) + "}" for block in blocks)
 
     _emit(
@@ -170,8 +225,10 @@ def _check_products(args, products):
 
 
 def _check_summands(args, *parts):
+    from .series import FREE
+
     # to_json lists one string per torsion summand
-    summands = sum(sum(counts) for part in parts for kind, counts in part.terms if kind != series.FREE)
+    summands = sum(sum(counts) for part in parts for kind, counts in part.terms if kind != FREE)
     _check_guard(summands, SUMMAND_GUARD, args.unsafe_large, "torsion summands listed in JSON")
 
 
@@ -181,18 +238,22 @@ def _series_document(args, result):
 
 
 def cmd_series_fr(args):
+    from . import series
+
     factors = [f.strip() for f in args.factors.split(",")]
     if len(factors) != args.n:
         raise ValueError("need one factor per vertex")
     # the wedge series to the power n-1, in n-2 products
     _check_products(args, max(args.n - 2, 0))
-    if args.n > forests.BUILD_CAP:  # the n at which Γ(F_n) can be built to check the answer
-        raise ValueError(f"n must be between 1 and {forests.BUILD_CAP}")
+    if args.n > BUILD_CAP:  # the n at which Γ(F_n) can be built to check the answer
+        raise ValueError(f"n must be between 1 and {BUILD_CAP}")
     result = series.free_product_series([_series_factor(f, args.truncate) for f in factors]).pow(args.n - 1)
     _emit(args, result.render, lambda: _series_document(args, result))
 
 
 def cmd_series_wh_free(args):
+    from . import series
+
     # digits of the largest coefficient n^(n-1), in integers so that any n works
     digits = (args.n - 1) * math.floor(math.log10(args.n) * 10**6) // 10**6 + 1
     _check_guard(digits, DIGITS_GUARD, args.unsafe_large, f"digits of n^(n-1) at n={args.n}")
@@ -202,6 +263,8 @@ def cmd_series_wh_free(args):
 
 
 def cmd_series_wh_zp(args):
+    from . import series
+
     # every count is below n^(2 min(d, n-1)) 2^(d-1) in degree d
     n, d = args.n, args.truncate
     digits = int(2 * min(d, n - 1) * math.log10(n) + d * math.log10(2)) + 1
@@ -211,6 +274,8 @@ def cmd_series_wh_zp(args):
 
 
 def _group(args, text):
+    from .groups import parse_descriptor
+
     order, build = parse_descriptor(text)
     _check_guard(order, GROUP_ORDER_GUARD, args.unsafe_large, f"order of group {text.strip()}")
     return build()
@@ -224,6 +289,8 @@ def _parse_factor_groups(args, count):
 
 
 def cmd_present_fr(args):
+    from . import present
+
     groups = _parse_factor_groups(args, args.n)
     pres = present.fr_presentation(args.n, groups)
     header = [f"generators: {len(pres.generators)}", f"relations: {len(pres.relations)}"]
@@ -231,6 +298,8 @@ def cmd_present_fr(args):
 
 
 def cmd_present_export(args):
+    from . import present
+
     groups = _parse_factor_groups(args, args.n)
     pres = present.fr_presentation(args.n, groups)
     text = present.export_gap(pres)
@@ -238,6 +307,8 @@ def cmd_present_export(args):
 
 
 def cmd_present_verify(args):
+    from . import present
+
     groups = _parse_factor_groups(args, args.n)
     if args.dc:
         pres = present.forest_dc_presentation(args.n, groups)
@@ -286,28 +357,35 @@ def cmd_present_verify(args):
 
 
 def cmd_orbits(args):
+    from .forests import orbit_decomposition
+
     _check_n_guard(args, ORBIT_GUARD, "orbit enumeration")
     multiplicities = _parse_int_list(args.colors)
-    rows = forests.orbit_decomposition(args.n, multiplicities)
+    rows = orbit_decomposition(args.n, multiplicities)
     lines = (
         f"{','.join(map(str, row.representative.forest.to_json()))} "
         f"orbit={row.orbit_size} aut={row.stabilizer_order}"
         for row in rows
     )
-    _emit(args, lambda: "\n".join([f"orbits: {len(rows)}", *lines]), lambda: {
-        "orbits": [
-            {
-                "forest": row.representative.forest.to_json(),
-                "colors": list(row.representative.colors),
-                "orbit_size": row.orbit_size,
-                "stabilizer_order": row.stabilizer_order,
-            }
-            for row in rows
-        ]
-    })
+    items = (
+        {
+            "forest": row.representative.forest.to_json(),
+            "colors": list(row.representative.colors),
+            "orbit_size": row.orbit_size,
+            "stabilizer_order": row.stabilizer_order,
+        }
+        for row in rows
+    )
+    _emit(
+        args,
+        lambda: _text_lines(itertools.chain([f"orbits: {len(rows)}"], lines)),
+        lambda: _json_list('{"orbits":', items, "}"),
+    )
 
 
 def cmd_decomposition(args):
+    from .forests import decomposition_report
+
     _check_n_guard(args, ORBIT_GUARD, "orbit enumeration")
     multiplicities = _parse_int_list(args.colors)
     factors = [f.strip() for f in args.factors.split(",")]
@@ -317,18 +395,23 @@ def cmd_decomposition(args):
     # so over k variables there are at most C(n-1+k, k) - 1 of them
     _check_products(args, math.comb(args.n - 1 + len(factors), len(factors)) - 1)
     base = [_series_factor(f, args.truncate) for f in factors]
-    report = forests.decomposition_report(args.n, multiplicities, base)
+    report = decomposition_report(args.n, multiplicities, base)
 
     def payload():
         _check_summands(args, *(row.module for row in report.rows))
-        return report.to_json()
+        # keys in sort_keys order, the rows last
+        head = '{"multiplicities":' + json.dumps(multiplicities, separators=SEPARATORS) + f',"n":{args.n},"rows":'
+        return _json_list(head, report.to_json(), "}")
 
-    _emit(args, report.render_text, payload)
+    _emit(args, lambda: _text_lines(report.render_text()), payload)
 
 
 def cmd_homology_torus(args):
+    from . import homology
+    from .forests import build_gamma_Fn
+
     _check_n_guard(args, TORUS_GUARD, "torus-model rank", simplices=True)
-    fc = forests.build_gamma_Fn(args.n)
+    fc = build_gamma_Fn(args.n)
     betti = [1]
     for degree, rows in enumerate(homology.torus_model_matrices(fc.complex), start=1):
         betti.append(homology.integer_rank(rows))  # smith_normal_form copies the rows
@@ -350,6 +433,8 @@ def _nerve_family(group, name):
 
 
 def cmd_homology_nerve(args):
+    from . import homology
+
     group = _group(args, args.group)
     family = _nerve_family(group, args.family)
     # H_k for k <= max-degree needs the faces of at most max-degree + 2 vertices: counted, then built
@@ -368,6 +453,8 @@ def cmd_homology_nerve(args):
 
 
 def cmd_cactus_coords(args):
+    from . import cactus
+
     parent = _parse_int_list(args.tree)
     n = len(parent)
     _check_guard(n * n, CACTUS_CELL_GUARD, args.unsafe_large, f"coordinate matrix cells ({n} x {n})")

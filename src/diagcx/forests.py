@@ -14,11 +14,12 @@ coloured forest isomorphism types.
 """
 
 import itertools
+import operator
 from dataclasses import dataclass
 
+from . import BUILD_CAP
 from .complexes import DiagonalComplex, Labelling
 from .partitions import PartialPartition
-from .series import GradedModuleSeries, _monomial_modules, _reduced_factors
 
 FOREST_JSON_SCHEMA = {
     "type": "array",
@@ -51,8 +52,6 @@ DECOMPOSITION_JSON_SCHEMA = {
         },
     },
 }
-
-BUILD_CAP = 6
 
 
 @dataclass(frozen=True)
@@ -425,17 +424,21 @@ def orbit_decomposition(n, multiplicities):
     """Orbit rows of the colour-preserving action on nonempty forests.
 
     Returns one row per orbit with a lexicographically minimal
-    representative and the order of its stabilizer.
+    representative and the order of its stabilizer.  A forest already
+    met in an orbit is flagged by its parent tuple read as a base-(n+1)
+    number: (n+1)^n bytes in all, 115 KiB at n=6.
     """
     colors, classes = _color_classes(n, multiplicities)
     perms = _group_elements(classes)
+    weights = [(n + 1) ** k for k in reversed(range(n))]
     rows = []
-    seen = set()
+    seen = bytearray((n + 1) ** n)
     for forest in enumerate_forests(n):
-        if forest.parent in seen:
+        if seen[sum(map(operator.mul, forest.parent, weights))]:
             continue
         orbit = {_apply_perm(sigma, forest.parent) for sigma in perms}
-        seen.update(orbit)
+        for parent in orbit:
+            seen[sum(map(operator.mul, parent, weights))] = 1
         rep = PlantedForest(n, min(orbit))
         stab = tuple(sigma for sigma in perms if _apply_perm(sigma, rep.parent) == rep.parent)
         rows.append(OrbitRow(ColoredForest(rep, colors), len(orbit), stab))
@@ -449,7 +452,7 @@ class DecompositionRow:
     aut_order: int
     edge_count: int
     exponents: tuple
-    module: GradedModuleSeries
+    module: "series.GradedModuleSeries"
     sign_twist: bool
 
 
@@ -465,36 +468,32 @@ class DecompositionReport:
         return {key: method(module) for key, module in modules.items()}
 
     def to_json(self):
-        modules = self._per_module(GradedModuleSeries.to_json)
-        return {
-            "n": self.n,
-            "multiplicities": list(self.multiplicities),
-            "rows": [
-                {
-                    "forest": row.representative.forest.to_json(),
-                    "colors": list(row.representative.colors),
-                    "aut_order": row.aut_order,
-                    "edges": row.edge_count,
-                    "exponents": list(row.exponents),
-                    "module": modules[row.exponents],
-                    "sign_twist": row.sign_twist,
-                }
-                for row in self.rows
-            ],
-        }
+        """Yield the JSON object of each row: the ``rows`` of DECOMPOSITION_JSON_SCHEMA, in order."""
+        modules = self._per_module(lambda module: module.to_json())
+        for row in self.rows:
+            yield {
+                "forest": row.representative.forest.to_json(),
+                "colors": list(row.representative.colors),
+                "aut_order": row.aut_order,
+                "edges": row.edge_count,
+                "exponents": list(row.exponents),
+                "module": modules[row.exponents],
+                "sign_twist": row.sign_twist,
+            }
 
     def render_text(self):
+        """Yield the lines of the text table: a header, a rule, then one line per row."""
+        modules = self._per_module(lambda module: module.render())
         header = f"{'forest':<20} {'colors':<12} {'|Aut|':>5} {'edges':>5} {'sign':>5}  module"
-        lines = [header, "-" * len(header)]
-        modules = self._per_module(GradedModuleSeries.render)
+        yield header
+        yield "-" * len(header)
         for row in self.rows:
             forest = ",".join(map(str, row.representative.forest.to_json()))
             colors = ",".join(map(str, row.representative.colors))
-            lines.append(
+            yield (
                 f"{forest:<20} {colors:<12} {row.aut_order:>5} {row.edge_count:>5} "
                 f"{'yes' if row.sign_twist else 'no':>5}  {modules[row.exponents]}"
             )
-        return "\n".join(lines)
 
 
 def decomposition_report(n, multiplicities, base_series):
@@ -507,6 +506,8 @@ def decomposition_report(n, multiplicities, base_series):
     one-dimensional determinant module would twist the coefficients.
     The group homology itself is deliberately not evaluated.
     """
+    from .series import _monomial_modules, _reduced_factors
+
     if len(base_series) != len(multiplicities):
         raise ValueError("need one base series per colour")
     truncation, reduced = _reduced_factors(base_series)

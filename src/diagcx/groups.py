@@ -157,15 +157,22 @@ class FiniteGroup:
 
         The subgroup generated by h_1, ..., h_k is reached from {0} by
         closing with h_1, then h_2, and so on: closing every subgroup found
-        with one more element finds them all.
+        with one more element finds them all.  S with g·h closes to the
+        subgroup that S with g closes to, for every h in S, so one element
+        of each left coset gS is enough.
         """
         found = {frozenset([0])}
         queue = list(found)
         while queue:
             sub = queue.pop()
-            new = {self.close_subset(sub | {g}) for g in range(1, self.order) if g not in sub} - found
-            found |= new
-            queue.extend(new)
+            done = set(sub)
+            for g in range(1, self.order):
+                if g not in done:
+                    done.update(self.mul(g, h) for h in sub)
+                    closure = self.close_subset(sub | {g})
+                    if closure not in found:
+                        found.add(closure)
+                        queue.append(closure)
         return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
 
     def is_subgroup(self, subset):

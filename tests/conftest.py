@@ -1,4 +1,5 @@
 import itertools
+import signal
 
 import pytest
 
@@ -6,6 +7,23 @@ from diagcx.bipartite import set_partitions
 from diagcx.complexes import DiagonalComplex, Labelling
 from diagcx.partitions import PartialPartition
 from diagcx.series import GradedModuleSeries
+
+
+@pytest.fixture(autouse=True)
+def _deadline():
+    """Fail every test, instead of hanging the suite, when it runs for 30 s.
+
+    A reduction or a subgroup closure that does not terminate then fails its test.
+    """
+
+    def expire(signum, frame):
+        raise TimeoutError("still running after 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 def term_product(truncation, factors, exponents):

@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
+import diagcx
 from diagcx import cli, groups, homology
 from diagcx.complexes import COMPLEX_JSON_SCHEMA
 from diagcx.forests import (
@@ -61,6 +65,49 @@ def test_forest_count(capsys):
     code, out, _ = run_cli(capsys, ["forests", "enumerate", "--n", "3", "--count-only"])
     assert code == 0
     assert out == "15\n"
+
+
+PEAK_RSS = pathlib.Path(__file__).with_name("peak_rss.py")
+SRC_ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(diagcx.__file__))}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is read in KiB, as Linux counts it")
+@pytest.mark.parametrize("format_", ["text", "json"])
+def test_forest_listing_memory_follows_the_work(format_):
+    # 4-5 MB of output; holding the listing and its text took 88.8 MiB as text and 111.2 MiB as JSON
+    argv = ["--format", format_, "forests", "enumerate", "--n", "7"]
+    run = subprocess.run([sys.executable, str(PEAK_RSS), *argv], capture_output=True, text=True, env=SRC_ENV)
+    assert run.returncode == 0, run.stderr
+    assert float(run.stdout) < 40
+
+
+def test_checks_run_before_the_output_is_opened(tmp_path, capsys, monkeypatch):
+    # the JSON summand guard of a streamed decomposition refuses with no file written
+    monkeypatch.setattr(cli, "SUMMAND_GUARD", 0)
+    target = tmp_path / "out.json"
+    argv = ["--format", "json", "--output", str(target), "decomposition", "--n", "3", "--colors", "2,1",
+            "--factors", "Z/2,circle"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, target.exists()) == (3, "", False)
+    assert "torsion summands" in err
+
+
+def test_commands_import_only_the_modules_they_use():
+    # a fresh checkout compiles each module it imports; series and nerve need no forests
+    script = (
+        "import contextlib, io, sys\n"
+        "from diagcx import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['series', 'wh-zp', '--n', '3', '--p', '2']),\n"
+        "             cli.main(['homology', 'nerve', '--group', 'S3'])]\n"
+        "print(*codes)\n"
+        "print(*sorted(name for name in sys.modules if name.startswith('diagcx.')))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=SRC_ENV)
+    assert run.returncode == 0, run.stderr
+    codes, loaded = run.stdout.splitlines()
+    assert codes == "0 0"
+    assert not {"diagcx.forests", "diagcx.present", "diagcx.cactus"} & set(loaded.split())
 
 
 def test_orbit_rows(capsys):

@@ -498,10 +498,13 @@ def test_decomposition_input_validation():
 
 
 def test_decomposition_json_and_text():
+    # both yield rows, so the CLI writes them as they come: the JSON object of each row,
+    # and a header and a rule before the text row of each
     report = decomposition_report(2, (2,), [circle_series(3)])
-    data = report.to_json()
-    assert data["n"] == 2 and len(data["rows"]) == 1
-    assert "module" in report.render_text().splitlines()[0]
+    rows = list(report.to_json())
+    assert report.n == 2 and len(rows) == 1 and rows[0]["edges"] == 1
+    lines = list(report.render_text())
+    assert "module" in lines[0] and len(lines) == 3
 
 
 @pytest.mark.parametrize(

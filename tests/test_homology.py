@@ -1,5 +1,4 @@
 import itertools
-import signal
 
 import pytest
 
@@ -20,20 +19,6 @@ from diagcx.homology import (
     triplet_dump,
 )
 from diagcx.series import hilbert_polynomial
-
-
-@pytest.fixture(autouse=True)
-def _deadline():
-    """Fail, instead of hanging, when a reduction does not terminate."""
-
-    def expire(signum, frame):
-        raise TimeoutError("still running after 30 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(30)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
 
 
 # -- exact linear algebra -----------------------------------------------------
