@@ -72,7 +72,7 @@ COMMANDS = [
     ["--output", "out.txt", "series", "wh-free", "--n", "3"],
 ]
 
-# Refusals, usage errors and guard boundaries; run once each.
+# Refusals, usage errors, guard boundaries and single-format cases; run once each.
 EDGES = [
     # the cases of test_size_guards_state_the_predicted_size
     ["series", "wh-free", "--n", "1371"],
@@ -111,6 +111,9 @@ EDGES = [
     ["homology", "nerve", "--group", "S3", "--max-degree", "-1"],
     ["forests", "enumerate", "--n", "3", "--workers", "0"],
     ["complex", "verify"],
+    # relation checks whose failures name witnesses in non-abelian factors, so the witness order is pinned
+    ["present", "verify", "--n", "4", "--factors", "Q8,Z/1,S3,Z/2", "--literal-rel3"],
+    ["--format", "json", "present", "verify", "--n", "3", "--factors", "D4,Z/3,Q8", "--dc", "--literal-rel3"],
 ]
 
 ARGVS = [argv for command in COMMANDS for argv in (command, ["--format", "json"] + command)] + EDGES
