@@ -9,8 +9,8 @@ foldings delete one; the partitions realised this way are exactly the
 objects of the meet-closed category of the forest diagonal complex.
 """
 
+import collections
 import itertools
-from dataclasses import dataclass
 
 from .forests import PlantedForest, x_n_index
 from .partitions import PartialPartition
@@ -28,17 +28,15 @@ BIPARTITE_JSON_SCHEMA = {
 BIPARTITE_CAP = 4
 
 
-@dataclass(frozen=True)
-class BipartiteForest:
+class BipartiteForest(collections.namedtuple("BipartiteForest", "n internal parent")):
     """Canonical form: internal vertices are n+1..n+internal, renamed
     deterministically by structure; instances compare equal exactly when
     they agree up to internal relabelling."""
 
-    n: int
-    internal: int
-    parent: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, n, internal, parent):
+        self = super().__new__(cls, n, internal, parent)
         n, m = self.n, self.internal
         if n < 1 or m < 0 or len(self.parent) != n + m:
             raise ValueError("parent array must cover [n] and the internal vertices")
@@ -56,6 +54,7 @@ class BipartiteForest:
                 raise ValueError(f"internal vertex {x} is a leaf")
         if self.parent != _canonical_parent(n, m, self.parent):
             raise ValueError("internal vertices are not canonically labelled; use .of()")
+        return self
 
     @classmethod
     def of(cls, n, parent_map):

@@ -11,13 +11,12 @@ exactly when their coordinate matrices agree.
 Factors are finite pointed sets here; point 0 is the basepoint.
 """
 
-from dataclasses import dataclass
+import collections
 
 from .forests import PlantedForest
 
 
-@dataclass(frozen=True)
-class CactusDiagram:
+class CactusDiagram(collections.namedtuple("CactusDiagram", "n parent labels sizes")):
     """A rooted tree on 1..n with an edge label per non-root vertex.
 
     parent[v-1] is v's parent (0 for the unique root); labels[v-1] is the
@@ -25,12 +24,10 @@ class CactusDiagram:
     the root slot.  sizes[i-1] is the size of the i-th pointed set.
     """
 
-    n: int
-    parent: tuple
-    labels: tuple
-    sizes: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, n, parent, labels, sizes):
+        self = super().__new__(cls, n, parent, labels, sizes)
         n = self.n
         if n < 1 or len(self.parent) != n or len(self.labels) != n or len(self.sizes) != n:
             raise ValueError("parent, labels and sizes must all have length n")
@@ -47,6 +44,7 @@ class CactusDiagram:
                     raise ValueError("the root carries no edge label")
             elif not 0 <= self.labels[v - 1] < self.sizes[p - 1]:
                 raise ValueError(f"label of vertex {v} outside the parent's pointed set")
+        return self
 
 
 def coordinates(diagram):

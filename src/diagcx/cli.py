@@ -29,7 +29,7 @@ TORUS_GUARD = 5  # sparse Smith forms: n=5 takes 0.4 s, n=6 8.7 s and 100 MiB
 ORBIT_GUARD = 6
 # Limits on predicted sizes rather than on n.
 GROUP_ORDER_GUARD = 24  # subgroup enumeration takes 0.01 s at order 24 (S4), 0.2 s at 48 ((Z/2)^3xZ/6)
-VERIFY_GUARD = 1_000_000  # letters x partial conjugations composed; 4.3-5.6 s near the limit
+VERIFY_GUARD = 1_000_000  # letters x partial conjugations composed; 0.2-0.3 s near the limit
 NERVE_FACE_GUARD = 20_000  # sparse Smith forms: 14671 faces take 0.5 s, 32093 take 1.0 s and 34 MiB
 DIGITS_GUARD = 4300  # Python's default limit on int-to-str conversion
 DEGREE_GUARD = 1000  # degrees computed for --truncate and --max-degree
@@ -154,9 +154,10 @@ def cmd_forests_enumerate(args):
         count = sum(1 for _ in items)
         _emit(args, lambda: str(count), lambda: {"n": args.n, "count": count})
         return
+    letters = ["-1"] + [str(v) for v in range(1, args.n + 1)]  # the text of each parent, as in to_json
     _emit(
         args,
-        lambda: _text_lines(",".join(map(str, f.to_json())) for f in items),
+        lambda: _text_lines(",".join([letters[p] for p in f.parent]) for f in items),
         lambda: _json_list('{"forests":', (f.to_json() for f in items), f',"n":{args.n}}}'),
     )
 

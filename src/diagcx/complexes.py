@@ -9,10 +9,8 @@ blocks.  Such complexes index commutation patterns that are richer than
 graph products.
 """
 
-from __future__ import annotations
-
+import collections
 import json
-from dataclasses import dataclass
 
 from .partitions import PartialPartition, block_classes, meet, meet_masks
 
@@ -39,16 +37,12 @@ COMPLEX_JSON_SCHEMA = {
 }
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
-    axiom: int
-    passed: bool
-    witness: str | None = None
+class AxiomCheck(collections.namedtuple("AxiomCheck", "axiom passed witness", defaults=(None,))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple
+class ValidationReport(collections.namedtuple("ValidationReport", "checks")):
+    __slots__ = ()
 
     @property
     def ok(self):

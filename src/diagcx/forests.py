@@ -13,9 +13,9 @@ symmetric group acts by relabelling vertices, with orbits given by
 coloured forest isomorphism types.
 """
 
+import collections
 import itertools
 import operator
-from dataclasses import dataclass
 
 from . import BUILD_CAP
 from .complexes import DiagonalComplex, Labelling
@@ -54,14 +54,13 @@ DECOMPOSITION_JSON_SCHEMA = {
 }
 
 
-@dataclass(frozen=True)
-class PlantedForest:
+class PlantedForest(collections.namedtuple("PlantedForest", "n parent")):
     """A forest on vertices 1..n; parent[v-1] is v's parent, 0 for roots."""
 
-    n: int
-    parent: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, n, parent):
+        self = super().__new__(cls, n, parent)
         if self.n < 1 or len(self.parent) != self.n:
             raise ValueError("parent array must have length n >= 1")
         for v in range(1, self.n + 1):
@@ -80,6 +79,7 @@ class PlantedForest:
             while state[v] == 1:
                 state[v] = 2
                 v = self.parent[v - 1]
+        return self
 
     @classmethod
     def of(cls, n, parent_map):
@@ -121,17 +121,16 @@ class PlantedForest:
         return cls(len(data), tuple(0 if p == -1 else p for p in data))
 
 
-@dataclass(frozen=True)
-class ForestPoset:
+class ForestPoset(collections.namedtuple("ForestPoset", "n pairs")):
     """A nonempty subset of X_n, transitively closed, with chain ancestor sets.
 
     A pair (i, j) records that i is a proper ancestor of j.
     """
 
-    n: int
-    pairs: frozenset
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, n, pairs):
+        self = super().__new__(cls, n, pairs)
         if not self.pairs:
             raise ValueError("forest posets are nonempty")
         for i, j in self.pairs:
@@ -150,6 +149,7 @@ class ForestPoset:
             for a, b in itertools.combinations(sorted(anc), 2):
                 if (a, b) not in self.pairs and (b, a) not in self.pairs:
                     raise ValueError(f"ancestors of {j} are not totally ordered")
+        return self
 
     @classmethod
     def of(cls, n, pairs):
@@ -234,13 +234,10 @@ def blocks_as_pairs(blocks, n):
     return tuple(tuple(pairs[k] for k in block) for block in blocks)
 
 
-@dataclass(frozen=True)
-class ForestComplex:
+class ForestComplex(collections.namedtuple("ForestComplex", "n complex labelling")):
     """The forest diagonal complex with its universal labelling."""
 
-    n: int
-    complex: DiagonalComplex
-    labelling: Labelling
+    __slots__ = ()
 
     def simplex_of_poset(self, poset):
         index = x_n_index(self.n)
@@ -319,8 +316,8 @@ def _decode(word, n):
 
     Each step hangs the largest remaining leaf below a vertex still present,
     so the parent map is in range and acyclic by construction.  The forest is
-    built as the frozen dataclass's ``__init__`` builds it, without
-    ``__post_init__`` proving that again.
+    built as the named tuple's own ``__new__`` builds it, without the checks
+    of ``PlantedForest.__new__`` proving that again.
     """
     degree = [1] * (n + 1)
     for s in word:
@@ -342,10 +339,7 @@ def _decode(word, n):
                 largest -= 1
             leaf = largest
     # the last leaf is a root: its parent stays 0
-    forest = object.__new__(PlantedForest)
-    object.__setattr__(forest, "n", n)
-    object.__setattr__(forest, "parent", tuple(parent[1:]))
-    return forest
+    return tuple.__new__(PlantedForest, (n, tuple(parent[1:])))
 
 
 def enumerate_forests(n, include_empty=False):
@@ -365,21 +359,19 @@ def enumerate_forests(n, include_empty=False):
 # -- symmetric-group orbits ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class ColoredForest:
-    forest: PlantedForest
-    colors: tuple
+class ColoredForest(collections.namedtuple("ColoredForest", "forest colors")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, forest, colors):
+        self = super().__new__(cls, forest, colors)
         if len(self.colors) != self.forest.n:
             raise ValueError("colors must cover the vertex set")
+        return self
 
 
-@dataclass(frozen=True)
-class OrbitRow:
-    representative: ColoredForest
-    orbit_size: int
-    stabilizer: tuple  # the colour-preserving permutations fixing the representative
+class OrbitRow(collections.namedtuple("OrbitRow", "representative orbit_size stabilizer")):
+    # stabilizer: the colour-preserving permutations fixing the representative
+    __slots__ = ()
 
     @property
     def stabilizer_order(self):
@@ -446,21 +438,14 @@ def orbit_decomposition(n, multiplicities):
     return rows
 
 
-@dataclass(frozen=True)
-class DecompositionRow:
-    representative: ColoredForest
-    aut_order: int
-    edge_count: int
-    exponents: tuple
-    module: "series.GradedModuleSeries"
-    sign_twist: bool
+class DecompositionRow(
+    collections.namedtuple("DecompositionRow", "representative aut_order edge_count exponents module sign_twist")
+):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    n: int
-    multiplicities: tuple
-    rows: tuple
+class DecompositionReport(collections.namedtuple("DecompositionReport", "n multiplicities rows")):
+    __slots__ = ()
 
     def _per_module(self, method):
         """``method`` of each distinct module, by exponent vector: rows with one vector share one."""

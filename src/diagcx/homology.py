@@ -9,9 +9,9 @@ verifies the homology splitting of circle-coefficient complex products
 without assuming it.
 """
 
+import collections
 import heapq
 import itertools
-from dataclasses import dataclass
 
 HOMOLOGY_JSON_SCHEMA = {
     "type": "array",
@@ -118,8 +118,8 @@ def integer_rank(rows):
     """Rank of an integer matrix of sparse rows: its number of invariant factors."""
     return len(smith_normal_form(rows))
 
-@dataclass(frozen=True)
-class SimplicialComplexData:
+
+class SimplicialComplexData(collections.namedtuple("SimplicialComplexData", "faces")):
     """A finite abstract simplicial complex, downward closed.
 
     A face is the strictly increasing tuple of its vertices.  Only the
@@ -127,15 +127,17 @@ class SimplicialComplexData:
     nonempty subset of a face is then a face.
     """
 
-    faces: frozenset
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, faces):
+        self = super().__new__(cls, faces)
         for face in self.faces:
             if not face or any(a >= b for a, b in zip(face, face[1:])):
                 raise ValueError(f"a face is a nonempty increasing tuple of vertices, not {face}")
             for facet in itertools.combinations(face, len(face) - 1):
                 if facet and facet not in self.faces:
                     raise ValueError(f"missing face {facet}")
+        return self
 
     @classmethod
     def from_maximal(cls, maximal_faces):

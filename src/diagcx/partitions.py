@@ -9,7 +9,7 @@ absorbs everything outside the common support; :func:`meet_masks` does
 this on blocks stored as bitmasks.
 """
 
-from dataclasses import dataclass
+import collections
 
 
 class EmptyMeet:
@@ -36,8 +36,7 @@ PARTITION_JSON_SCHEMA = {
 }
 
 
-@dataclass(frozen=True)
-class PartialPartition:
+class PartialPartition(collections.namedtuple("PartialPartition", "ground_size blocks")):
     """A partial partition in canonical form.
 
     Blocks are stored as tuples of sorted ints, ordered by least element.
@@ -45,10 +44,10 @@ class PartialPartition:
     constructor insists on the canonical form.
     """
 
-    ground_size: int
-    blocks: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, ground_size, blocks):
+        self = super().__new__(cls, ground_size, blocks)
         if self.ground_size < 0:
             raise ValueError("ground_size must be nonnegative")
         seen = set()
@@ -65,6 +64,7 @@ class PartialPartition:
                 seen.add(x)
         if list(self.blocks) != sorted(self.blocks, key=lambda b: b[0]):
             raise ValueError("blocks must be ordered by least element")
+        return self
 
     @classmethod
     def of(cls, ground_size, blocks):

@@ -2,11 +2,11 @@
 
 Elements of a free product of finite groups are alternating words of
 (factor, element) letters.  A partial conjugation sends every letter of
-one factor to its conjugate by a fixed letter of another factor and is
-determined by its letter images; compositions of such maps are handled
-the same way, so relations can be checked by honest evaluation instead
-of symbol pushing.  The literal pairwise-commutator checks are relations
-too, commutators of two pair letters checked like any other.
+one factor to its conjugate by a fixed letter of another factor, so a
+composite of such maps conjugates each factor by one word; relations are
+checked by honest evaluation of those words instead of symbol pushing.
+The literal pairwise-commutator checks are relations too, commutators of
+two pair letters checked like any other.
 
 Conventions: g^h = h^-1 g h, [a, b] = a^-1 b^-1 a b, and juxtaposition
 composes left to right (apply the left factor first).  The pair
@@ -14,10 +14,8 @@ generator with base i, target j and element g acts as the partial
 conjugation of factor j by g^-1.
 """
 
-from __future__ import annotations
-
+import collections
 import itertools
-from dataclasses import dataclass
 
 from .forests import blocks_as_pairs, build_gamma_Fn, x_n_pairs
 
@@ -89,86 +87,6 @@ def apply_partial_conjugation(groups, target, conjugator, word):
     return normal_form(groups, out)
 
 
-class Automorphism:
-    """A letter-map automorphism of the free product.
-
-    Stores the normalised image of every nonidentity letter; composition
-    and application are letterwise substitution followed by reduction.
-    """
-
-    def __init__(self, groups, images):
-        self.groups = groups
-        self.images = images
-
-    @classmethod
-    def identity(cls, groups):
-        images = {}
-        for f, group in enumerate(groups, start=1):
-            for e in group.nonidentity():
-                images[(f, e)] = ((f, e),)
-        return cls(groups, images)
-
-    @classmethod
-    def partial_conjugation(cls, groups, target, conjugator):
-        base = cls.identity(groups)
-        images = {
-            letter: apply_partial_conjugation(groups, target, conjugator, image)
-            for letter, image in base.images.items()
-        }
-        return cls(groups, images)
-
-    @classmethod
-    def factor_automorphism(cls, groups, factor, mapping):
-        """Apply a permutation of one factor's elements letterwise.
-
-        ``mapping`` must be a bijection on element indices fixing 0 and
-        respecting the multiplication table.
-        """
-        group = groups[factor - 1]
-        if sorted(mapping) != list(group.elements()) or mapping[0] != 0:
-            raise ValueError("mapping must be a bijection fixing the identity")
-        for a in group.elements():
-            for b in group.elements():
-                if mapping[group.mul(a, b)] != group.mul(mapping[a], mapping[b]):
-                    raise ValueError("mapping is not a homomorphism")
-        images = {}
-        for f, g in enumerate(groups, start=1):
-            for e in g.nonidentity():
-                images[(f, e)] = ((f, mapping[e]) if f == factor else (f, e),)
-        return cls(groups, images)
-
-    def apply(self, word):
-        out = []
-        for letter in normal_form(self.groups, word):
-            out.extend(self.images[letter])
-        return normal_form(self.groups, out)
-
-    def then(self, other):
-        """Left-to-right composite: self first, then other."""
-        return Automorphism(
-            self.groups, {letter: other.apply(image) for letter, image in self.images.items()}
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, Automorphism):
-            return NotImplemented
-        return self.images == other.images
-
-    def moved_letter(self):
-        """The first letter whose image is not itself, as a one-letter word, or None.
-
-        ``apply`` substitutes letter images and reduces, so an automorphism
-        fixing every letter sends every word to its normal form.  Every
-        constructor keeps the (factor, element) order of ``identity``, the
-        order of the single letters that open ``probe_words``: the result
-        is the first probe word the automorphism moves.
-        """
-        return next(((letter,) for letter, image in self.images.items() if image != (letter,)), None)
-
-    def is_identity(self):
-        return self.moved_letter() is None
-
-
 def probe_words(groups):
     """Single letters plus all alternating words of length 2 and 3."""
     letters = [(f, e) for f, g in enumerate(groups, start=1) for e in g.nonidentity()]
@@ -185,8 +103,7 @@ def probe_words(groups):
 # -- presentations --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(collections.namedtuple("Relation", "kind word source", defaults=("",))):
     """A relator: the product of the letters must be trivial.
 
     Letters are (base simplex, element); the base simplex is a tuple of
@@ -194,15 +111,12 @@ class Relation:
     factor i.  Inverse letters use the inverse element.
     """
 
-    kind: str
-    word: tuple
-    source: str = ""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Presentation:
-    generators: tuple  # (pairs, element) with element nonidentity in the base factor
-    relations: tuple
+class Presentation(collections.namedtuple("Presentation", "generators relations")):
+    # generators: (pairs, element) with element nonidentity in the base factor
+    __slots__ = ()
 
     def generator_names(self):
         return [generator_name(g) for g in self.generators]
@@ -338,16 +252,12 @@ def dc_presentation(complex_, labelling, groups):
 # -- verification ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RelationCheck:
-    relation: Relation
-    passed: bool
-    witness: tuple | None = None
+class RelationCheck(collections.namedtuple("RelationCheck", "relation passed witness", defaults=(None,))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple
+class VerificationReport(collections.namedtuple("VerificationReport", "checks")):
+    __slots__ = ()
 
     @property
     def all_passed(self):
@@ -373,28 +283,37 @@ def partial_conjugations(groups, relation):
                 yield j, (i, groups[i - 1].inv(element))
 
 
-def relation_automorphism(groups, relation):
-    """The composite of a relation's letters, one partial conjugation at a time."""
-    images = Automorphism.identity(groups).images
-    for j, conj in partial_conjugations(groups, relation):
-        images = {x: apply_partial_conjugation(groups, j, conj, w) for x, w in images.items()}
-    return Automorphism(groups, images)
-
-
 def verify_relations(presentation, groups):
     """Evaluate every relation as a composite of partial conjugations.
 
-    A relation passes when its composite fixes every letter, and so every
-    word; a failure's witness is the first moved letter (see
-    ``Automorphism.moved_letter``).  Letters must already be pair-based;
-    use forest_dc_presentation for the general presentation on a forest
-    complex.
+    Each partial conjugation sends every factor onto a conjugate of
+    itself, so a composite sends each letter x of factor f to w_f^-1 x w_f
+    for one conjugating word w_f per factor.  A step that conjugates
+    factor t by the letter c sends every w_f to its image under the step,
+    and then w_t to c w_t.  A relation passes when each w_f commutes with
+    every letter of its factor, so that the composite fixes every letter
+    and every word.  A failure's witness is the first moved letter, as a
+    one-letter word, in (factor, element) order.  Letters must already be
+    pair-based; use forest_dc_presentation for the general presentation
+    on a forest complex.
     """
+    letters = [(f, e) for f, group in enumerate(groups, start=1) for e in group.nonidentity()]
     checks = []
     for relation in presentation.relations:
-        witness = relation_automorphism(groups, relation).moved_letter()
+        words = [()] * len(groups)
+        for t, c in partial_conjugations(groups, relation):
+            words = [apply_partial_conjugation(groups, t, c, w) if w else w for w in words]
+            words[t - 1] = normal_form(groups, (c,) + words[t - 1])
+        moved = (x for x in letters if words[x[0] - 1] and _conjugate(groups, x, words[x[0] - 1]) != (x,))
+        witness = next(((x,) for x in moved), None)
         checks.append(RelationCheck(relation, witness is None, witness))
     return VerificationReport(tuple(checks))
+
+
+def _conjugate(groups, letter, word):
+    """The normal form of word^-1 letter word."""
+    inverse = tuple((f, groups[f - 1].inv(e)) for f, e in reversed(word))
+    return normal_form(groups, inverse + (letter,) + word)
 
 
 def translate_indexed_presentation(presentation, n):

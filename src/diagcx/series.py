@@ -16,11 +16,11 @@ polynomial and adding the unit gives the homology series of the complex
 product.
 """
 
+import collections
 import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 SERIES_JSON_SCHEMA = {
     "type": "array",
@@ -86,8 +86,7 @@ def _is_prime(p):
     )
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(collections.namedtuple("AbelianGroup", "free_rank torsion", defaults=((),))):
     """A finitely generated abelian group: free rank plus prime-power torsion.
 
     Torsion is a tuple of ((prime, exponent), count) entries, one per
@@ -101,10 +100,10 @@ class AbelianGroup:
     Z + (Z/2)^3 + Z/4
     """
 
-    free_rank: int
-    torsion: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, free_rank, torsion=()):
+        self = super().__new__(cls, free_rank, torsion)
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
         try:  # an entry that does not unpack as ((p, e), count) raises here
@@ -116,6 +115,7 @@ class AbelianGroup:
             raise ValueError("torsion entries must be ((p, e), count) with p >= 2, e >= 1, count >= 1")
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValueError("torsion keys must be strictly increasing")
+        return self
 
     @classmethod
     def zero(cls):
@@ -167,8 +167,7 @@ class AbelianGroup:
 FREE = (0, 0)
 
 
-@dataclass(frozen=True)
-class GradedModuleSeries:
+class GradedModuleSeries(collections.namedtuple("GradedModuleSeries", "truncation terms")):
     """A power series truncated at a fixed degree with abelian group coefficients.
 
     ``terms`` is a sorted tuple of (kind, counts) pairs, one per summand
@@ -184,15 +183,16 @@ class GradedModuleSeries:
     1 + ((Z/3)^2 + (Z/4)^2) t + (Z/3 + Z/4) t^2 + ((Z/3)^3 + (Z/4)^3) t^3
     """
 
-    truncation: int
-    terms: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, truncation, terms):
+        self = super().__new__(cls, truncation, terms)
         kinds = [kind for kind, _ in self.terms]
         if any(a >= b for a, b in zip(kinds, kinds[1:])):
             raise ValueError("summand kinds must be strictly increasing")
         if any(len(c) != self.truncation + 1 or not any(c) or min(c) < 0 for _, c in self.terms):
             raise ValueError("each kind needs truncation + 1 nonnegative counts, not all zero")
+        return self
 
     @classmethod
     def _of_table(cls, truncation, table):
@@ -321,12 +321,11 @@ def cyclic_classifying_series(m, truncation):
 # -- monomial-count tables ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class MultiPoly:
+class MultiPoly(collections.namedtuple("MultiPoly", "variables terms")):
     """The terms of an integer polynomial in a fixed ordered tuple of variables."""
 
-    variables: tuple
-    terms: tuple  # sorted tuple of (exponent-vector, coefficient), no zero coefficients
+    # terms: sorted tuple of (exponent-vector, coefficient), no zero coefficients
+    __slots__ = ()
 
     @classmethod
     def of(cls, variables, term_map):

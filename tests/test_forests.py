@@ -21,7 +21,26 @@ from diagcx.forests import (
     x_n_pairs,
 )
 from conftest import term_product
-from diagcx.series import GradedModuleSeries, circle_series, cyclic_classifying_series
+from diagcx.partitions import PartialPartition
+from diagcx.series import AbelianGroup, GradedModuleSeries, circle_series, cyclic_classifying_series
+
+
+@pytest.mark.parametrize(
+    "record,field",
+    [
+        (PlantedForest(3, (0, 1, 1)), "parent"),
+        (PartialPartition(3, ((0, 1), (2,))), "blocks"),
+        (AbelianGroup(1, (((2, 1), 3),)), "free_rank"),
+        (GradedModuleSeries(1, (((0, 0), (1, 0)),)), "truncation"),
+    ],
+    ids=["PlantedForest", "PartialPartition", "AbelianGroup", "GradedModuleSeries"],
+)
+def test_records_are_immutable(record, field):
+    # a field can be neither reassigned nor shadowed by an instance attribute
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.extra = None
 
 
 def brute_force_forests(n):
@@ -294,11 +313,11 @@ def test_enumeration_matches_brute_force(n):
 
 
 @pytest.fixture
-def post_init_calls(monkeypatch):
+def decode_calls(monkeypatch):
     """The word of every forest decoded while the test runs.
 
-    Decoded forests skip ``PlantedForest.__post_init__``, so this counts
-    calls of the one decoder that both ``prufer_decode`` and
+    Decoded forests skip the checks of the ``PlantedForest`` constructor, so
+    this counts calls of the one decoder that both ``prufer_decode`` and
     ``enumerate_forests`` construct through.
     """
     calls = []
@@ -312,18 +331,18 @@ def post_init_calls(monkeypatch):
     return calls
 
 
-def test_enumeration_builds_each_forest_once(post_init_calls):
+def test_enumeration_builds_each_forest_once(decode_calls):
     # 6^4 = 1296 words at n=5, less the empty one; each forest is decoded once
     count = sum(1 for _ in enumerate_forests(5))
     assert count == 1295
-    assert len(post_init_calls) == 1295
+    assert len(decode_calls) == 1295
 
 
-def test_enumeration_is_lazy(post_init_calls):
+def test_enumeration_is_lazy(decode_calls):
     # 9^7 = 4782969 words at n=8; taking three forests must build only three
     first = list(itertools.islice(enumerate_forests(8), 3))
     assert len(first) == 3
-    assert len(post_init_calls) == 3
+    assert len(decode_calls) == 3
 
 
 def quadratic_decode(word):
@@ -352,7 +371,7 @@ def test_prufer_decode_matches_quadratic_reference(n):
 @pytest.mark.parametrize("include_empty", [False, True])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_decoded_forests_pass_the_public_checks(n, include_empty):
-    # decoding builds forests without PlantedForest.__post_init__; the public constructor re-checks each
+    # decoding builds forests without the checking PlantedForest constructor, which re-checks each here
     words = list(itertools.product(range(n + 1), repeat=n - 1))[0 if include_empty else 1 :]
     decoded = list(enumerate_forests(n, include_empty))
     assert len(decoded) == len(words)

@@ -8,7 +8,6 @@ import pytest
 
 from diagcx.groups import FiniteGroup, group_from_descriptor
 from diagcx.present import (
-    Automorphism,
     Presentation,
     Relation,
     apply_partial_conjugation,
@@ -22,6 +21,7 @@ from diagcx.present import (
     probe_words,
     verify_relations,
 )
+from present_oracle import Automorphism, relation_automorphism
 
 Z2 = FiniteGroup.cyclic(2)
 Z3 = FiniteGroup.cyclic(3)
@@ -441,6 +441,31 @@ def test_letter_images_match_probe_words_on_corrupted_relations():
             assert (check.passed, check.witness) == (witness is None, witness), check.relation
             failing += witness is not None
     assert failing >= 300
+
+
+@pytest.mark.parametrize(
+    "factors,failing",
+    [
+        ("S3,Q8", 70),
+        ("Z/4,Z/2xZ/3", 30),
+        ("D4,Z/1", 0),
+        ("Q8,Z/1,S3", 70),
+        ("D4,Z/4,Z/2xZ/3", 426),
+        ("S3,Z/6,Z/2xZ/3", 450),
+        ("S3,Z/4,Q8,Z/1", 426),
+        ("Z/1,Z/2xZ/3,Z/1,D4", 70),
+    ],
+)
+def test_conjugating_words_match_letter_images(factors, failing):
+    # the relations of both presentations hold; the literal checks fail where their indices overlap
+    groups = [group_from_descriptor(name) for name in factors.split(",")]
+    n = len(groups)
+    relations = fr_presentation(n, groups).relations + forest_dc_presentation(n, groups).relations
+    checks = verify_relations(Presentation((), relations), groups).checks + literal_pairwise_commutator_checks(groups)
+    for check in checks:
+        witness = relation_automorphism(groups, check.relation).moved_letter()
+        assert (check.passed, check.witness) == (witness is None, witness), check.relation
+    assert sum(not check.passed for check in checks) == failing
 
 
 def test_literal_count_is_the_partial_conjugations_the_checks_compose():
