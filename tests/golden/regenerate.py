@@ -56,10 +56,13 @@ COMMANDS = [
     ["orbits", "--n", "3", "--colors", "2,1"],
     ["orbits", "--n", "4", "--colors", "2,2"],
     ["orbits", "--n", "6", "--colors", "3,2,1"],
+    # a header with no rows under it
+    ["orbits", "--n", "1", "--colors", "1"],
     ["decomposition", "--n", "3", "--colors", "2,1", "--factors", "Z/2,circle"],
     ["decomposition", "--n", "4", "--colors", "1,3", "--factors", "Z/6,Z/4", "--truncate", "6"],
     ["decomposition", "--n", "4", "--colors", "2,1,1", "--factors", "Z/4,Z/8,Z/12", "--truncate", "9"],
     ["decomposition", "--n", "5", "--colors", "1,1,1,1,1", "--factors", "circle,Z/2,Z/3,Z/4,Z/6"],
+    ["decomposition", "--n", "1", "--colors", "1", "--factors", "circle"],
     ["homology", "torus", "--n", "3"],
     ["homology", "torus", "--n", "3", "--dump", "model"],
     ["homology", "nerve", "--group", "V4", "--family", "klein", "--max-degree", "1"],
@@ -114,6 +117,8 @@ EDGES = [
     # relation checks whose failures name witnesses in non-abelian factors, so the witness order is pinned
     ["present", "verify", "--n", "4", "--factors", "Q8,Z/1,S3,Z/2", "--literal-rel3"],
     ["--format", "json", "present", "verify", "--n", "3", "--factors", "D4,Z/3,Q8", "--dc", "--literal-rel3"],
+    # one colour per vertex: every orbit is a single forest
+    ["--format", "json", "orbits", "--n", "4", "--colors", "1,1,1,1"],
 ]
 
 ARGVS = [argv for command in COMMANDS for argv in (command, ["--format", "json"] + command)] + EDGES
