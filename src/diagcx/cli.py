@@ -37,7 +37,6 @@ PRODUCT_GUARD = 3_000_000  # coefficient pairs in series products; near it circl
 SUMMAND_GUARD = 10_000_000  # strings in a JSON torsion list; 6M took 500 MiB
 CACTUS_CELL_GUARD = 4_000_000  # coordinate matrix cells; a 2000-vertex path takes 0.8 s as text, 1.0 s and 110 MiB as JSON
 
-BATCH = 512  # listing items per written chunk, so a listing's memory does not follow its length
 SEPARATORS = (",", ":")
 
 
@@ -85,61 +84,54 @@ def _parse_int_list(text):
     return [int(part) for part in text.split(",") if part.strip() != ""]
 
 
-def _batches(items):
-    """Lists of BATCH items, in order, until ``items`` runs out."""
-    items = iter(items)
-    return iter(lambda: list(itertools.islice(items, BATCH)), [])
-
-
-def _joined(sep, chunks):
-    """The iterator ``chunks`` with ``sep`` between its chunks, each as it comes."""
-    yield next(chunks, "")
-    for chunk in chunks:
-        yield sep
-        yield chunk
-
-
-def _text_lines(lines):
-    """The chunks of ``"\\n".join(lines)``, one batch of lines to a chunk."""
-    return _joined("\n", map("\n".join, _batches(lines)))
+def _parent_letters(n):
+    """The text of each parent in a forest's JSON list, indexed by parent: "-1" for a root, then 1..n."""
+    return ["-1"] + [str(v) for v in range(1, n + 1)]
 
 
 def _json_list(head, items, tail):
-    """The chunks of ``head``, the JSON list of ``items`` and ``tail``, one batch of items to a chunk.
-
-    Each batch is encoded by ``json.dumps``, as the whole document would be, without its brackets.
-    """
-    encoded = (json.dumps(batch, sort_keys=True, separators=SEPARATORS)[1:-1] for batch in _batches(items))
-    yield head + "["
-    yield from _joined(",", encoded)
+    """The pieces of ``head``, the JSON list of the encoded ``items`` and ``tail``, one item to a piece."""
+    items = iter(items)
+    yield head + "[" + next(items, "")
+    for item in items:
+        yield "," + item
     yield "]" + tail
 
 
-def _emit(args, text, payload):
-    """Write what text() returns, or under --format json what payload() returns.
+def _open_output(path):
+    """Open a file the CLI writes; a relative ``path`` is taken in DIAGCX_OUTPUT_DIR when that is set."""
+    return open(os.path.join(os.environ.get("DIAGCX_OUTPUT_DIR", ""), path), "w", encoding="utf-8")
 
-    A string, or a dict as a sorted-keys JSON document, is written whole; any
-    other result is an iterable of string chunks, written as they are built.
-    text() or payload() and the first chunk run before the output is opened, so
-    a check in them refuses with nothing written.  A newline ends the output.
+
+def _emit(args, text, payload):
+    """Write the lines text() returns, or under --format json what payload() returns.
+
+    text() returns a string or an iterable of lines; payload() returns a dict,
+    written as a sorted-keys JSON document, or an iterable of the document's
+    pieces.  Each line or piece goes to the output's own buffer as it is built,
+    so a listing's memory does not follow its length.  text() or payload() and
+    the first line or piece run before the output is opened, so a check in them
+    refuses with nothing written.  A newline ends the output.
     """
     out = payload() if args.format == "json" else text()
     if isinstance(out, dict):
         out = json.dumps(out, sort_keys=True, separators=SEPARATORS)
-    chunks = iter((out,) if isinstance(out, str) else out)
-    last = next(chunks, "")
-    path = getattr(args, "output", None)
-    if path:
-        directory = os.environ.get("DIAGCX_OUTPUT_DIR")
-        if directory and not os.path.isabs(path):
-            path = os.path.join(directory, path)
-    with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as handle:
-        handle.write(last)
-        for chunk in chunks:
-            handle.write(chunk)
-            last = chunk or last
-        if not last.endswith("\n"):
+    pieces = iter((out,) if isinstance(out, str) else out)
+    first = next(pieces, "")
+    sep = "" if args.format == "json" else "\n"
+    with _open_output(args.output) if args.output else contextlib.nullcontext(sys.stdout) as handle:
+        # under PYTHONUNBUFFERED stdout writes through, a system call per line, until its buffer is turned on
+        write_through = getattr(handle, "write_through", False)
+        if write_through:
+            handle.reconfigure(write_through=False)
+        try:
+            handle.write(first)
+            for piece in pieces:
+                handle.write(sep + piece)
             handle.write("\n")
+        finally:
+            if write_through:
+                handle.reconfigure(write_through=True)  # which flushes the buffer
 
 
 # -- command implementations -------------------------------------------------
@@ -154,12 +146,9 @@ def cmd_forests_enumerate(args):
         count = sum(1 for _ in items)
         _emit(args, lambda: str(count), lambda: {"n": args.n, "count": count})
         return
-    letters = ["-1"] + [str(v) for v in range(1, args.n + 1)]  # the text of each parent, as in to_json
-    _emit(
-        args,
-        lambda: _text_lines(",".join([letters[p] for p in f.parent]) for f in items),
-        lambda: _json_list('{"forests":', (f.to_json() for f in items), f',"n":{args.n}}}'),
-    )
+    letters = _parent_letters(args.n)
+    lines = (",".join([letters[p] for p in f.parent]) for f in items)
+    _emit(args, lambda: lines, lambda: _json_list('{"forests":', (f"[{line}]" for line in lines), f',"n":{args.n}}}'))
 
 
 def _load_complex(args, limit, what):
@@ -190,7 +179,7 @@ def cmd_complex_verify(args):
         status = "pass" if check.passed else f"FAIL ({check.witness})"
         lines.append(f"axiom {check.axiom}: {status}")
     lines.append(f"proper: {'yes' if proper else 'no'}")
-    _emit(args, lambda: "\n".join(lines), lambda: {
+    _emit(args, lambda: lines, lambda: {
         "simplices": len(complex_.gamma),
         "axioms": [
             {"axiom": c.axiom, "passed": c.passed, "witness": c.witness}
@@ -214,7 +203,7 @@ def cmd_complex_objects(args):
 
     _emit(
         args,
-        lambda: "\n".join([f"objects: {len(objects)}"] + [show(part) for part in objects]),
+        lambda: itertools.chain([f"objects: {len(objects)}"], map(show, objects)),
         lambda: {"count": len(objects), "objects": [part.to_json() for part in objects]},
     )
 
@@ -295,7 +284,7 @@ def cmd_present_fr(args):
     groups = _parse_factor_groups(args, args.n)
     pres = present.fr_presentation(args.n, groups)
     header = [f"generators: {len(pres.generators)}", f"relations: {len(pres.relations)}"]
-    _emit(args, lambda: "\n".join(header + pres.generator_names()), pres.to_json)
+    _emit(args, lambda: header + pres.generator_names(), pres.to_json)
 
 
 def cmd_present_export(args):
@@ -304,7 +293,7 @@ def cmd_present_export(args):
     groups = _parse_factor_groups(args, args.n)
     pres = present.fr_presentation(args.n, groups)
     text = present.export_gap(pres)
-    _emit(args, lambda: text, lambda: {"gap": text})
+    _emit(args, text.splitlines, lambda: {"gap": text})
 
 
 def cmd_present_verify(args):
@@ -329,17 +318,15 @@ def cmd_present_verify(args):
     literal = present.literal_pairwise_commutator_checks(groups) if args.literal_rel3 else []
 
     def text():
-        lines = []
         for check in report.checks:
             status = "PASS" if check.passed else f"FAIL witness={check.witness}"
-            lines.append(f"{check.relation.kind} [{check.relation.source}]: {status}")
-        lines.append(f"all passed: {'yes' if report.all_passed else 'no'}")
+            yield f"{check.relation.kind} [{check.relation.source}]: {status}"
+        yield f"all passed: {'yes' if report.all_passed else 'no'}"
         if args.literal_rel3:
-            lines.append("literal pairwise commutators (no side conditions):")
+            yield "literal pairwise commutators (no side conditions):"
         for check in literal:
             status = "PASS" if check.passed else f"FAIL witness={check.witness}"
-            lines.append(f"  {check.relation.source}: {status}")
-        return "\n".join(lines)
+            yield f"  {check.relation.source}: {status}"
 
     _emit(args, text, lambda: {
         "all_passed": report.all_passed,
@@ -357,29 +344,29 @@ def cmd_present_verify(args):
     })
 
 
+def _colored_forest(letters, representative):
+    """The parents, spelt as in the forest's JSON list, and the colours of a representative, comma-separated."""
+    forest = ",".join([letters[p] for p in representative.forest.parent])
+    return forest, ",".join(map(str, representative.colors))
+
+
 def cmd_orbits(args):
     from .forests import orbit_decomposition
 
     _check_n_guard(args, ORBIT_GUARD, "orbit enumeration")
     multiplicities = _parse_int_list(args.colors)
     rows = orbit_decomposition(args.n, multiplicities)
-    lines = (
-        f"{','.join(map(str, row.representative.forest.to_json()))} "
-        f"orbit={row.orbit_size} aut={row.stabilizer_order}"
-        for row in rows
-    )
+    letters = _parent_letters(args.n)
+    spelt = ((row, *_colored_forest(letters, row.representative)) for row in rows)
+    lines = (f"{forest} orbit={row.orbit_size} aut={row.stabilizer_order}" for row, forest, _ in spelt)
     items = (
-        {
-            "forest": row.representative.forest.to_json(),
-            "colors": list(row.representative.colors),
-            "orbit_size": row.orbit_size,
-            "stabilizer_order": row.stabilizer_order,
-        }
-        for row in rows
+        f'{{"colors":[{colors}],"forest":[{forest}],'
+        f'"orbit_size":{row.orbit_size},"stabilizer_order":{row.stabilizer_order}}}'
+        for row, forest, colors in spelt
     )
     _emit(
         args,
-        lambda: _text_lines(itertools.chain([f"orbits: {len(rows)}"], lines)),
+        lambda: itertools.chain([f"orbits: {len(rows)}"], lines),
         lambda: _json_list('{"orbits":', items, "}"),
     )
 
@@ -396,15 +383,39 @@ def cmd_decomposition(args):
     # so over k variables there are at most C(n-1+k, k) - 1 of them
     _check_products(args, math.comb(args.n - 1 + len(factors), len(factors)) - 1)
     base = [_series_factor(f, args.truncate) for f in factors]
-    report = decomposition_report(args.n, multiplicities, base)
+    rows = decomposition_report(args.n, multiplicities, base)
+    letters = _parent_letters(args.n)
+
+    def spelt(spell_module):
+        """Each row with its forest, colours and module spelt; rows with one exponent vector share one module."""
+        modules = {row.exponents: row.module for row in rows}
+        modules = {vector: spell_module(module) for vector, module in modules.items()}
+        return ((row, *_colored_forest(letters, row.representative), modules[row.exponents]) for row in rows)
+
+    def text():
+        header = f"{'forest':<20} {'colors':<12} {'|Aut|':>5} {'edges':>5} {'sign':>5}  module"
+        lines = (
+            f"{forest:<20} {colors:<12} {row.aut_order:>5} {row.edge_count:>5} "
+            f"{'yes' if row.sign_twist else 'no':>5}  {module}"
+            for row, forest, colors, module in spelt(lambda module: module.render())
+        )
+        return itertools.chain([header, "-" * len(header)], lines)
 
     def payload():
-        _check_summands(args, *(row.module for row in report.rows))
+        _check_summands(args, *(row.module for row in rows))
         # keys in sort_keys order, the rows last
         head = '{"multiplicities":' + json.dumps(multiplicities, separators=SEPARATORS) + f',"n":{args.n},"rows":'
-        return _json_list(head, report.to_json(), "}")
+        items = (
+            f'{{"aut_order":{row.aut_order},"colors":[{colors}],"edges":{row.edge_count},'
+            f'"exponents":[{",".join(map(str, row.exponents))}],"forest":[{forest}],"module":{module},'
+            f'"sign_twist":{"true" if row.sign_twist else "false"}}}'
+            for row, forest, colors, module in spelt(
+                lambda module: json.dumps(module.to_json(), sort_keys=True, separators=SEPARATORS)
+            )
+        )
+        return _json_list(head, items, "}")
 
-    _emit(args, lambda: _text_lines(report.render_text()), payload)
+    _emit(args, text, payload)
 
 
 def cmd_homology_torus(args):
@@ -417,7 +428,7 @@ def cmd_homology_torus(args):
     for degree, rows in enumerate(homology.torus_model_matrices(fc.complex), start=1):
         betti.append(homology.integer_rank(rows))  # smith_normal_form copies the rows
         if args.dump:
-            with open(f"{args.dump}.deg{degree}.txt", "w", encoding="utf-8") as handle:
+            with _open_output(f"{args.dump}.deg{degree}.txt") as handle:
                 handle.write(homology.triplet_dump(rows))
     _emit(args, lambda: " ".join(map(str, betti)), lambda: {"betti": betti})
 
@@ -447,7 +458,7 @@ def cmd_homology_nerve(args):
     for degree, (free, torsion) in enumerate(result):
         torsion_text = ",".join(map(str, torsion)) if torsion else "-"
         lines.append(f"H_{degree}: free={free} torsion={torsion_text}")
-    _emit(args, lambda: "\n".join(lines), lambda: {
+    _emit(args, lambda: lines, lambda: {
         "cosets": len(cosets),
         "homology": [{"free": free, "torsion": list(torsion)} for free, torsion in result],
     })

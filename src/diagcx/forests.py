@@ -444,45 +444,8 @@ class DecompositionRow(
     __slots__ = ()
 
 
-class DecompositionReport(collections.namedtuple("DecompositionReport", "n multiplicities rows")):
-    __slots__ = ()
-
-    def _per_module(self, method):
-        """``method`` of each distinct module, by exponent vector: rows with one vector share one."""
-        modules = {row.exponents: row.module for row in self.rows}
-        return {key: method(module) for key, module in modules.items()}
-
-    def to_json(self):
-        """Yield the JSON object of each row: the ``rows`` of DECOMPOSITION_JSON_SCHEMA, in order."""
-        modules = self._per_module(lambda module: module.to_json())
-        for row in self.rows:
-            yield {
-                "forest": row.representative.forest.to_json(),
-                "colors": list(row.representative.colors),
-                "aut_order": row.aut_order,
-                "edges": row.edge_count,
-                "exponents": list(row.exponents),
-                "module": modules[row.exponents],
-                "sign_twist": row.sign_twist,
-            }
-
-    def render_text(self):
-        """Yield the lines of the text table: a header, a rule, then one line per row."""
-        modules = self._per_module(lambda module: module.render())
-        header = f"{'forest':<20} {'colors':<12} {'|Aut|':>5} {'edges':>5} {'sign':>5}  module"
-        yield header
-        yield "-" * len(header)
-        for row in self.rows:
-            forest = ",".join(map(str, row.representative.forest.to_json()))
-            colors = ",".join(map(str, row.representative.colors))
-            yield (
-                f"{forest:<20} {colors:<12} {row.aut_order:>5} {row.edge_count:>5} "
-                f"{'yes' if row.sign_twist else 'no':>5}  {modules[row.exponents]}"
-            )
-
-
 def decomposition_report(n, multiplicities, base_series):
-    """One row per coloured-forest orbit with its coefficient module.
+    """The rows of the decomposition, one per coloured-forest orbit with its coefficient module.
 
     The module of a forest is the product over vertices of the reduced
     series of the vertex's colour, one factor per outgoing edge; each
@@ -515,4 +478,4 @@ def decomposition_report(n, multiplicities, base_series):
                 any(sigma[a] != a or sigma[b] != b for sigma in orbit.stabilizer for a, b in edges),
             )
         )
-    return DecompositionReport(n, tuple(multiplicities), tuple(rows))
+    return tuple(rows)

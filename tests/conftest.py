@@ -1,4 +1,5 @@
 import itertools
+import json
 import signal
 
 import pytest
@@ -24,6 +25,15 @@ def _deadline():
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
+
+
+def canonical_json(text):
+    """The sorted-keys, compact encoding of the JSON document ``text``, ended by a newline.
+
+    Every ``--format json`` output is its own canonical encoding, so rows the
+    CLI spells by hand cannot drift in key order or spacing.
+    """
+    return json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def term_product(truncation, factors, exponents):

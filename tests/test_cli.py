@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -10,6 +11,7 @@ import jsonschema
 import pytest
 
 import diagcx
+from conftest import canonical_json
 from diagcx import cli, groups, homology
 from diagcx.complexes import COMPLEX_JSON_SCHEMA
 from diagcx.forests import (
@@ -53,6 +55,9 @@ def test_golden_cli_corpus(capsys, monkeypatch, tmp_path):
         replay = {"argv": entry["argv"], "exit": code, "stdout": _sha256(out.encode()),
                   "stderr": _sha256(err.encode()), "files": files}
         assert replay == entry
+        if code == 0 and entry["argv"][:2] == ["--format", "json"]:
+            document = out or (directory / "out.txt").read_text(encoding="utf-8")  # the --output entries
+            assert document == canonical_json(document), entry["argv"]
 
 
 def test_wh_free_example(capsys):
@@ -71,14 +76,41 @@ PEAK_RSS = pathlib.Path(__file__).with_name("peak_rss.py")
 SRC_ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(diagcx.__file__))}
 
 
+WIDE_ROWS = ["decomposition", "--n", "6", "--colors", "1,1,1,1,1,1", "--factors", ",".join(["Z/30030"] * 6),
+             "--truncate", "79"]
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is read in KiB, as Linux counts it")
-@pytest.mark.parametrize("format_", ["text", "json"])
-def test_forest_listing_memory_follows_the_work(format_):
-    # 4-5 MB of output; holding the listing and its text took 88.8 MiB as text and 111.2 MiB as JSON
-    argv = ["--format", format_, "forests", "enumerate", "--n", "7"]
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        # 4-5 MB of output; holding the listing and its text took 88.8 MiB as text and 111.2 MiB as JSON
+        pytest.param(["--format", "text", "forests", "enumerate", "--n", "7"], 40, id="text"),
+        pytest.param(["--format", "json", "forests", "enumerate", "--n", "7"], 40, id="json"),
+        # 112 MB in 16806 rows of about 6.7 KB; 512-row chunks took 52.2 MiB, the whole text 258 MiB
+        pytest.param(WIDE_ROWS, 45, id="wide-rows"),
+    ],
+)
+def test_forest_listing_memory_follows_the_work(argv, limit):
     run = subprocess.run([sys.executable, str(PEAK_RSS), *argv], capture_output=True, text=True, env=SRC_ENV)
     assert run.returncode == 0, run.stderr
-    assert float(run.stdout) < 40
+    assert float(run.stdout) < limit
+
+
+def test_unbuffered_stdout_is_written_in_buffer_sized_pieces(capsys, monkeypatch):
+    # python -u makes stdout write through; a listing would make one system call per line
+    class Raw(io.BytesIO):
+        writes = 0
+
+        def write(self, data):
+            Raw.writes += 1
+            return super().write(data)
+
+    stream = io.TextIOWrapper(Raw(), encoding="utf-8", write_through=True)
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert cli.main(["forests", "enumerate", "--n", "5"]) == 0  # 1295 lines, 11.6 KB
+    assert stream.write_through and Raw.writes <= 3
+    assert stream.buffer.getvalue().decode().count("\n") == 1295
 
 
 def test_checks_run_before_the_output_is_opened(tmp_path, capsys, monkeypatch):
@@ -260,6 +292,20 @@ def test_output_file_and_env_dir(tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli(capsys, ["--output", "relative.txt", "series", "wh-free", "--n", "2"])
     assert code == 0
     assert (tmp_path / "relative.txt").read_text() == "1 + 2t, chi = -1\n"
+
+
+def test_dump_files_are_written_in_the_output_dir(tmp_path, capsys, monkeypatch):
+    # --output and --dump follow one path rule: relative paths are taken in DIAGCX_OUTPUT_DIR
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    monkeypatch.setenv("DIAGCX_OUTPUT_DIR", str(tmp_path))
+    code, out, _ = run_cli(capsys, ["--output", "betti.txt", "homology", "torus", "--n", "3", "--dump", "model"])
+    assert (code, out) == (0, "")
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "betti.txt", "cwd", "model.deg1.txt", "model.deg2.txt"
+    ]
+    assert (tmp_path / "betti.txt").read_text() == "1 6 9\n"
+    assert not any((tmp_path / "cwd").iterdir())
 
 
 def test_present_verify_with_literal_flag(capsys):

@@ -12,6 +12,7 @@ import io
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import canonical_json
 from diagcx import cli
 
 BAD_NUMBERS = ["-1", "0", "x", "", "1e3", str(10**40)]
@@ -104,3 +105,5 @@ def test_every_argv_ends_in_a_known_exit_code(argv):
     assert "Traceback" not in err.getvalue()
     if code == 3:
         assert err.getvalue().startswith("resource guard: ")
+    if code == 0 and argv[:2] == ["--format", "json"]:
+        assert out.getvalue() == canonical_json(out.getvalue())

@@ -487,9 +487,9 @@ def test_colored_forest_validation():
 
 
 def test_decomposition_single_color_circle():
-    report = decomposition_report(2, (2,), [circle_series(4)])
-    assert len(report.rows) == 1
-    row = report.rows[0]
+    rows = decomposition_report(2, (2,), [circle_series(4)])
+    assert len(rows) == 1
+    row = rows[0]
     assert row.aut_order == 1
     assert row.edge_count == 1
     # the module is the reduced circle: a single Z in degree 1
@@ -498,8 +498,8 @@ def test_decomposition_single_color_circle():
 
 
 def test_decomposition_cherry_and_chain():
-    report = decomposition_report(3, (3,), [cyclic_classifying_series(2, 6)])
-    by_parent = {tuple(r.representative.forest.to_json()): r for r in report.rows}
+    rows = decomposition_report(3, (3,), [cyclic_classifying_series(2, 6)])
+    by_parent = {tuple(r.representative.forest.to_json()): r for r in rows}
     cherry = by_parent[(-1, 1, 1)]
     assert cherry.aut_order == 2
     assert cherry.sign_twist
@@ -516,16 +516,6 @@ def test_decomposition_input_validation():
         decomposition_report(3, (2, 1), [circle_series(4), circle_series(5)])
 
 
-def test_decomposition_json_and_text():
-    # both yield rows, so the CLI writes them as they come: the JSON object of each row,
-    # and a header and a rule before the text row of each
-    report = decomposition_report(2, (2,), [circle_series(3)])
-    rows = list(report.to_json())
-    assert report.n == 2 and len(rows) == 1 and rows[0]["edges"] == 1
-    lines = list(report.render_text())
-    assert "module" in lines[0] and len(lines) == 3
-
-
 @pytest.mark.parametrize(
     "n, multiplicities, factors",
     [
@@ -538,8 +528,7 @@ def test_decomposition_json_and_text():
 )
 def test_decomposition_modules_match_term_products(n, multiplicities, factors):
     base = [circle_series(5) if f == "circle" else cyclic_classifying_series(int(f[2:]), 5) for f in factors]
-    report = decomposition_report(n, multiplicities, base)
-    for row in report.rows:
+    for row in decomposition_report(n, multiplicities, base):
         forest, colors = row.representative.forest, row.representative.colors
         out_degrees = [0] * len(multiplicities)
         for v in range(1, n + 1):
@@ -553,5 +542,5 @@ def test_decomposition_multiplies_once_per_exponent_vector(monkeypatch):
     mul = GradedModuleSeries.mul
     monkeypatch.setattr(GradedModuleSeries, "mul", lambda a, b: calls.append(1) or mul(a, b))
     base = [cyclic_classifying_series(2, 8), circle_series(8), cyclic_classifying_series(3, 8)]
-    report = decomposition_report(6, (3, 2, 1), base)
-    assert len(calls) <= len({row.exponents for row in report.rows}) == 55
+    rows = decomposition_report(6, (3, 2, 1), base)
+    assert len(calls) <= len({row.exponents for row in rows}) == 55
