@@ -97,7 +97,7 @@ def test_forest_listing_memory_follows_the_work(argv, limit):
     assert float(run.stdout) < limit
 
 
-def test_unbuffered_stdout_is_written_in_buffer_sized_pieces(capsys, monkeypatch):
+def test_unbuffered_stdout_is_written_in_buffer_sized_pieces(monkeypatch):
     # python -u makes stdout write through; a listing would make one system call per line
     class Raw(io.BytesIO):
         writes = 0
@@ -108,7 +108,7 @@ def test_unbuffered_stdout_is_written_in_buffer_sized_pieces(capsys, monkeypatch
 
     stream = io.TextIOWrapper(Raw(), encoding="utf-8", write_through=True)
     monkeypatch.setattr(sys, "stdout", stream)
-    assert cli.main(["forests", "enumerate", "--n", "5"]) == 0  # 1295 lines, 11.6 KB
+    assert cli.main(["forests", "enumerate", "--n", "5"]) == 0  # 1295 lines, 15.1 KB
     assert stream.write_through and Raw.writes <= 3
     assert stream.buffer.getvalue().decode().count("\n") == 1295
 
