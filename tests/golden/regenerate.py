@@ -31,6 +31,11 @@ SEVEN_CIRCLES = ",".join(["circle"] * 7)
 COMMANDS = [
     ["forests", "enumerate", "--n", "3"],
     ["forests", "enumerate", "--n", "4", "--count-only"],
+    # count-only answers from the word count; n=7 is the forest-words benchmark's job
+    ["forests", "enumerate", "--n", "7", "--count-only"],
+    ["forests", "enumerate", "--n", "1", "--count-only"],
+    ["forests", "enumerate", "--n", "1", "--count-only", "--include-empty"],
+    ["forests", "enumerate", "--n", "5", "--count-only", "--include-empty", "--workers", "2"],
     ["forests", "enumerate", "--n", "2", "--include-empty", "--workers", "2"],
     # listings written in several batches, and the empty and one-row listings
     ["forests", "enumerate", "--n", "6"],
@@ -90,6 +95,7 @@ EDGES = [
     ["homology", "nerve", "--group", "Z/2xZ/2xZ/2xZ/2", "--max-degree", "1"],
     ["homology", "nerve", "--group", "Z/1", "--max-degree", "5"],
     ["forests", "enumerate", "--n", "9"],
+    ["forests", "enumerate", "--n", "9", "--count-only"],
     ["forests", "enumerate", "--n", "100"],
     ["orbits", "--n", "7", "--colors", "7"],
     ["complex", "verify", "--n", "7"],
