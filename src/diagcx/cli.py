@@ -138,14 +138,14 @@ def _emit(args, text, payload):
 
 
 def cmd_forests_enumerate(args):
-    from .forests import enumerate_forests
-
     _check_n_guard(args, ENUM_GUARD, "forest enumeration")
-    items = enumerate_forests(args.n, include_empty=args.include_empty)
-    if args.count_only:
-        count = sum(1 for _ in items)
+    if args.count_only:  # one forest per Prüfer word; the first word is the empty forest
+        count = (args.n + 1) ** (args.n - 1) - (not args.include_empty)
         _emit(args, lambda: str(count), lambda: {"n": args.n, "count": count})
         return
+    from .forests import enumerate_forests
+
+    items = enumerate_forests(args.n, include_empty=args.include_empty)
     letters = _parent_letters(args.n)
     lines = (",".join([letters[p] for p in f.parent]) for f in items)
     _emit(args, lambda: lines, lambda: _json_list('{"forests":', (f"[{line}]" for line in lines), f',"n":{args.n}}}'))

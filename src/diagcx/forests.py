@@ -18,8 +18,6 @@ import itertools
 import operator
 
 from . import BUILD_CAP
-from .complexes import DiagonalComplex, Labelling
-from .partitions import PartialPartition
 
 FOREST_JSON_SCHEMA = {
     "type": "array",
@@ -215,6 +213,8 @@ def gamma_forest(poset):
     The block of (i, j) consists of all pairs whose chain out of i starts
     with the same edge; blocks correspond to edges of the forest.
     """
+    from .partitions import PartialPartition
+
     n = poset.n
     index = x_n_index(n)
     forest = forest_from_poset(poset)
@@ -250,6 +250,9 @@ def build_gamma_Fn(n):
     The ground set is X_n under the lexicographic bijection, the label of
     (i, j) is i, and the simplices are the (n+1)^(n-1) - 1 forest posets.
     """
+    from .complexes import DiagonalComplex, Labelling
+    from .partitions import PartialPartition
+
     if not 1 <= n <= BUILD_CAP:
         raise ValueError(f"n must be between 1 and {BUILD_CAP}")
     index = x_n_index(n)
@@ -308,38 +311,42 @@ def prufer_decode(word):
     for s in word:
         if not 0 <= s <= n:
             raise ValueError(f"letter {s} outside alphabet 0..{n}")
-    return _decode(word, n)
+    return next(_decode((word,), n))
 
 
-def _decode(word, n):
-    """The forest of a word of length n-1 over 0..n; the caller checks the letters.
+def _decode(words, n):
+    """The forest of each word of length n-1 over 0..n, as the words are drawn.
 
-    Each step hangs the largest remaining leaf below a vertex still present,
-    so the parent map is in range and acyclic by construction.  The forest is
-    built as the named tuple's own ``__new__`` builds it, without the checks
-    of ``PlantedForest.__new__`` proving that again.
+    The caller checks the letters.  Each step hangs the largest remaining
+    leaf below a vertex still present, so the parent map is in range and
+    acyclic by construction.  Each forest is built as the named tuple's own
+    ``__new__`` builds it, without the checks of ``PlantedForest.__new__``
+    proving that again.
     """
-    degree = [1] * (n + 1)
-    for s in word:
-        degree[s] += 1
-    # the largest leaf only moves down, unless the letter just written becomes a larger leaf
-    largest = n
-    while degree[largest] != 1:
-        largest -= 1
-    leaf = largest
-    parent = [0] * (n + 1)
-    for s in word:
-        parent[leaf] = s
-        degree[s] -= 1
-        if degree[s] == 1 and s > largest:
-            leaf = s
-        else:
+    template = [1] * (n + 1)
+    new = tuple.__new__
+    parent = [0] * n  # every entry is written for each word
+    for word in words:
+        degree = template.copy()
+        for s in word:
+            degree[s] += 1
+        # the largest leaf only moves down, unless the letter just written becomes a larger leaf
+        largest = n
+        while degree[largest] != 1:
             largest -= 1
-            while degree[largest] != 1:
+        leaf = largest
+        for s in word:
+            parent[leaf - 1] = s
+            degree[s] -= 1
+            if degree[s] == 1 and s > largest:
+                leaf = s
+            else:
                 largest -= 1
-            leaf = largest
-    # the last leaf is a root: its parent stays 0
-    return tuple.__new__(PlantedForest, (n, tuple(parent[1:])))
+                while degree[largest] != 1:
+                    largest -= 1
+                leaf = largest
+        parent[leaf - 1] = 0  # the last leaf is a root
+        yield new(PlantedForest, (n, tuple(parent)))
 
 
 def enumerate_forests(n, include_empty=False):
@@ -353,7 +360,7 @@ def enumerate_forests(n, include_empty=False):
     if n < 1:
         raise ValueError("n must be positive")
     words = itertools.product(range(n + 1), repeat=n - 1)
-    return (_decode(word, n) for word in itertools.islice(words, 0 if include_empty else 1, None))
+    return _decode(itertools.islice(words, 0 if include_empty else 1, None), n)
 
 
 # -- symmetric-group orbits ----------------------------------------------

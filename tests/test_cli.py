@@ -72,6 +72,24 @@ def test_forest_count(capsys):
     assert out == "15\n"
 
 
+@pytest.mark.parametrize("include_empty", [False, True])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_count_only_matches_the_listing(capsys, n, include_empty):
+    # --count-only answers from the word count without decoding; the listings decode every word
+    argv = ["forests", "enumerate", "--n", str(n)] + ["--include-empty"] * include_empty
+    counts = []
+    for head in ([], ["--format", "json"]):
+        code, out, _ = run_cli(capsys, head + argv + ["--count-only"])
+        assert code == 0
+        counts.append(json.loads(out)["count"] if head else int(out))
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    listed = len(out.split())  # the empty listing is a lone newline
+    code, out, _ = run_cli(capsys, ["--format", "json"] + argv)
+    assert code == 0
+    assert counts == [listed, listed] == [len(json.loads(out)["forests"])] * 2
+
+
 PEAK_RSS = pathlib.Path(__file__).with_name("peak_rss.py")
 SRC_ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(diagcx.__file__))}
 
@@ -124,22 +142,37 @@ def test_checks_run_before_the_output_is_opened(tmp_path, capsys, monkeypatch):
     assert "torsion summands" in err
 
 
-def test_commands_import_only_the_modules_they_use():
-    # a fresh checkout compiles each module it imports; series and nerve need no forests
+def _modules_loaded(*argvs):
+    """The ``diagcx`` modules one fresh process loads to run the CLI on each argv in turn."""
     script = (
         "import contextlib, io, sys\n"
         "from diagcx import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [cli.main(['series', 'wh-zp', '--n', '3', '--p', '2']),\n"
-        "             cli.main(['homology', 'nerve', '--group', 'S3'])]\n"
+        f"    codes = [cli.main(argv) for argv in {list(argvs)!r}]\n"
         "print(*codes)\n"
         "print(*sorted(name for name in sys.modules if name.startswith('diagcx.')))\n"
     )
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=SRC_ENV)
     assert run.returncode == 0, run.stderr
     codes, loaded = run.stdout.splitlines()
-    assert codes == "0 0"
-    assert not {"diagcx.forests", "diagcx.present", "diagcx.cactus"} & set(loaded.split())
+    assert codes.split() == ["0"] * len(argvs)
+    return set(loaded.split())
+
+
+def test_commands_import_only_the_modules_they_use():
+    # a fresh checkout compiles each module it imports; series and nerve need no forests
+    loaded = _modules_loaded(["series", "wh-zp", "--n", "3", "--p", "2"], ["homology", "nerve", "--group", "S3"])
+    assert not {"diagcx.forests", "diagcx.present", "diagcx.cactus"} & loaded
+    # a count is the number of Prüfer words
+    assert "diagcx.forests" not in _modules_loaded(["forests", "enumerate", "--n", "4", "--count-only"])
+    # listings, orbits and cactus coordinates build no complex
+    loaded = _modules_loaded(
+        ["forests", "enumerate", "--n", "3"],
+        ["orbits", "--n", "3", "--colors", "2,1"],
+        ["cactus", "coords", "--tree", "0,1,1", "--sizes", "2,2,2", "--labels", "0,1,1"],
+    )
+    assert "diagcx.forests" in loaded
+    assert not {"diagcx.complexes", "diagcx.partitions"} & loaded
 
 
 def test_importing_every_module_leaves_out_dataclasses_and_inspect():

@@ -314,21 +314,27 @@ def test_enumeration_matches_brute_force(n):
 
 @pytest.fixture
 def decode_calls(monkeypatch):
-    """The word of every forest decoded while the test runs.
+    """Every word the decoder draws from its iterable while the test runs.
 
     Decoded forests skip the checks of the ``PlantedForest`` constructor, so
-    this counts calls of the one decoder that both ``prufer_decode`` and
+    this counts the words of the one decoder that both ``prufer_decode`` and
     ``enumerate_forests`` construct through.
     """
-    calls = []
+    drawn = []
     decode = forests._decode
 
-    def counting(word, n):
-        calls.append(word)
-        return decode(word, n)
+    def counting(words, n):
+        def tap():
+            for word in words:
+                drawn.append(word)
+                # a decoder that drained n=8's 4782969 words would hold them all; stop it well before
+                assert len(drawn) <= 10_000, "the decoder drew more words than any test here decodes"
+                yield word
+
+        return decode(tap(), n)
 
     monkeypatch.setattr(forests, "_decode", counting)
-    return calls
+    return drawn
 
 
 def test_enumeration_builds_each_forest_once(decode_calls):
