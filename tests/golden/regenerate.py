@@ -96,6 +96,9 @@ EDGES = [
     ["homology", "nerve", "--group", "Z/1", "--max-degree", "5"],
     ["forests", "enumerate", "--n", "9"],
     ["forests", "enumerate", "--n", "9", "--count-only"],
+    # the guard override, past a count-only refusal and past the degree guard
+    ["--unsafe-large", "forests", "enumerate", "--n", "9", "--count-only"],
+    ["--unsafe-large", "series", "fr", "--n", "2", "--factors", "circle,circle", "--truncate", "1001"],
     ["forests", "enumerate", "--n", "100"],
     ["orbits", "--n", "7", "--colors", "7"],
     ["complex", "verify", "--n", "7"],
