@@ -69,6 +69,12 @@ def _check_n_guard(args, limit, what, simplices=False):
     _check_guard(args.n, limit, args.unsafe_large, f"{what} n", show)
 
 
+def _check_digits(args, base, power):
+    """Refuse to print base^(n-1) past DIGITS_GUARD digits, counted in integers so that any n works."""
+    digits = (args.n - 1) * math.floor(math.log10(base) * 10**6) // 10**6 + 1
+    _check_guard(digits, DIGITS_GUARD, args.unsafe_large, f"digits of {power} at n={args.n}")
+
+
 def _series_factor(text, truncation):
     from . import series
 
@@ -138,11 +144,12 @@ def _emit(args, text, payload):
 
 
 def cmd_forests_enumerate(args):
-    _check_n_guard(args, ENUM_GUARD, "forest enumeration")
     if args.count_only:  # one forest per Prüfer word; the first word is the empty forest
+        _check_digits(args, args.n + 1, "(n+1)^(n-1)")
         count = (args.n + 1) ** (args.n - 1) - (not args.include_empty)
         _emit(args, lambda: str(count), lambda: {"n": args.n, "count": count})
         return
+    _check_n_guard(args, ENUM_GUARD, "forest enumeration")
     from .forests import enumerate_forests
 
     items = enumerate_forests(args.n, include_empty=args.include_empty)
@@ -158,8 +165,6 @@ def _load_complex(args, limit, what):
 
         with open(args.file, encoding="utf-8") as handle:
             complex_, labelling = DiagonalComplex.from_json(handle.read())
-        if labelling is None:
-            raise ValueError("complex file carries no labels")
         simplices = (limit + 1) ** (limit - 1) - 1
         _check_guard(len(complex_.gamma), simplices, args.unsafe_large, f"simplex count of {args.file}")
         return complex_, labelling, None
@@ -171,7 +176,7 @@ def _load_complex(args, limit, what):
 
 
 def cmd_complex_verify(args):
-    complex_, labelling, _ = _load_complex(args, BUILD_CAP, "complex construction")
+    complex_, _, _ = _load_complex(args, BUILD_CAP, "complex construction")
     report = complex_.validate()
     proper = complex_.is_proper() if report.ok else False
     lines = [f"simplices: {len(complex_.gamma)}"]
@@ -191,6 +196,8 @@ def cmd_complex_verify(args):
 
 def cmd_complex_objects(args):
     complex_, labelling, fc = _load_complex(args, CLOSURE_GUARD, "meet closure")
+    if labelling is None:
+        raise ValueError("complex file carries no labels")
     objects = complex_.category_objects(labelling)
 
     def show(part):
@@ -244,9 +251,7 @@ def cmd_series_fr(args):
 def cmd_series_wh_free(args):
     from . import series
 
-    # digits of the largest coefficient n^(n-1), in integers so that any n works
-    digits = (args.n - 1) * math.floor(math.log10(args.n) * 10**6) // 10**6 + 1
-    _check_guard(digits, DIGITS_GUARD, args.unsafe_large, f"digits of n^(n-1) at n={args.n}")
+    _check_digits(args, args.n, "n^(n-1)")  # the largest coefficient
     coeffs, chi = series.series_Wh_free(args.n)
     free = series.GradedModuleSeries.of(args.n - 1, map(series.AbelianGroup.free, coeffs))
     _emit(args, lambda: f"{free.render()}, chi = {chi}", lambda: {"coefficients": coeffs, "chi": chi})
@@ -479,99 +484,83 @@ def cmd_cactus_coords(args):
 
 # -- parser -------------------------------------------------------------------
 
+# Each command maps to its function and flags, or to its actions, each with its function and flags.
+# A flag maps its name to its add_argument keywords.
+N = {"--n": {"type": int, "required": True}}
+FACTORS = {"--factors": {"required": True}}
+SWITCH = {"action": "store_true"}
+SOURCE = {"--n": {"type": int}, "--file": {}}  # main asks for one of the two
+
+COMMANDS = {
+    "forests": {
+        "enumerate": (cmd_forests_enumerate, {
+            **N,
+            "--count-only": SWITCH,
+            "--include-empty": SWITCH,
+            "--workers": {"type": int, "default": 1, "help": "accepted for compatibility; runs in one process"},
+        }),
+    },
+    "complex": {"verify": (cmd_complex_verify, SOURCE), "objects": (cmd_complex_objects, SOURCE)},
+    "series": {
+        "fr": (cmd_series_fr, {**N, **FACTORS, "--truncate": {"type": int, "default": 8}}),
+        "wh-free": (cmd_series_wh_free, N),
+        "wh-zp": (cmd_series_wh_zp, {
+            **N,
+            "--p": {"type": int, "required": True},
+            "--truncate": {"type": int, "default": 12},
+        }),
+    },
+    "present": {
+        "fr": (cmd_present_fr, {**N, **FACTORS}),
+        "export": (cmd_present_export, {**N, **FACTORS}),
+        "verify": (cmd_present_verify, {
+            **N,
+            **FACTORS,
+            "--dc": {**SWITCH, "help": "verify the simplex-generator presentation"},
+            "--literal-rel3": SWITCH,
+        }),
+    },
+    "orbits": (cmd_orbits, {**N, "--colors": {"required": True}}),
+    "decomposition": (cmd_decomposition, {
+        **N,
+        "--colors": {"required": True},
+        **FACTORS,
+        "--truncate": {"type": int, "default": 8},
+    }),
+    "homology": {
+        "torus": (cmd_homology_torus, {**N, "--dump": {"help": "write generator matrices as triplet files"}}),
+        "nerve": (cmd_homology_nerve, {
+            "--group": {"required": True},
+            "--family": {"default": "all"},
+            "--max-degree": {"type": int, "default": 3},
+        }),
+    },
+    "cactus": {
+        "coords": (cmd_cactus_coords, {
+            "--tree": {"required": True, "help": "parent list, 0 for the root"},
+            "--sizes": {"required": True, "help": "pointed-set sizes per factor"},
+            "--labels": {"required": True, "help": "edge labels per vertex, 0 at the root"},
+        }),
+    },
+}
+
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="diagcx")
     parser.add_argument("--format", choices=["text", "json"], default="text")
     parser.add_argument("--output", default=None, help="write output to a file")
     parser.add_argument("--unsafe-large", action="store_true", help="bypass size guards")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("forests")
-    psub = p.add_subparsers(dest="action", required=True)
-    q = psub.add_parser("enumerate")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--count-only", action="store_true")
-    q.add_argument("--include-empty", action="store_true")
-    q.add_argument("--workers", type=int, default=1, help="accepted for compatibility; runs in one process")
-    q.set_defaults(func=cmd_forests_enumerate)
-
-    p = sub.add_parser("complex")
-    psub = p.add_subparsers(dest="action", required=True)
-    q = psub.add_parser("verify")
-    q.add_argument("--n", type=int, default=None)
-    q.add_argument("--file", default=None)
-    q.set_defaults(func=cmd_complex_verify)
-    q = psub.add_parser("objects")
-    q.add_argument("--n", type=int, default=None)
-    q.add_argument("--file", default=None)
-    q.set_defaults(func=cmd_complex_objects)
-
-    p = sub.add_parser("series")
-    psub = p.add_subparsers(dest="action", required=True)
-    q = psub.add_parser("fr")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--factors", required=True)
-    q.add_argument("--truncate", type=int, default=8)
-    q.set_defaults(func=cmd_series_fr)
-    q = psub.add_parser("wh-free")
-    q.add_argument("--n", type=int, required=True)
-    q.set_defaults(func=cmd_series_wh_free)
-    q = psub.add_parser("wh-zp")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--p", type=int, required=True)
-    q.add_argument("--truncate", type=int, default=12)
-    q.set_defaults(func=cmd_series_wh_zp)
-
-    p = sub.add_parser("present")
-    psub = p.add_subparsers(dest="action", required=True)
-    q = psub.add_parser("fr")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--factors", required=True)
-    q.set_defaults(func=cmd_present_fr)
-    q = psub.add_parser("export")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--factors", required=True)
-    q.set_defaults(func=cmd_present_export)
-    q = psub.add_parser("verify")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--factors", required=True)
-    q.add_argument("--dc", action="store_true", help="verify the simplex-generator presentation")
-    q.add_argument("--literal-rel3", action="store_true")
-    q.set_defaults(func=cmd_present_verify)
-
-    p = sub.add_parser("orbits")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--colors", required=True)
-    p.set_defaults(func=cmd_orbits)
-
-    p = sub.add_parser("decomposition")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--colors", required=True)
-    p.add_argument("--factors", required=True)
-    p.add_argument("--truncate", type=int, default=8)
-    p.set_defaults(func=cmd_decomposition)
-
-    p = sub.add_parser("homology")
-    psub = p.add_subparsers(dest="action", required=True)
-    q = psub.add_parser("torus")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--dump", default=None, help="write generator matrices as triplet files")
-    q.set_defaults(func=cmd_homology_torus)
-    q = psub.add_parser("nerve")
-    q.add_argument("--group", required=True)
-    q.add_argument("--family", default="all")
-    q.add_argument("--max-degree", type=int, default=3)
-    q.set_defaults(func=cmd_homology_nerve)
-
-    p = sub.add_parser("cactus")
-    psub = p.add_subparsers(dest="action", required=True)
-    q = psub.add_parser("coords")
-    q.add_argument("--tree", required=True, help="parent list, 0 for the root")
-    q.add_argument("--sizes", required=True, help="pointed-set sizes per factor")
-    q.add_argument("--labels", required=True, help="edge labels per vertex, 0 at the root")
-    q.set_defaults(func=cmd_cactus_coords)
-
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, spec in COMMANDS.items():
+        p = commands.add_parser(command)
+        leaves = [(p, spec)]
+        if isinstance(spec, dict):  # a command with actions
+            actions = p.add_subparsers(dest="action", required=True)
+            leaves = [(actions.add_parser(action), leaf) for action, leaf in spec.items()]
+        for q, (func, flags) in leaves:
+            for flag, keywords in flags.items():
+                q.add_argument(flag, **keywords)
+            q.set_defaults(func=func)
     return parser
 
 

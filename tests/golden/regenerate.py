@@ -96,7 +96,7 @@ EDGES = [
     ["homology", "nerve", "--group", "Z/1", "--max-degree", "5"],
     ["forests", "enumerate", "--n", "9"],
     ["forests", "enumerate", "--n", "9", "--count-only"],
-    # the guard override, past a count-only refusal and past the degree guard
+    # --unsafe-large, on a count-only job and past the degree guard
     ["--unsafe-large", "forests", "enumerate", "--n", "9", "--count-only"],
     ["--unsafe-large", "series", "fr", "--n", "2", "--factors", "circle,circle", "--truncate", "1001"],
     ["forests", "enumerate", "--n", "100"],

@@ -372,6 +372,24 @@ def test_complex_objects_from_file(tmp_path, capsys):
     assert out.splitlines()[0] == "objects: 6"
 
 
+def test_complex_verify_reads_a_file_without_labels(tmp_path, capsys):
+    # to_json without a labelling writes "labels": null; only objects reads the labels
+    from conftest import example_t_complex, example_t_labelling
+
+    complex_ = example_t_complex()
+    labelled, unlabelled = tmp_path / "labelled.json", tmp_path / "unlabelled.json"
+    labelled.write_text(complex_.to_json(example_t_labelling(complex_)), encoding="utf-8")
+    unlabelled.write_text(complex_.to_json(), encoding="utf-8")
+    assert json.loads(unlabelled.read_text())["labels"] is None
+    for fmt in ("text", "json"):
+        expected = run_cli(capsys, ["--format", fmt, "complex", "verify", "--file", str(labelled)])
+        assert expected[0] == 0
+        assert run_cli(capsys, ["--format", fmt, "complex", "verify", "--file", str(unlabelled)]) == expected
+    assert run_cli(capsys, ["complex", "objects", "--file", str(unlabelled)]) == (
+        2, "", "error: complex file carries no labels\n"
+    )
+
+
 def test_many_block_simplex_stops_at_its_first_missing_face(tmp_path, capsys):
     # one simplex with 30 singleton blocks: 2^30 block sets, of which axiom 3
     # must meet only the first missing face
@@ -519,6 +537,8 @@ def test_wh_zp_json_torsion_matches_text_counts(capsys):
          "coefficient pairs in series products is 3006756,"),
         (["cactus", "coords", "--tree", "0" + ",1" * 2000, "--sizes", "2" + ",2" * 2000, "--labels", "0" + ",1" * 2000],
          "coordinate matrix cells (2001 x 2001) is 4004001, above the limit 4000000;"),
+        (["forests", "enumerate", "--n", "1372", "--count-only"],
+         "digits of (n+1)^(n-1) at n=1372 is 4302, above the limit 4300;"),
     ],
 )
 def test_size_guards_state_the_predicted_size(capsys, argv, predicted):
@@ -545,6 +565,8 @@ def test_present_verify_guard_skips_literal_letters_with_a_trivial_target(capsys
 def test_size_guards_pass_the_largest_allowed_inputs(capsys):
     code, out, _ = run_cli(capsys, ["series", "wh-free", "--n", "1371"])
     assert code == 0 and len(out.split(", chi")[0].split(" + ")[-1]) == 4298 + len("t^1370")
+    code, out, _ = run_cli(capsys, ["forests", "enumerate", "--n", "1371", "--count-only"])
+    assert code == 0 and len(out) == 4299 + len("\n")
     code, out, _ = run_cli(capsys, ["present", "fr", "--n", "2", "--factors", "S4,Q8"])
     assert code == 0 and out.startswith("generators: 30\n")
     code, out, _ = run_cli(capsys, ["present", "verify", "--n", "2", "--factors", "S4,Q8"])
