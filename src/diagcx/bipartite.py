@@ -15,16 +15,6 @@ import itertools
 from .forests import PlantedForest, x_n_index
 from .partitions import PartialPartition
 
-BIPARTITE_JSON_SCHEMA = {
-    "type": "object",
-    "required": ["n", "internal", "parents"],
-    "properties": {
-        "n": {"type": "integer", "minimum": 1},
-        "internal": {"type": "integer", "minimum": 0},
-        "parents": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-    },
-}
-
 BIPARTITE_CAP = 4
 
 
@@ -85,13 +75,6 @@ class BipartiteForest(collections.namedtuple("BipartiteForest", "n internal pare
                 out.append(w)
             stack.extend(self.children(w))
         return tuple(sorted(out))
-
-    def to_json(self):
-        return {"n": self.n, "internal": self.internal, "parents": list(self.parent)}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(data["n"], data["internal"], tuple(data["parents"]))
 
 
 def _canonical_parent(n, m, parent):

@@ -144,9 +144,10 @@ class DiagonalComplex:
     def _check_axioms(self):
         checks = []
 
-        missing = [x for x in range(self.ground_size) if frozenset([x]) not in self.gamma]
+        # only len(gamma) singletons can be present, so this stops within len(gamma) + 1 steps
+        missing = next((x for x in range(self.ground_size) if frozenset([x]) not in self.gamma), None)
         checks.append(
-            AxiomCheck(1, not missing, None if not missing else f"missing singleton {{{missing[0]}}}")
+            AxiomCheck(1, missing is None, None if missing is None else f"missing singleton {{{missing}}}")
         )
 
         ordered = sorted(self.gamma.items(), key=lambda kv: _simplex_key(kv[0]))
@@ -178,7 +179,7 @@ class DiagonalComplex:
         stops at its first missing face without listing its subsets.
         """
         gamma = self.gamma
-        home = [None] * self.ground_size  # element of U -> its block of gamma(U)
+        home = {}  # element of U -> its block of gamma(U); a dict, as the ground may be far larger
         for u, part in ordered:
             sets = [frozenset(block) for block in part.blocks]
             for block in sets:
@@ -271,15 +272,13 @@ class DiagonalComplex:
         level through the blocks V themselves.
         """
         u = frozenset(simplex)
-        if u not in self.gamma:
-            raise ValueError(f"not a simplex: {sorted(simplex)}")
+        part = self.gamma_of(u)
         cache = self._coarse_levels if coarse else self._levels
         if u in cache:
             return cache[u]
         if len(u) == 1:
             cache[u] = 0
             return 0
-        part = self.gamma[u]
         if coarse:
             value = 1 + max(self.level(frozenset(b), coarse=True) for b in part.blocks)
         else:
@@ -432,10 +431,3 @@ class Labelling:
         classes = block_classes(n, blocks)
         label = {x: i for i, root in enumerate(sorted(classes)) for x in classes[root]}
         return cls(complex_, [label[x] for x in range(n)])
-
-    def classes(self):
-        """Ground-set classes of equal label, sorted."""
-        groups = {}
-        for x, label in enumerate(self.labels):
-            groups.setdefault(label, []).append(x)
-        return tuple(tuple(groups[label]) for label in self.label_set)

@@ -87,9 +87,6 @@ class PlantedForest(collections.namedtuple("PlantedForest", "n parent")):
             parent[child - 1] = par
         return cls(n, tuple(parent))
 
-    def roots(self):
-        return tuple(v for v in range(1, self.n + 1) if self.parent[v - 1] == 0)
-
     def children(self, v):
         return tuple(c for c in range(1, self.n + 1) if self.parent[c - 1] == v)
 
@@ -113,10 +110,6 @@ class PlantedForest(collections.namedtuple("PlantedForest", "n parent")):
 
     def to_json(self):
         return [p if p else -1 for p in self.parent]
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(len(data), tuple(0 if p == -1 else p for p in data))
 
 
 class ForestPoset(collections.namedtuple("ForestPoset", "n pairs")):
@@ -457,8 +450,9 @@ def decomposition_report(n, multiplicities, base_series):
     The module of a forest is the product over vertices of the reduced
     series of the vertex's colour, one factor per outgoing edge; each
     distinct vector of edge counts per colour is evaluated once.  The
-    sign flag marks orbits whose stabilizer moves edges, where the
-    one-dimensional determinant module would twist the coefficients.
+    sign flag marks orbits whose stabilizer moves edges (an element that
+    fixes a child fixes its parent, so: moves a non-root vertex), where
+    the one-dimensional determinant module would twist the coefficients.
     The group homology itself is deliberately not evaluated.
     """
     from .series import _monomial_modules, _reduced_factors
@@ -467,22 +461,17 @@ def decomposition_report(n, multiplicities, base_series):
         raise ValueError("need one base series per colour")
     truncation, reduced = _reduced_factors(base_series)
     orbits = orbit_decomposition(n, multiplicities)
-    edge_lists = [orbit.representative.forest.edges() for orbit in orbits]
-    vectors = []
-    for orbit, edges in zip(orbits, edge_lists):
-        parent_colors = [orbit.representative.colors[a - 1] for a, _ in edges]
-        vectors.append(tuple(parent_colors.count(c) for c in range(len(multiplicities))))
+    vectors, twists = [], []
+    for orbit in orbits:
+        forest, colors = orbit.representative
+        vector = [0] * len(multiplicities)
+        for p in filter(None, forest.parent):
+            vector[colors[p - 1]] += 1
+        vectors.append(tuple(vector))
+        children = [v for v, p in enumerate(forest.parent, 1) if p]
+        twists.append(any(sigma[v] != v for sigma in orbit.stabilizer for v in children))
     modules = _monomial_modules(truncation, reduced, vectors)
-    rows = []
-    for orbit, edges, vector in zip(orbits, edge_lists, vectors):
-        rows.append(
-            DecompositionRow(
-                orbit.representative,
-                orbit.stabilizer_order,
-                len(edges),
-                vector,
-                modules[vector],
-                any(sigma[a] != a or sigma[b] != b for sigma in orbit.stabilizer for a, b in edges),
-            )
-        )
-    return tuple(rows)
+    return tuple(
+        DecompositionRow(orbit.representative, orbit.stabilizer_order, sum(vector), vector, modules[vector], twist)
+        for orbit, vector, twist in zip(orbits, vectors, twists)
+    )

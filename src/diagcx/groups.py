@@ -14,10 +14,9 @@ import math
 
 
 class FiniteGroup:
-    def __init__(self, table, name=None):
+    def __init__(self, table):
         self.table = tuple(tuple(row) for row in table)
         self.order = len(self.table)
-        self.name = name or f"group of order {self.order}"
         self._validate()
         self.inverse = tuple(self._find_inverse(g) for g in range(self.order))
 
@@ -56,23 +55,15 @@ class FiniteGroup:
     def nonidentity(self):
         return range(1, self.order)
 
-    def __eq__(self, other):
-        if not isinstance(other, FiniteGroup):
-            return NotImplemented
-        return self.table == other.table
-
-    def __hash__(self):
-        return hash(self.table)
-
     def __repr__(self):
-        return f"FiniteGroup({self.name})"
+        return f"FiniteGroup(order {self.order})"
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def cyclic(cls, m):
         table = [[(a + b) % m for b in range(m)] for a in range(m)]
-        return cls(table, name=f"Z/{m}")
+        return cls(table)
 
     @classmethod
     def direct_product(cls, g, h):
@@ -82,10 +73,10 @@ class FiniteGroup:
             [index[(g.mul(a1, b1), h.mul(a2, b2))] for (b1, b2) in pairs]
             for (a1, a2) in pairs
         ]
-        return cls(table, name=f"{g.name}x{h.name}")
+        return cls(table)
 
     @classmethod
-    def from_permutations(cls, perms, name=None):
+    def from_permutations(cls, perms):
         """The group generated by permutations of range(k), must be closed."""
         perms = sorted(set(perms))
         identity = tuple(range(len(perms[0])))
@@ -98,12 +89,12 @@ class FiniteGroup:
             return tuple(p[q[i]] for i in range(len(p)))
 
         table = [[index[compose(p, q)] for q in ordered] for p in ordered]
-        return cls(table, name=name)
+        return cls(table)
 
     @classmethod
     def symmetric(cls, k):
         perms = [tuple(p) for p in itertools.permutations(range(k))]
-        return cls.from_permutations(perms, name=f"S{k}")
+        return cls.from_permutations(perms)
 
     @classmethod
     def dihedral(cls, k):
@@ -114,7 +105,7 @@ class FiniteGroup:
             rot = tuple(base[(i + r) % k] for i in range(k))
             perms.append(rot)
             perms.append(tuple(reversed(rot)))
-        return cls.from_permutations(perms, name=f"D{k}")
+        return cls.from_permutations(perms)
 
     @classmethod
     def quaternion(cls):
@@ -131,7 +122,7 @@ class FiniteGroup:
                 a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
             )
 
-        return cls([[units.index(mul(p, q)) for q in units] for p in units], name="Q8")
+        return cls([[units.index(mul(p, q)) for q in units] for p in units])
 
     # -- subgroups and cosets --------------------------------------------
 

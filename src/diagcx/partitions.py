@@ -15,13 +15,6 @@ import collections
 class EmptyMeet:
     """Sentinel for the empty meet (the basepoint of the pointed model)."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
         return "EMPTY_MEET"
 
@@ -86,19 +79,8 @@ class PartialPartition(collections.namedtuple("PartialPartition", "ground_size b
         """The inverse of :meth:`masks`: block bitmasks ordered by least element."""
         return cls(ground_size, tuple(tuple(x for x in range(ground_size) if mask >> x & 1) for mask in masks))
 
-    def block_of(self, x):
-        """The block containing x, or None if x is uncovered."""
-        for block in self.blocks:
-            if x in block:
-                return block
-        return None
-
     def to_json(self):
         return [list(b) for b in self.blocks]
-
-    @classmethod
-    def from_json(cls, ground_size, data):
-        return cls.of(ground_size, data)
 
     def __str__(self):
         return "{" + ", ".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks) + "}"

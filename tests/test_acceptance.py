@@ -264,7 +264,7 @@ def test_criterion_13_coset_nerves():
     ]
     for group in groups:
         nerve, _ = coset_nerve(group, list(group.subgroups()))
-        assert simplicial_homology(nerve, 3) == [(1, ()), (0, ()), (0, ()), (0, ())], group.name
+        assert simplicial_homology(nerve, 3) == [(1, ()), (0, ()), (0, ()), (0, ())], group.order
     klein = product(cyclic(2), cyclic(2))
     halves = [s for s in klein.subgroups() if len(s) == 2]
     nerve, cosets = coset_nerve(klein, [frozenset([0]), halves[0], halves[1]])

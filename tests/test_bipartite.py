@@ -1,8 +1,6 @@
-import jsonschema
 import pytest
 
 from diagcx.bipartite import (
-    BIPARTITE_JSON_SCHEMA,
     BipartiteForest,
     enumerate_bipartite,
     enumerate_bipartite_forests,
@@ -43,18 +41,6 @@ def test_canonical_labelling_identifies_relabellings():
     with pytest.raises(ValueError):
         # raw constructor rejects non-canonical internal names
         BipartiteForest(3, 2, (5, 4, 0, 3, 3))
-
-
-def test_json_roundtrip():
-    f = BipartiteForest.of(3, {10: 3, 1: 10, 2: 10})
-    assert BipartiteForest.from_json(f.to_json()) == f
-
-
-def test_json_validates_against_schema():
-    forests = list(enumerate_bipartite_forests(3))
-    assert forests
-    for f in forests:
-        jsonschema.validate(f.to_json(), BIPARTITE_JSON_SCHEMA)
 
 
 def test_single_block_partition():

@@ -10,8 +10,6 @@ def test_canonical_form():
     p = PartialPartition.of(4, [(3, 1), (0, 2)])
     assert p.blocks == ((0, 2), (1, 3))
     assert p.support == {0, 1, 2, 3}
-    assert p.block_of(3) == (1, 3)
-    assert p.block_of(0) == (0, 2)
 
 
 def test_construction_errors():
@@ -23,11 +21,6 @@ def test_construction_errors():
         PartialPartition(3, (((1, 0)),))  # not canonical
     with pytest.raises(ValueError):
         PartialPartition.of(3, [[]])  # empty block
-
-
-def test_json_roundtrip():
-    p = PartialPartition.of(5, [[0, 3], [1], [2, 4]])
-    assert PartialPartition.from_json(5, p.to_json()) == p
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
