@@ -573,7 +573,10 @@ def main(argv=None):
         parser.error("--workers must be positive")
     if getattr(args, "file", "missing") is None and getattr(args, "n", None) is None:
         parser.error("need --n or --file")
+    digits = sys.get_int_max_str_digits()
     try:
+        if args.unsafe_large:
+            sys.set_int_max_str_digits(0)  # answers past the guards may print more than 4300 digits
         for flag in ("--truncate", "--max-degree"):
             degree = getattr(args, flag[2:].replace("-", "_"), 0)
             if degree < 0:
@@ -586,6 +589,8 @@ def main(argv=None):
     except (ValueError, OverflowError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return USAGE_EXIT
+    finally:
+        sys.set_int_max_str_digits(digits)
     return 0
 
 

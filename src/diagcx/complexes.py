@@ -364,7 +364,10 @@ class DiagonalComplex:
 
     @classmethod
     def from_json(cls, text):
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("complex JSON nests too deeply") from None
         _check_json_structure(data)
         ground = data["ground"]
         gamma = {}

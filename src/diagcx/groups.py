@@ -183,7 +183,10 @@ def parse_descriptor(text):
     text = text.strip()
     if text.startswith("@"):
         with open(text[1:], encoding="utf-8") as handle:
-            table = json.load(handle)
+            try:
+                table = json.load(handle)
+            except RecursionError:
+                raise ValueError("group table JSON nests too deeply") from None
         if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
             raise ValueError("a group table file must hold a list of rows")
         return len(table), lambda: FiniteGroup(table)

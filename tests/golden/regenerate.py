@@ -137,11 +137,20 @@ def digest(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def stderr_digest(err):
+    """The digest of stderr, with whitespace runs collapsed in argparse usage text.
+
+    Python 3.13's argparse wraps the usage line differently, so a usage
+    error pins its tokens but not its line breaks.
+    """
+    return digest((" ".join(err.split()) if err.startswith("usage:") else err).encode())
+
+
 def record(argv, exit_code, out, err, directory):
     """The corpus entry of one run whose files are those in ``directory``."""
     files = {path.name: digest(path.read_bytes()) for path in sorted(pathlib.Path(directory).iterdir())}
     return {"argv": argv, "exit": exit_code, "stdout": digest(out.encode()),
-            "stderr": digest(err.encode()), "files": files}
+            "stderr": stderr_digest(err), "files": files}
 
 
 def run(argv):

@@ -24,6 +24,7 @@ from diagcx.homology import HOMOLOGY_JSON_SCHEMA
 from diagcx.partitions import PARTITION_JSON_SCHEMA
 from diagcx.present import PRESENTATION_JSON_SCHEMA
 from diagcx.series import SERIES_JSON_SCHEMA
+from golden.regenerate import stderr_digest
 
 
 def run_cli(capsys, argv):
@@ -53,7 +54,7 @@ def test_golden_cli_corpus(capsys, monkeypatch, tmp_path):
             out, err = captured.out, captured.err
         files = {path.name: _sha256(path.read_bytes()) for path in sorted(directory.iterdir())}
         replay = {"argv": entry["argv"], "exit": code, "stdout": _sha256(out.encode()),
-                  "stderr": _sha256(err.encode()), "files": files}
+                  "stderr": stderr_digest(err), "files": files}
         assert replay == entry
         if code == 0 and entry["argv"][:2] == ["--format", "json"]:
             document = out or (directory / "out.txt").read_text(encoding="utf-8")  # the --output entries
@@ -302,6 +303,61 @@ def test_malformed_complex_file_exit_code(tmp_path, capsys, document):
         assert code == 2, err
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys):
+    # json raises RecursionError past its nesting limit; both file readers report it as malformed input
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    for argv, message in [
+        (["complex", "verify", "--file", str(path)], "complex JSON nests too deeply"),
+        (["homology", "nerve", "--group", f"@{path}"], "group table JSON nests too deeply"),
+        (["present", "fr", "--n", "2", "--factors", f"@{path},Z/2"], "group table JSON nests too deeply"),
+    ]:
+        assert run_cli(capsys, argv) == (2, "", f"error: {message}\n"), argv
+
+
+# the axiom checks then fail at once if they allocate per ground element, instead of growing by gigabytes
+LIMITED_CLI = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    "from diagcx import cli\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.parametrize("simplex, missing", [(0, 1), (10**11 - 1, 0)])
+def test_a_huge_ground_is_not_scanned(tmp_path, simplex, missing):
+    # one simplex on a ground of 10^12: the first missing singleton is among the first two
+    path = tmp_path / "huge.json"
+    document = {"ground": 10**12, "simplices": [[simplex]], "gamma": {str(simplex): [[simplex]]}}
+    path.write_text(json.dumps(document), encoding="utf-8")
+    argv = [sys.executable, "-c", LIMITED_CLI, "complex", "verify", "--file", str(path)]
+    run = subprocess.run(argv, capture_output=True, text=True, env=SRC_ENV, timeout=20)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "simplices: 1", f"axiom 1: FAIL (missing singleton {{{missing}}})", "axiom 2: pass", "axiom 3: pass",
+        "proper: no",
+    ]
+
+
+def test_unsafe_large_lifts_the_int_digit_limit_for_the_run(capsys):
+    # (n+1)^(n-1) - 1 at n=2000 has 6600 digits, past Python's default limit of 4300 for int-to-text
+    limit = sys.get_int_max_str_digits()
+    tail = str(pow(2001, 1999, 10**12) - 1)
+    count = ["forests", "enumerate", "--n", "2000", "--count-only"]
+    code, out, err = run_cli(capsys, count)
+    assert (code, out) == (3, "") and "is 6600," in err
+    code, out, _ = run_cli(capsys, ["--unsafe-large", *count])
+    assert code == 0 and len(out) == 6600 + len("\n") and out.endswith(tail + "\n")
+    code, out, _ = run_cli(capsys, ["--unsafe-large", "--format", "json", *count])
+    assert code == 0 and out.startswith('{"count":') and out.endswith(tail + ',"n":2000}\n')
+    assert len(out) == 6600 + len('{"count":,"n":2000}\n')
+    code, out, _ = run_cli(capsys, ["--unsafe-large", "series", "wh-free", "--n", "2000"])
+    assert code == 0 and len(out.split(", chi")[0].split(" + ")[-1]) == 6599 + len("t^1999")
+    code, out, _ = run_cli(capsys, ["--unsafe-large", "series", "wh-zp", "--n", "3000", "--p", "2", "--truncate", "1000"])
+    assert code == 0 and out.endswith(" t^1000\n")
+    assert sys.get_int_max_str_digits() == limit == 4300
 
 
 def test_resource_guard_exit_code(capsys):

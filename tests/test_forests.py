@@ -531,6 +531,7 @@ def test_decomposition_input_validation():
 )
 def test_decomposition_modules_match_term_products(n, multiplicities, factors):
     base = [circle_series(5) if f == "circle" else cyclic_classifying_series(int(f[2:]), 5) for f in factors]
+    stabilizers = {orbit.representative: orbit.stabilizer for orbit in orbit_decomposition(n, multiplicities)}
     for row in decomposition_report(n, multiplicities, base):
         forest, colors = row.representative.forest, row.representative.colors
         out_degrees = [0] * len(multiplicities)
@@ -538,6 +539,11 @@ def test_decomposition_modules_match_term_products(n, multiplicities, factors):
             out_degrees[colors[v - 1]] += len(forest.children(v))
         assert row.exponents == tuple(out_degrees)
         assert row.module == term_product(5, base, row.exponents)
+        # the edge count and the twist as defined on the edge list
+        edges = forest.edges()
+        assert row.edge_count == len(edges)
+        stabilizer = stabilizers[row.representative]
+        assert row.sign_twist == any(sigma[a] != a or sigma[b] != b for sigma in stabilizer for a, b in edges)
 
 
 def test_decomposition_multiplies_once_per_exponent_vector(monkeypatch):
