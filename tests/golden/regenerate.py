@@ -2,8 +2,10 @@
 
 Each record holds an argv, its exit code and the SHA-256 digests of its
 stdout, its stderr and every file it writes into the working directory
-(``--output`` and ``--dump`` files).  ``tests/test_cli.py`` replays the
-corpus in-process and compares every digest.  Run from the repository root:
+(``--output`` and ``--dump`` files).  A record whose argv reads a
+``--file`` also names it under ``inputs``: the file is copied from
+``inputs/`` into the working directory before the run.  ``tests/test_cli.py``
+replays the corpus in-process and compares every digest.  Run from the repository root:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
@@ -23,6 +25,7 @@ import tempfile
 from diagcx import cli
 
 CORPUS = pathlib.Path(__file__).with_name("cli.json")
+INPUTS = pathlib.Path(__file__).with_name("inputs")
 
 SIX_CIRCLES = ",".join(["circle"] * 6)
 SEVEN_CIRCLES = ",".join(["circle"] * 7)
@@ -78,6 +81,15 @@ COMMANDS = [
     ["homology", "nerve", "--group", "Z/2xZ/2xZ/2"],  # the algebra workload's nerve-z2-cubed job
     ["cactus", "coords", "--tree", "0,1,1", "--sizes", "2,2,2", "--labels", "0,1,1"],
     ["--output", "out.txt", "series", "wh-free", "--n", "3"],
+    # complex files: Gamma(F_4) with its ground, simplices, blocks and members permuted; no labels;
+    # a file failing each axiom (axiom 2 also on a simplex outside the ground); an improper complex;
+    # one simplex on a ground of 10^12
+    *(
+        [*command, "--file", name]
+        for name in ("f4-permuted.json", "unlabelled.json", "axiom1.json", "axiom2.json", "axiom2-support.json",
+                     "axiom3-face.json", "axiom3-refine.json", "improper.json", "huge-ground.json")
+        for command in (["complex", "verify"], ["complex", "objects"])
+    ),
 ]
 
 # Refusals, usage errors, guard boundaries and single-format cases; run once each.
@@ -128,6 +140,12 @@ EDGES = [
     ["--format", "json", "present", "verify", "--n", "3", "--factors", "D4,Z/3,Q8", "--dc", "--literal-rel3"],
     # one colour per vertex: every orbit is a single forest
     ["--format", "json", "orbits", "--n", "4", "--colors", "1,1,1,1"],
+    # complex files refused while reading, one per message
+    *(
+        ["complex", "verify", "--file", name]
+        for name in ("no-gamma-entry.json", "outside-ground.json", "two-blocks.json", "repeated-element.json",
+                     "mixed-labels.json", "short-labels.json")
+    ),
 ]
 
 ARGVS = [argv for command in COMMANDS for argv in (command, ["--format", "json"] + command)] + EDGES
@@ -146,16 +164,32 @@ def stderr_digest(err):
     return digest((" ".join(err.split()) if err.startswith("usage:") else err).encode())
 
 
-def record(argv, exit_code, out, err, directory):
-    """The corpus entry of one run whose files are those in ``directory``."""
-    files = {path.name: digest(path.read_bytes()) for path in sorted(pathlib.Path(directory).iterdir())}
-    return {"argv": argv, "exit": exit_code, "stdout": digest(out.encode()),
-            "stderr": stderr_digest(err), "files": files}
+def input_names(argv):
+    """The files of ``inputs/`` that ``argv`` reads: the values of its ``--file`` options."""
+    return [value for option, value in zip(argv, argv[1:]) if option == "--file"]
+
+
+def copy_inputs(names, directory):
+    for name in names:
+        (pathlib.Path(directory) / name).write_bytes((INPUTS / name).read_bytes())
+
+
+def record(argv, exit_code, out, err, directory, inputs=()):
+    """The corpus entry of one run whose files are those in ``directory``, less its inputs."""
+    files = {path.name: digest(path.read_bytes())
+             for path in sorted(pathlib.Path(directory).iterdir()) if path.name not in inputs}
+    entry = {"argv": argv, "exit": exit_code, "stdout": digest(out.encode()),
+             "stderr": stderr_digest(err), "files": files}
+    if inputs:
+        entry["inputs"] = list(inputs)
+    return entry
 
 
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
+    inputs = input_names(argv)
     with tempfile.TemporaryDirectory() as directory:
+        copy_inputs(inputs, directory)
         cwd = os.getcwd()
         os.chdir(directory)
         try:
@@ -164,7 +198,7 @@ def run(argv):
                     code = cli.main(argv)
                 except SystemExit as exc:
                     code = exc.code
-            return record(argv, code, out.getvalue(), err.getvalue(), directory)
+            return record(argv, code, out.getvalue(), err.getvalue(), directory, inputs)
         finally:
             os.chdir(cwd)
 

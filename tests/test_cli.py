@@ -24,7 +24,7 @@ from diagcx.homology import HOMOLOGY_JSON_SCHEMA
 from diagcx.partitions import PARTITION_JSON_SCHEMA
 from diagcx.present import PRESENTATION_JSON_SCHEMA
 from diagcx.series import SERIES_JSON_SCHEMA
-from golden.regenerate import stderr_digest
+from golden.regenerate import copy_inputs, record, stderr_digest
 
 
 def run_cli(capsys, argv):
@@ -36,26 +36,21 @@ def run_cli(capsys, argv):
 GOLDEN_CLI = pathlib.Path(__file__).parent / "golden" / "cli.json"
 
 
-def _sha256(data):
-    return hashlib.sha256(data).hexdigest()
-
-
 def test_golden_cli_corpus(capsys, monkeypatch, tmp_path):
     # regenerate with tests/golden/regenerate.py; a changed digest is a changed CLI output
     monkeypatch.delenv("DIAGCX_OUTPUT_DIR", raising=False)
     for index, entry in enumerate(json.loads(GOLDEN_CLI.read_text(encoding="utf-8"))):
         directory = tmp_path / str(index)
         directory.mkdir()
+        inputs = entry.get("inputs", [])
+        copy_inputs(inputs, directory)
         monkeypatch.chdir(directory)
         try:
             code, out, err = run_cli(capsys, entry["argv"])
         except SystemExit as exc:
             code, captured = exc.code, capsys.readouterr()
             out, err = captured.out, captured.err
-        files = {path.name: _sha256(path.read_bytes()) for path in sorted(directory.iterdir())}
-        replay = {"argv": entry["argv"], "exit": code, "stdout": _sha256(out.encode()),
-                  "stderr": stderr_digest(err), "files": files}
-        assert replay == entry
+        assert record(entry["argv"], code, out, err, directory, inputs) == entry
         if code == 0 and entry["argv"][:2] == ["--format", "json"]:
             document = out or (directory / "out.txt").read_text(encoding="utf-8")  # the --output entries
             assert document == canonical_json(document), entry["argv"]
