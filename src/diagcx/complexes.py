@@ -12,7 +12,7 @@ graph products.
 import collections
 import json
 
-from .partitions import PartialPartition, block_classes, meet, meet_masks
+from .partitions import PartialPartition, bits, block_classes, check_blocks, meet, meet_masks, spell, to_mask
 
 COMPLEX_JSON_SCHEMA = {
     "type": "object",
@@ -59,12 +59,12 @@ def _simplex_key(simplex):
 def _meet_closure(generators):
     """The nonempty meets of nonempty sets of generators.
 
-    Meets are associative, so the closure is reached by meeting each new
-    object with the generators alone.  The meets run on block bitmasks
+    ``generators`` maps the block-mask tuple of each generator to its
+    partition.  Meets are associative, so the closure is reached by meeting
+    each new object with the generators alone.  The meets run on the masks
     (:func:`partitions.meet_masks`); each new object is built by
     :func:`partitions.meet`.
     """
-    generators = {part.masks(): part for part in generators}
     objects = dict(generators)
     queue = list(generators.items())
     while queue:
@@ -78,35 +78,60 @@ def _meet_closure(generators):
 
 
 class DiagonalComplex:
-    """A finite diagonal complex, stored explicitly.
+    """A finite diagonal complex, stored as bitmasks.
 
-    ``gamma`` maps each simplex (a frozenset of ground indices) to a
-    PartialPartition supported exactly on that simplex.  Instances are
-    treated as immutable after construction; levels and the validation
-    report are memoised.
+    Bit i stands for ``elements[i]``, the i-th smallest element the complex
+    uses, which is element i when every singleton is a simplex.  ``gamma``
+    maps each simplex, as the mask of its elements, to the tuple of the
+    masks of the blocks of its partition, ordered by least element.
+    Methods that take a simplex take its mask.
+    Instances are treated as immutable after construction; levels and the
+    validation report are memoised.
     """
 
-    def __init__(self, ground_size, gamma):
+    def __init__(self, ground_size, elements, gamma):
         self.ground_size = ground_size
-        self.gamma = {frozenset(u): part for u, part in gamma.items()}
+        self.elements = tuple(elements)
+        self.gamma = gamma
         self._levels = {}
         self._coarse_levels = {}
         self._report = None
 
-    @property
-    def simplices(self):
-        return self.gamma.keys()
+    @classmethod
+    def of(cls, ground_size, partitions):
+        """The complex with gamma(U) = ``partitions[U]``, each U an iterable of elements."""
+        partitions = {frozenset(u): part for u, part in partitions.items()}
+        used = set()
+        for u, part in partitions.items():
+            if part.ground_size != ground_size:
+                raise ValueError(f"gamma({_simplex_key(u)}) has wrong ground size")
+            used |= u | part.support
+        elements = sorted(used)
+        bit = {x: i for i, x in enumerate(elements)}
+        gamma = {to_mask(u, bit): tuple(to_mask(b, bit) for b in part.blocks) for u, part in partitions.items()}
+        return cls(ground_size, elements, gamma)
 
-    def gamma_of(self, simplex):
-        u = frozenset(simplex)
+    def elements_of(self, mask):
+        """The elements of a mask, ascending."""
+        return tuple(self.elements[i] for i in bits(mask))
+
+    def _blocks(self, u):
         if u not in self.gamma:
-            raise ValueError(f"not a simplex: {sorted(simplex)}")
+            raise ValueError(f"not a simplex: {list(self.elements_of(u))}")
         return self.gamma[u]
+
+    def gamma_of(self, u):
+        """gamma(U) as a PartialPartition, for the simplex mask u."""
+        return PartialPartition(self.ground_size, spell(self._blocks(u), self.elements))
+
+    def partitions(self):
+        """gamma spelt out: each simplex, as a frozenset of elements, to its PartialPartition."""
+        return {frozenset(self.elements_of(u)): self.gamma_of(u) for u in self.gamma}
 
     def __eq__(self, other):
         if not isinstance(other, DiagonalComplex):
             return NotImplemented
-        return self.ground_size == other.ground_size and self.gamma == other.gamma
+        return (self.ground_size, self.elements, self.gamma) == (other.ground_size, other.elements, other.gamma)
 
     def __repr__(self):
         return f"DiagonalComplex(ground_size={self.ground_size}, simplices={len(self.gamma)})"
@@ -118,11 +143,8 @@ class DiagonalComplex:
         Every face gets the partition into singletons.  The face set must
         be downward closed (axiom 3 fails otherwise).
         """
-        gamma = {}
-        for face in faces:
-            u = frozenset(face)
-            gamma[u] = PartialPartition.of(ground_size, [[x] for x in u])
-        return cls(ground_size, gamma)
+        faces = map(frozenset, faces)
+        return cls.of(ground_size, {u: PartialPartition.of(ground_size, [[x] for x in u]) for u in faces})
 
     # -- validation -------------------------------------------------
 
@@ -141,26 +163,30 @@ class DiagonalComplex:
             self._report = self._check_axioms()
         return self._report
 
+    def _key(self, mask):
+        return ",".join(map(str, self.elements_of(mask)))
+
     def _check_axioms(self):
+        gamma, bit = self.gamma, {x: i for i, x in enumerate(self.elements)}
         checks = []
 
         # only len(gamma) singletons can be present, so this stops within len(gamma) + 1 steps
-        missing = next((x for x in range(self.ground_size) if frozenset([x]) not in self.gamma), None)
+        missing = next((x for x in range(self.ground_size) if x not in bit or (1 << bit[x]) not in gamma), None)
         checks.append(
             AxiomCheck(1, missing is None, None if missing is None else f"missing singleton {{{missing}}}")
         )
 
-        ordered = sorted(self.gamma.items(), key=lambda kv: _simplex_key(kv[0]))
+        ordered = sorted(gamma.items(), key=lambda kv: self._key(kv[0]))
         ax2_witness = None
-        for u, part in ordered:
-            if part.ground_size != self.ground_size:
-                ax2_witness = f"gamma({_simplex_key(u)}) has wrong ground size"
+        for u, blocks in ordered:
+            union = 0
+            for block in blocks:
+                union |= block
+            if union != u:
+                ax2_witness = f"gamma({self._key(u)}) is not a partition of the simplex"
                 break
-            if part.support != u:
-                ax2_witness = f"gamma({_simplex_key(u)}) is not a partition of the simplex"
-                break
-            if len(u) > 1 and len(part.blocks) < 2:
-                ax2_witness = f"gamma({_simplex_key(u)}) is not proper"
+            if u & (u - 1) and len(blocks) < 2:
+                ax2_witness = f"gamma({self._key(u)}) is not proper"
                 break
         checks.append(AxiomCheck(2, ax2_witness is None, ax2_witness))
 
@@ -172,35 +198,28 @@ class DiagonalComplex:
     def _axiom3_witness(self, ordered):
         """The first axiom-3 failure in the order of ``ordered``, or None.
 
-        Needs axiom 2, so that gamma(F) is supported exactly on F.  The
-        block sets of one size are grown from the sets one smaller that
-        passed, each by a block after its last one: that is the
+        Needs axiom 2, so that gamma(F) is a partition of F.  The block
+        sets of one size are grown from the sets one smaller that passed,
+        each by a block after its last one: that is the
         ``itertools.combinations`` order, and a simplex with many blocks
         stops at its first missing face without listing its subsets.
         """
         gamma = self.gamma
-        home = {}  # element of U -> its block of gamma(U); a dict, as the ground may be far larger
-        for u, part in ordered:
-            sets = [frozenset(block) for block in part.blocks]
-            for block in sets:
-                for x in block:
-                    home[x] = block
-            level = [(frozenset(), -1)]  # (union, index of its last block)
+        for u, blocks in ordered:
+            home = {1 << x: block for block in blocks for x in bits(block)}  # bit of U -> its block
+            level = [(0, -1)]  # (union, index of its last block)
             while level:
                 grown = []
                 for union, last in level:
-                    for j in range(last + 1, len(sets)):
-                        face = union | sets[j]
-                        fpart = gamma.get(face)
-                        if fpart is None:
-                            return f"face {_simplex_key(face)} of {_simplex_key(u)} missing"
-                        for fb in fpart.blocks:
-                            if not home[fb[0]].issuperset(fb):
-                                combo = [list(b) for b in part.blocks if b[0] in face]
-                                return (
-                                    f"gamma({_simplex_key(face)}) does not refine the blocks "
-                                    f"{combo} of {_simplex_key(u)}"
-                                )
+                    for j in range(last + 1, len(blocks)):
+                        face = union | blocks[j]
+                        fblocks = gamma.get(face)
+                        if fblocks is None:
+                            return f"face {self._key(face)} of {self._key(u)} missing"
+                        for fb in fblocks:
+                            if fb & ~home[fb & -fb]:
+                                combo = [list(self.elements_of(b)) for b in blocks if b & face]
+                                return f"gamma({self._key(face)}) does not refine the blocks {combo} of {self._key(u)}"
                         grown.append((face, j))
                 level = grown
         return None
@@ -228,34 +247,33 @@ class DiagonalComplex:
         complements differ from the blocks.
 
         The test runs once per U on posting bitsets over the simplices
-        sorted by size (bit i of postings[x] is set when simplex i holds x):
-        the candidates are the simplices smaller than U, narrowed to those
-        meeting each block and then to those avoiding every element
+        sorted by size (bit i of postings[x] is set when simplex i holds
+        bit x): the candidates are the simplices smaller than U, narrowed
+        to those meeting each block and then to those avoiding every bit
         outside U.
         """
         self.require_valid()
-        simplices = sorted(self.gamma, key=len)
-        postings = [0] * self.ground_size
+        simplices = sorted(self.gamma, key=int.bit_count)
+        postings = [0] * len(self.elements)
         smaller = {}  # size s -> bitset of the simplices with fewer than s elements
         for i, u in enumerate(simplices):
-            if len(u) not in smaller:
-                smaller[len(u)] = (1 << i) - 1
-            for x in u:
+            smaller.setdefault(u.bit_count(), (1 << i) - 1)
+            for x in bits(u):
                 postings[x] |= 1 << i
         for u in simplices:
-            if len(u) == 1:
+            if not u & (u - 1):
                 continue
-            candidates = smaller[len(u)]
-            for block in self.gamma[u].blocks:
+            candidates = smaller[u.bit_count()]
+            for block in self.gamma[u]:
                 hit = 0
-                for x in block:
+                for x in bits(block):
                     hit |= candidates & postings[x]
                 candidates = hit
                 if not candidates:
                     break
             else:
                 for x, posting in enumerate(postings):
-                    if x not in u:
+                    if not u >> x & 1:
                         candidates &= ~posting
                         if not candidates:
                             break
@@ -265,24 +283,22 @@ class DiagonalComplex:
 
     # -- levels and filtration ---------------------------------------
 
-    def level(self, simplex, coarse=False):
-        """Inductive level: 0 on singletons.
+    def level(self, u, coarse=False):
+        """Inductive level of the simplex mask u: 0 on singletons.
 
         The plain level recurses through maximal faces U - V, the coarse
         level through the blocks V themselves.
         """
-        u = frozenset(simplex)
-        part = self.gamma_of(u)
         cache = self._coarse_levels if coarse else self._levels
         if u in cache:
             return cache[u]
-        if len(u) == 1:
-            cache[u] = 0
-            return 0
-        if coarse:
-            value = 1 + max(self.level(frozenset(b), coarse=True) for b in part.blocks)
+        blocks = self._blocks(u)
+        if not u & (u - 1):
+            value = 0
+        elif coarse:
+            value = 1 + max(self.level(b, coarse=True) for b in blocks)
         else:
-            value = 1 + max(self.level(u - frozenset(b)) for b in part.blocks)
+            value = 1 + max(self.level(u & ~b) for b in blocks)
         cache[u] = value
         return value
 
@@ -294,8 +310,8 @@ class DiagonalComplex:
     def filtration(self, k, coarse=False):
         """The subcomplex of simplices of level at most k."""
         self.require_valid()
-        gamma = {u: part for u, part in self.gamma.items() if self.level(u, coarse=coarse) <= k}
-        return DiagonalComplex(self.ground_size, gamma)
+        gamma = {u: blocks for u, blocks in self.gamma.items() if self.level(u, coarse=coarse) <= k}
+        return DiagonalComplex(self.ground_size, self.elements, gamma)
 
     def full_subcomplex(self, subset):
         """The full diagonal subcomplex on a subset of the ground set.
@@ -304,13 +320,12 @@ class DiagonalComplex:
         """
         y = sorted(set(subset))
         rename = {x: k for k, x in enumerate(y)}
-        gamma = {}
-        for u, part in self.gamma.items():
-            if u <= set(y):
-                gamma[frozenset(rename[x] for x in u)] = PartialPartition.of(
-                    len(y), [[rename[x] for x in block] for block in part.blocks]
-                )
-        return DiagonalComplex(len(y), gamma)
+        partitions = {
+            frozenset(rename[x] for x in u): PartialPartition.of(len(y), [[rename[x] for x in b] for b in part.blocks])
+            for u, part in self.partitions().items()
+            if u <= set(y)
+        }
+        return DiagonalComplex.of(len(y), partitions)
 
     # -- the category of partitions ----------------------------------
 
@@ -328,7 +343,7 @@ class DiagonalComplex:
         """
         self.require_valid()
         labelling.check_against(self)
-        objects = _meet_closure(self.gamma.values())
+        objects = _meet_closure({blocks: self.gamma_of(u) for u, blocks in self.gamma.items()})
         for part in objects:
             for block in part.blocks:
                 if len({labelling.labels[x] for x in block}) != 1:
@@ -337,27 +352,25 @@ class DiagonalComplex:
 
     # -- monomials ----------------------------------------------------
 
-    def monomial(self, labelling, simplex):
-        """Exponent map of the block-label monomial of a simplex."""
-        part = self.gamma_of(simplex)
+    def monomial(self, labelling, u):
+        """Exponent map of the block-label monomial of the simplex mask u."""
         exponents = {}
-        for block in part.blocks:
-            label = labelling.labels[block[0]]
+        for block in self._blocks(u):
+            label = labelling.labels[self.elements[block.bit_length() - 1]]  # any element of the block
             exponents[label] = exponents.get(label, 0) + 1
         return exponents
 
     # -- serialisation -------------------------------------------------
 
     def to_json(self, labelling=None):
-        simplices = sorted((sorted(u) for u in self.gamma), key=lambda s: (len(s), s))
-        gamma = {
-            _simplex_key(u): self.gamma[frozenset(u)].to_json()
-            for u in map(frozenset, simplices)
-        }
+        rows = sorted((self.elements_of(u), blocks) for u, blocks in self.gamma.items())
+        rows.sort(key=lambda row: len(row[0]))
         data = {
             "ground": self.ground_size,
-            "simplices": simplices,
-            "gamma": gamma,
+            "simplices": [list(simplex) for simplex, _ in rows],
+            "gamma": {
+                _simplex_key(simplex): [list(b) for b in spell(blocks, self.elements)] for simplex, blocks in rows
+            },
             "labels": list(labelling.labels) if labelling is not None else None,
         }
         return json.dumps(data, sort_keys=True, separators=(",", ":"))
@@ -369,14 +382,23 @@ class DiagonalComplex:
         except RecursionError:
             raise ValueError("complex JSON nests too deeply") from None
         _check_json_structure(data)
-        ground = data["ground"]
-        gamma = {}
+        ground, entries = data["ground"], data["gamma"]
+        used = set()  # the elements of the simplices and of their blocks, which get the bits
         for simplex in data["simplices"]:
             key = _simplex_key(simplex)
-            if key not in data["gamma"]:
+            if key not in entries:
                 raise ValueError(f"simplex {key} has no gamma entry")
-            gamma[frozenset(simplex)] = PartialPartition.of(ground, data["gamma"][key])
-        complex_ = cls(ground, gamma)
+            blocks = sorted((sorted(block) for block in entries[key]), key=lambda b: b[0])
+            check_blocks(ground, blocks)
+            used.update(simplex)
+            used.update(x for block in blocks for x in block)
+        elements = sorted(used)
+        bit = {x: i for i, x in enumerate(elements)}
+        gamma, shared = {}, {}  # a block recurs in many simplices: keep one int for it
+        for simplex in data["simplices"]:
+            masks = [shared.setdefault(m, m) for m in (to_mask(block, bit) for block in entries[_simplex_key(simplex)])]
+            gamma[to_mask(simplex, bit)] = tuple(sorted(masks, key=lambda mask: mask & -mask))
+        complex_ = cls(ground, elements, gamma)
         labels = data.get("labels")
         labelling = Labelling(complex_, labels) if labels is not None else None
         return complex_, labelling
@@ -419,18 +441,21 @@ class Labelling:
         self.check_against(complex_)
 
     def check_against(self, complex_):
-        for u, part in complex_.gamma.items():
-            for block in part.blocks:
-                if len({self.labels[x] for x in block}) != 1:
-                    raise ValueError(
-                        f"label not constant on block {sorted(block)} of simplex {sorted(u)}"
-                    )
+        same = {}  # label -> mask of the bits whose elements carry it
+        for i, x in enumerate(complex_.elements):
+            if 0 <= x < len(self.labels):  # a simplex of an invalid complex may leave the ground
+                same[self.labels[x]] = same.get(self.labels[x], 0) | 1 << i
+        for u, blocks in complex_.gamma.items():
+            for block in blocks:  # its top bit names the label all its bits must share
+                if block & ~same[self.labels[complex_.elements[block.bit_length() - 1]]]:
+                    block, u = complex_.elements_of(block), complex_.elements_of(u)
+                    raise ValueError(f"label not constant on block {list(block)} of simplex {list(u)}")
 
     @classmethod
     def universal(cls, complex_):
         """The finest labelling: merge x, y whenever they share a block."""
         n = complex_.ground_size
-        blocks = [block for part in complex_.gamma.values() for block in part.blocks]
+        blocks = [block for masks in complex_.gamma.values() for block in spell(masks, complex_.elements)]
         classes = block_classes(n, blocks)
         label = {x: i for i, root in enumerate(sorted(classes)) for x in classes[root]}
         return cls(complex_, [label[x] for x in range(n)])

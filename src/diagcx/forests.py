@@ -233,8 +233,9 @@ class ForestComplex(collections.namedtuple("ForestComplex", "n complex labelling
     __slots__ = ()
 
     def simplex_of_poset(self, poset):
+        """The simplex mask of a forest poset: bit k is the k-th pair of X_n."""
         index = x_n_index(self.n)
-        return frozenset(index[p] for p in poset.pairs)
+        return sum(1 << index[p] for p in poset.pairs)
 
 
 def build_gamma_Fn(n):
@@ -244,25 +245,25 @@ def build_gamma_Fn(n):
     (i, j) is i, and the simplices are the (n+1)^(n-1) - 1 forest posets.
     """
     from .complexes import DiagonalComplex, Labelling
-    from .partitions import PartialPartition
 
     if not 1 <= n <= BUILD_CAP:
         raise ValueError(f"n must be between 1 and {BUILD_CAP}")
     index = x_n_index(n)
     ground = len(index)
-    gamma = {}
+    bit = {pair: 1 << k for pair, k in index.items()}
+    gamma, shared = {}, {}  # a block recurs in many simplices: keep one int for it
     for forest in enumerate_forests(n):
-        simplex = set()
+        simplex = 0
         blocks = {}
         for v in range(1, n + 1):
             below, a = v, forest.parent[v - 1]
             while a:  # (a, v) joins the block of the edge from a to the vertex below a
-                simplex.add(index[(a, v)])
-                blocks.setdefault((a, below), []).append(index[(a, v)])
+                simplex |= bit[(a, v)]
+                blocks[(a, below)] = blocks.get((a, below), 0) | bit[(a, v)]
                 below, a = a, forest.parent[a - 1]
-        # a frozenset copied from a set is sized for it; from an iterator it over-allocates
-        gamma[frozenset(simplex)] = PartialPartition.of(ground, blocks.values())
-    complex_ = DiagonalComplex(ground, gamma)
+        masks = (shared.setdefault(mask, mask) for mask in blocks.values())
+        gamma[simplex] = tuple(sorted(masks, key=lambda mask: mask & -mask))
+    complex_ = DiagonalComplex(ground, range(ground), gamma)
     labelling = Labelling(complex_, [i for i, _ in index])
     return ForestComplex(n, complex_, labelling)
 

@@ -10,6 +10,7 @@ without assuming it.
 """
 
 import collections
+import functools
 import heapq
 import itertools
 
@@ -236,13 +237,13 @@ def torus_model_generators(complex_, degree):
     Columns are indexed by k-subsets of the ground set, zero columns
     omitted.
     """
+    members = functools.cache(complex_.elements_of)  # blocks recur across simplices: spell each once
     columns = {}
     vectors = set()
-    for part in complex_.gamma.values():
-        blocks = part.blocks
+    for blocks in complex_.gamma.values():
         if len(blocks) < degree:
             continue
-        for combo in itertools.combinations(blocks, degree):
+        for combo in itertools.combinations(map(members, blocks), degree):
             entries = {}
             for transversal in itertools.product(*combo):
                 key = frozenset(transversal)
@@ -256,7 +257,7 @@ def torus_model_generators(complex_, degree):
 def torus_model_matrices(complex_):
     """Validate, then yield the generator rows of degrees 1 to the largest block count."""
     complex_.require_valid()
-    max_blocks = max((len(part.blocks) for part in complex_.gamma.values()), default=0)
+    max_blocks = max(map(len, complex_.gamma.values()), default=0)
     return (torus_model_generators(complex_, k) for k in range(1, max_blocks + 1))
 
 

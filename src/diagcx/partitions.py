@@ -43,18 +43,7 @@ class PartialPartition(collections.namedtuple("PartialPartition", "ground_size b
         self = super().__new__(cls, ground_size, blocks)
         if self.ground_size < 0:
             raise ValueError("ground_size must be nonnegative")
-        seen = set()
-        for block in self.blocks:
-            if not block:
-                raise ValueError("blocks must be nonempty")
-            if list(block) != sorted(set(block)):
-                raise ValueError("blocks must be sorted tuples without repeats")
-            for x in block:
-                if not 0 <= x < self.ground_size:
-                    raise ValueError(f"element {x} outside ground set")
-                if x in seen:
-                    raise ValueError(f"element {x} appears in two blocks")
-                seen.add(x)
+        check_blocks(self.ground_size, self.blocks)
         if list(self.blocks) != sorted(self.blocks, key=lambda b: b[0]):
             raise ValueError("blocks must be ordered by least element")
         return self
@@ -70,20 +59,47 @@ class PartialPartition(collections.namedtuple("PartialPartition", "ground_size b
         """The set of covered elements."""
         return frozenset(x for block in self.blocks for x in block)
 
-    def masks(self):
-        """The blocks as bitmasks, bit x set for element x, in block order."""
-        return tuple(sum(1 << x for x in block) for block in self.blocks)
-
-    @classmethod
-    def from_masks(cls, ground_size, masks):
-        """The inverse of :meth:`masks`: block bitmasks ordered by least element."""
-        return cls(ground_size, tuple(tuple(x for x in range(ground_size) if mask >> x & 1) for mask in masks))
-
     def to_json(self):
         return [list(b) for b in self.blocks]
 
     def __str__(self):
         return "{" + ", ".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks) + "}"
+
+
+def check_blocks(ground_size, blocks):
+    """Raise ValueError unless the sorted blocks are nonempty, disjoint and inside the ground set."""
+    seen = set()
+    for block in blocks:
+        if not block:
+            raise ValueError("blocks must be nonempty")
+        if list(block) != sorted(set(block)):
+            raise ValueError("blocks must be sorted tuples without repeats")
+        for x in block:
+            if not 0 <= x < ground_size:
+                raise ValueError(f"element {x} outside ground set")
+            if x in seen:
+                raise ValueError(f"element {x} appears in two blocks")
+            seen.add(x)
+
+
+def to_mask(elements, bit):
+    """The bitmask of a set of elements, bit[x] being the bit that stands for x."""
+    return sum(1 << bit[x] for x in set(elements))
+
+
+def bits(mask):
+    """The set bits of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def spell(masks, elements):
+    """Block bitmasks as tuples of the elements their bits stand for, bit i for elements[i]."""
+    return tuple(tuple(elements[i] for i in bits(mask)) for mask in masks)
 
 
 def is_partial_coarsening(p, q):
@@ -118,7 +134,8 @@ def meet(p, q):
     element outside the support of either argument is related to a sink.
     The classes avoiding the sink are the blocks of the meet.  When every
     class hits the sink the meet is the basepoint, returned as
-    :data:`EMPTY_MEET`.  The work is done by :func:`meet_masks`.
+    :data:`EMPTY_MEET`.  The work is done by :func:`meet_masks`, with one
+    bit per element of the two supports.
 
     >>> p = PartialPartition.of(2, [[0]])
     >>> q = PartialPartition.of(2, [[1]])
@@ -127,8 +144,10 @@ def meet(p, q):
     """
     if p.ground_size != q.ground_size:
         raise ValueError("mismatched ground sizes")
-    blocks = meet_masks(p.masks(), q.masks())
-    return PartialPartition.from_masks(p.ground_size, blocks) if blocks else EMPTY_MEET
+    elements = sorted(p.support | q.support)
+    bit = {x: i for i, x in enumerate(elements)}
+    blocks = meet_masks(*(tuple(to_mask(block, bit) for block in r.blocks) for r in (p, q)))
+    return PartialPartition(p.ground_size, spell(blocks, elements)) if blocks else EMPTY_MEET
 
 
 def meet_masks(p, q):

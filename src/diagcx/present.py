@@ -167,8 +167,9 @@ def _commutator(group_a, word_a, group_b, word_b):
 
 
 def _two_edge_posets(forest_complex):
-    gamma = forest_complex.complex.gamma
-    return sorted(blocks_as_pairs(part.blocks, forest_complex.n) for part in gamma.values() if len(part.blocks) == 2)
+    complex_ = forest_complex.complex
+    two_edge = (complex_.gamma_of(u).blocks for u, blocks in complex_.gamma.items() if len(blocks) == 2)
+    return sorted(blocks_as_pairs(blocks, forest_complex.n) for blocks in two_edge)
 
 
 def fr_presentation(n, groups):
@@ -216,7 +217,8 @@ def dc_presentation(complex_, labelling, groups):
     generators = []
     relations = []
     labelled = []
-    for simplex in sorted(complex_.simplices, key=lambda u: (len(u), sorted(u))):
+    partitions = complex_.partitions()
+    for simplex in sorted(partitions, key=lambda u: (len(u), sorted(u))):
         label = label_of(simplex)
         if label is None:
             continue
@@ -226,8 +228,8 @@ def dc_presentation(complex_, labelling, groups):
         relations.extend(_mult_relations(simplex, groups[label], f"simplex {simplex}"))
 
     commutator_pairs = set()
-    for w in complex_.simplices:
-        commutator_pairs.update(itertools.combinations(complex_.gamma_of(w).blocks, 2))
+    for part in partitions.values():
+        commutator_pairs.update(itertools.combinations(part.blocks, 2))
     for a, b in sorted(commutator_pairs):
         group_a, group_b = groups[label_of(a)], groups[label_of(b)]
         for g in group_a.nonidentity():
@@ -236,7 +238,7 @@ def dc_presentation(complex_, labelling, groups):
                 relations.append(Relation("commute", word, source=f"blocks {a} | {b}"))
 
     for simplex, label in labelled:
-        blocks = complex_.gamma_of(frozenset(simplex)).blocks
+        blocks = partitions[frozenset(simplex)].blocks
         if len(blocks) < 2:
             continue
         group = groups[label]

@@ -343,7 +343,7 @@ def hilbert_polynomial(complex_, labelling):
     variables = labelling.label_set
     index = {v: i for i, v in enumerate(variables)}
     terms = {}
-    for u in complex_.simplices:
+    for u in complex_.gamma:
         exponents = [0] * len(variables)
         for label, e in complex_.monomial(labelling, u).items():
             exponents[index[label]] += e

@@ -61,7 +61,7 @@ def example_t_complex():
         frozenset([0, 1]): PartialPartition.of(3, [[0], [1]]),
         frozenset([0, 1, 2]): PartialPartition.of(3, [[0, 1], [2]]),
     }
-    return DiagonalComplex(3, gamma)
+    return DiagonalComplex.of(3, gamma)
 
 
 def example_t_labelling(complex_):
@@ -71,9 +71,9 @@ def example_t_labelling(complex_):
 def example_t_improper():
     """The same complex with the extra simplex {0,2}; no longer proper."""
     base = example_t_complex()
-    gamma = dict(base.gamma)
+    gamma = base.partitions()
     gamma[frozenset([0, 2])] = PartialPartition.of(3, [[0], [2]])
-    return DiagonalComplex(3, gamma)
+    return DiagonalComplex.of(3, gamma)
 
 
 def all_partial_partitions(n, include_empty=False):

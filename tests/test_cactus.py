@@ -101,7 +101,7 @@ def test_image_equals_complex_product_model(n):
     fc = build_gamma_Fn(n)
     pairs = x_n_pairs(n)
     model = {tuple(tuple(0 for _ in range(n)) for _ in range(n))}
-    for part in fc.complex.gamma.values():
+    for part in fc.complex.partitions().values():
         blocks = part.blocks
         value_ranges = [range(sizes[pairs[b[0]][0] - 1]) for b in blocks]
         for values in itertools.product(*value_ranges):

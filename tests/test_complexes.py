@@ -34,16 +34,16 @@ def test_full_simplex_validates():
 
 def test_missing_singleton_is_axiom_1():
     complex_ = example_t_complex()
-    gamma = {u: p for u, p in complex_.gamma.items() if u != frozenset([2])}
-    report = DiagonalComplex(3, gamma).validate()
+    gamma = {u: p for u, p in complex_.partitions().items() if u != frozenset([2])}
+    report = DiagonalComplex.of(3, gamma).validate()
     assert not report.ok
     assert report.failures()[0].axiom == 1
 
 
 def test_missing_face_is_axiom_3_with_witness():
     complex_ = example_t_complex()
-    gamma = {u: p for u, p in complex_.gamma.items() if u != frozenset([0, 1])}
-    report = DiagonalComplex(3, gamma).validate()
+    gamma = {u: p for u, p in complex_.partitions().items() if u != frozenset([0, 1])}
+    report = DiagonalComplex.of(3, gamma).validate()
     assert not report.ok
     failure = report.failures()[0]
     assert failure.axiom == 3
@@ -51,9 +51,9 @@ def test_missing_face_is_axiom_3_with_witness():
 
 
 def test_improper_partition_is_axiom_2():
-    gamma = dict(example_t_complex().gamma)
+    gamma = example_t_complex().partitions()
     gamma[frozenset([0, 1])] = PartialPartition.of(3, [[0, 1]])
-    report = DiagonalComplex(3, gamma).validate()
+    report = DiagonalComplex.of(3, gamma).validate()
     assert not report.ok
     assert report.failures()[0].axiom == 2
 
@@ -70,8 +70,8 @@ def test_improper_still_validates():
 
 def test_is_proper_requires_valid_complex():
     complex_ = example_t_complex()
-    gamma = {u: p for u, p in complex_.gamma.items() if u != frozenset([0, 1])}
-    broken = DiagonalComplex(3, gamma)
+    gamma = {u: p for u, p in complex_.partitions().items() if u != frozenset([0, 1])}
+    broken = DiagonalComplex.of(3, gamma)
     with pytest.raises(ValueError):
         broken.is_proper()
     with pytest.raises(ValueError):
@@ -80,7 +80,7 @@ def test_is_proper_requires_valid_complex():
 
 def test_every_consumer_names_the_first_axiom_failure():
     complex_ = example_t_complex()
-    broken = DiagonalComplex(3, {u: p for u, p in complex_.gamma.items() if u != frozenset([0, 1])})
+    broken = DiagonalComplex.of(3, {u: p for u, p in complex_.partitions().items() if u != frozenset([0, 1])})
     labelling = Labelling(broken, [0, 0, 0])
     message = f"invalid diagonal complex: {broken.validate().failures()[0].witness}"
     consumers = [
@@ -102,14 +102,15 @@ def _descendants(complex_):
     """Brute-force descendance order: transitive closure of the face relation."""
     import itertools
 
-    faces = {u: set() for u in complex_.gamma}
-    for u, part in complex_.gamma.items():
+    gamma = complex_.partitions()
+    faces = {u: set() for u in gamma}
+    for u, part in gamma.items():
         blocks = part.blocks
         for r in range(1, len(blocks) + 1):
             for combo in itertools.combinations(blocks, r):
                 faces[u].add(frozenset(x for b in combo for x in b))
     reachable = {}
-    for u in complex_.gamma:
+    for u in gamma:
         seen = set()
         stack = [u]
         while stack:
@@ -132,8 +133,8 @@ def test_proper_matches_descendance_oracle(builder):
     reachable = _descendants(complex_)
     oracle = all(
         (v in reachable[u]) == (v < u)
-        for u in complex_.gamma
-        for v in complex_.gamma
+        for u in reachable
+        for v in reachable
         if v != u
     )
     assert complex_.is_proper() == oracle
@@ -141,20 +142,21 @@ def test_proper_matches_descendance_oracle(builder):
 
 def test_levels(example_t):
     complex_, _ = example_t
-    assert complex_.level([0]) == 0
-    assert complex_.level([0, 1]) == 1
-    assert complex_.level([0, 1, 2]) == 2
-    assert complex_.level([0, 1, 2], coarse=True) == 2
-    with pytest.raises(ValueError):
-        complex_.level([0, 2])
+    # bit x stands for element x: every singleton is a simplex
+    assert complex_.level(0b001) == 0
+    assert complex_.level(0b011) == 1
+    assert complex_.level(0b111) == 2
+    assert complex_.level(0b111, coarse=True) == 2
+    with pytest.raises(ValueError, match=r"not a simplex: \[0, 2\]"):
+        complex_.level(0b101)
 
 
 def test_filtration(example_t):
     complex_, _ = example_t
     level0 = complex_.filtration(0)
-    assert set(level0.gamma) == {frozenset([x]) for x in range(3)}
+    assert set(level0.partitions()) == {frozenset([x]) for x in range(3)}
     level1 = complex_.filtration(1)
-    assert set(level1.gamma) == set(level0.gamma) | {frozenset([0, 1])}
+    assert set(level1.partitions()) == set(level0.partitions()) | {frozenset([0, 1])}
     assert complex_.filtration(2) == complex_
     assert complex_.filtration(99) == complex_
     for k in range(3):
@@ -207,11 +209,11 @@ def test_category_objects_meet_closed(example_t):
 
 def test_monomial(example_t):
     complex_, labelling = example_t
-    assert complex_.monomial(labelling, [0]) == {1: 1}
-    assert complex_.monomial(labelling, [0, 1, 2]) == {1: 1, 2: 1}
-    assert complex_.monomial(labelling, [0, 1]) == {1: 2}
+    assert complex_.monomial(labelling, 0b001) == {1: 1}
+    assert complex_.monomial(labelling, 0b111) == {1: 1, 2: 1}
+    assert complex_.monomial(labelling, 0b011) == {1: 2}
     with pytest.raises(ValueError):
-        complex_.monomial(labelling, [1, 2])
+        complex_.monomial(labelling, 0b110)
 
 
 def test_labelling_eager_validation():
@@ -246,11 +248,11 @@ def test_full_subcomplex(example_t):
     complex_, _ = example_t
     sub = complex_.full_subcomplex([0, 1])
     assert sub.ground_size == 2
-    assert set(sub.gamma) == {frozenset([0]), frozenset([1]), frozenset([0, 1])}
+    assert set(sub.partitions()) == {frozenset([0]), frozenset([1]), frozenset([0, 1])}
     assert sub.validate().ok
     # restriction to {1, 2} keeps only the singletons
     sparse = complex_.full_subcomplex([1, 2])
-    assert set(sparse.gamma) == {frozenset([0]), frozenset([1])}
+    assert set(sparse.partitions()) == {frozenset([0]), frozenset([1])}
     assert sparse.validate().ok
 
 

@@ -21,7 +21,7 @@ from diagcx.forests import (
     x_n_pairs,
 )
 from conftest import term_product
-from diagcx.partitions import PartialPartition
+from diagcx.partitions import PartialPartition, bits
 from diagcx.series import AbelianGroup, GradedModuleSeries, circle_series, cyclic_classifying_series
 
 
@@ -153,8 +153,8 @@ def test_build_gamma_F2():
     fc = build_gamma_Fn(2)
     index = {pair: k for k, pair in enumerate(x_n_pairs(fc.n))}
     assert set(fc.complex.gamma) == {
-        frozenset([index[(1, 2)]]),
-        frozenset([index[(2, 1)]]),
+        1 << index[(1, 2)],
+        1 << index[(2, 1)],
     }
 
 
@@ -176,7 +176,7 @@ def test_build_gamma_Fn_cap():
 def test_two_edge_breakdown_n3():
     fc = build_gamma_Fn(3)
     sizes = {}
-    for part in fc.complex.gamma.values():
+    for part in fc.complex.partitions().values():
         sizes[len(part.blocks)] = sizes.get(len(part.blocks), 0) + 1
     assert sizes == {1: 6, 2: 9}
 
@@ -207,7 +207,7 @@ def test_levels_in_forest_complex():
     assert fc.complex.level(cherry) == 1
     assert fc.complex.level(chain) == 2
     level0 = fc.complex.filtration(0)
-    assert set(level0.gamma) == {frozenset([k]) for k in range(len(x_n_pairs(fc.n)))}
+    assert set(level0.gamma) == {1 << k for k in range(len(x_n_pairs(fc.n)))}
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -231,12 +231,12 @@ def test_coarse_filtration_skeleton(n):
         assert forest_from_poset(_poset_of(c, u, n)).edges() == tuple(
             sorted(_pairs_of(u, n))
         )
-    assert plain_one == {u for u in coarse_one if len(u) <= 2}
+    assert plain_one == {u for u in coarse_one if u.bit_count() <= 2}
 
 
 def _pairs_of(simplex, n):
     pairs = x_n_pairs(n)
-    return [pairs[k] for k in simplex]
+    return [pairs[k] for k in bits(simplex)]
 
 
 def _poset_of(complex_, simplex, n):

@@ -357,7 +357,7 @@ def test_torus_model_matches_block_counts():
         fc = build_gamma_Fn(n)
         betti = torus_model_betti(fc.complex)
         counts = {}
-        for part in fc.complex.gamma.values():
+        for part in fc.complex.partitions().values():
             k = len(part.blocks)
             counts[k] = counts.get(k, 0) + 1
         for degree in range(1, len(betti)):

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from conftest import all_partial_partitions
-from diagcx.partitions import EMPTY_MEET, PartialPartition, is_partial_coarsening, meet
+from diagcx.partitions import EMPTY_MEET, PartialPartition, bits, is_partial_coarsening, meet, spell, to_mask
 
 
 def test_canonical_form():
@@ -25,8 +25,13 @@ def test_construction_errors():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_mask_roundtrip(n):
+    # one bit per element of the support, so the masks stay as wide as the support, not the ground
     for p in all_partial_partitions(n):
-        assert PartialPartition.from_masks(n, p.masks()) == p
+        elements = sorted(p.support)
+        bit = {x: i for i, x in enumerate(elements)}
+        masks = tuple(to_mask(block, bit) for block in p.blocks)
+        assert sum(map(len, map(bits, masks))) == len(elements) and max(masks, default=0) < 1 << len(elements)
+        assert PartialPartition(n, spell(masks, elements)) == p
 
 
 def test_coarsening_examples():
