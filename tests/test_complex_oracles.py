@@ -12,9 +12,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import all_partial_partitions, example_t_complex, example_t_improper
-from diagcx.complexes import AxiomCheck, DiagonalComplex, ValidationReport, _meet_closure, _simplex_key
+from diagcx.complexes import AxiomCheck, DiagonalComplex, Labelling, ValidationReport, _meet_closure, _simplex_key
 from diagcx.forests import build_gamma_Fn
 from diagcx.partitions import EMPTY_MEET, PartialPartition, block_classes, to_mask
 
@@ -265,3 +267,101 @@ def test_meet_closure_matches_the_all_pairs_closure_on_random_families():
     for _ in range(60):
         generators = rng.sample(parts, rng.randint(1, 6))
         assert set(_meet_closure(_keyed_by_masks(generators))) == oracle_closure(generators)
+
+
+# -- property tests of the mask kernels --------------------------------------
+
+
+def _spread(n, stretch, offset):
+    """Element numbers for points 0..n-1: the identity, or far apart, so bit i is not element i."""
+    return [offset + stretch * x for x in range(n)]
+
+
+@st.composite
+def flag_complexes(draw):
+    """Flag complexes of random graphs on up to 7 points, with coarser partitions on larger cliques.
+
+    gamma(U) is U split by the colouring of its size, and each colouring
+    merges classes of the one before, so every face refines the blocks
+    it is made of: the complex is valid when no clique lies in one class
+    of its colouring, and improper when a class of U holds two points.  A
+    merge of two blocks, a split into singletons, a dropped simplex or a
+    singleton beyond the points breaks an axiom.  The points may also be numbered far apart.
+    """
+    n = draw(st.integers(1, 7))
+    edges = {pair for pair in itertools.combinations(range(n), 2) if draw(st.integers(0, 3))}
+    colourings = [list(range(n))] * 3  # sizes 0, 1 and 2: singletons, so edges are proper
+    for _ in range(3, n + 1):
+        merge = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        colourings.append([merge[c] for c in colourings[-1]])
+    cliques = [
+        u for r in range(1, n + 1) for u in itertools.combinations(range(n), r)
+        if all(pair in edges for pair in itertools.combinations(u, 2))
+    ]
+    partitions = {}
+    for u in cliques:
+        colour = colourings[len(u)]
+        blocks = [[x for x in u if colour[x] == c] for c in sorted({colour[x] for x in u})]
+        roll = draw(st.integers(0, 19))
+        if roll == 0 and len(blocks) > 2:
+            blocks = [blocks[0] + blocks[-1]] + blocks[1:-1]
+        elif roll == 1:  # finer than its faces of three or more points, which then need not refine it
+            blocks = [[x] for x in u]
+        partitions[u] = blocks
+    if draw(st.integers(0, 4)) == 0:
+        del partitions[draw(st.sampled_from(cliques))]
+    names = _spread(n, *draw(st.sampled_from([(1, 0)] * 3 + [(1, 3), (97, 5), (1000, 999)])))
+    ground = names[-1] + 1 + draw(st.sampled_from([0, 0, 0, 1, 500]))
+    return DiagonalComplex.of(ground, {
+        frozenset(names[x] for x in u): PartialPartition.of(ground, [[names[x] for x in b] for b in blocks])
+        for u, blocks in partitions.items()
+    })
+
+
+@st.composite
+def families(draw):
+    """Partial partitions on up to 7 points, often holding three whose meet no two of them reach."""
+    n = draw(st.integers(1, 7))
+    part = st.lists(st.integers(-1, n - 1), min_size=n, max_size=n).map(
+        lambda tags: [[x for x in range(n) if tags[x] == t] for t in sorted(set(tags) - {-1})]
+    )
+    generators = draw(st.lists(part.filter(bool), min_size=1, max_size=5))
+    if n >= 4 and draw(st.booleans()):  # gamma-like chains: {0,1}|{2}|{3}, {0}|{1,2}|{3}|{4}, {0}|{1}|{2,3}|{5}
+        order = draw(st.permutations(range(n)))
+        extra = [[order[4]]] if n > 4 else []
+        generators += [[[order[0], order[1]], [order[2]], [order[3]]],
+                       [[order[0]], [order[1], order[2]], [order[3]]] + extra,
+                       [[order[0]], [order[1]], [order[2], order[3]]]]
+    # the oracle's union-find spans the ground, so the numbers stay in the thousands
+    names = _spread(n, *draw(st.sampled_from([(1, 0), (61, 7), (90, 300)])))
+    ground = names[-1] + 1
+    return [PartialPartition.of(ground, [[names[x] for x in b] for b in blocks]) for blocks in generators]
+
+
+def _as_file(complex_):
+    """The complex as complex JSON, its simplices, blocks and members listed out of order."""
+    partitions = complex_.partitions()
+    simplices = [sorted(u, reverse=True) for u in partitions][::-1]
+    gamma = {_simplex_key(u): [sorted(b, reverse=True) for b in part.blocks][::-1] for u, part in partitions.items()}
+    return json.dumps({"ground": complex_.ground_size, "simplices": simplices, "gamma": gamma})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(flag_complexes())
+def test_mask_kernels_match_the_oracles_on_flag_complexes(complex_):
+    report = complex_.validate()
+    assert report == oracle_validate(complex_)
+    assert DiagonalComplex.from_json(_as_file(complex_))[0] == complex_
+    if report.ok:
+        assert complex_.is_proper() == oracle_is_proper(complex_)
+        objects = complex_.category_objects(Labelling.universal(complex_))
+        assert set(objects) == oracle_closure(complex_.partitions().values())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(families())
+def test_meet_closure_matches_the_oracle_on_sparse_families(generators):
+    elements = sorted({x for g in generators for b in g.blocks for x in b})
+    bit = {x: i for i, x in enumerate(elements)}
+    keyed = {tuple(to_mask(b, bit) for b in g.blocks): g for g in generators}
+    assert set(_meet_closure(keyed)) == oracle_closure(generators)
