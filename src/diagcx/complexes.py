@@ -12,7 +12,7 @@ graph products.
 import collections
 import json
 
-from .partitions import PartialPartition, bits, block_classes, check_blocks, meet, meet_masks, spell, to_mask
+from .partitions import PartialPartition, bits, block_classes, meet, meet_masks, spell, to_mask
 
 COMPLEX_JSON_SCHEMA = {
     "type": "object",
@@ -388,10 +388,8 @@ class DiagonalComplex:
             key = _simplex_key(simplex)
             if key not in entries:
                 raise ValueError(f"simplex {key} has no gamma entry")
-            blocks = sorted((sorted(block) for block in entries[key]), key=lambda b: b[0])
-            check_blocks(ground, blocks)
             used.update(simplex)
-            used.update(x for block in blocks for x in block)
+            used |= PartialPartition.of(ground, entries[key]).support  # which checks the blocks
         elements = sorted(used)
         bit = {x: i for i, x in enumerate(elements)}
         gamma, shared = {}, {}  # a block recurs in many simplices: keep one int for it

@@ -43,7 +43,18 @@ class PartialPartition(collections.namedtuple("PartialPartition", "ground_size b
         self = super().__new__(cls, ground_size, blocks)
         if self.ground_size < 0:
             raise ValueError("ground_size must be nonnegative")
-        check_blocks(self.ground_size, self.blocks)
+        seen = set()
+        for block in self.blocks:
+            if not block:
+                raise ValueError("blocks must be nonempty")
+            if list(block) != sorted(set(block)):
+                raise ValueError("blocks must be sorted tuples without repeats")
+            for x in block:
+                if not 0 <= x < self.ground_size:
+                    raise ValueError(f"element {x} outside ground set")
+                if x in seen:
+                    raise ValueError(f"element {x} appears in two blocks")
+                seen.add(x)
         if list(self.blocks) != sorted(self.blocks, key=lambda b: b[0]):
             raise ValueError("blocks must be ordered by least element")
         return self
@@ -64,22 +75,6 @@ class PartialPartition(collections.namedtuple("PartialPartition", "ground_size b
 
     def __str__(self):
         return "{" + ", ".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks) + "}"
-
-
-def check_blocks(ground_size, blocks):
-    """Raise ValueError unless the sorted blocks are nonempty, disjoint and inside the ground set."""
-    seen = set()
-    for block in blocks:
-        if not block:
-            raise ValueError("blocks must be nonempty")
-        if list(block) != sorted(set(block)):
-            raise ValueError("blocks must be sorted tuples without repeats")
-        for x in block:
-            if not 0 <= x < ground_size:
-                raise ValueError(f"element {x} outside ground set")
-            if x in seen:
-                raise ValueError(f"element {x} appears in two blocks")
-            seen.add(x)
 
 
 def to_mask(elements, bit):
