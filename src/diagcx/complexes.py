@@ -99,17 +99,32 @@ class DiagonalComplex:
 
     @classmethod
     def of(cls, ground_size, partitions):
-        """The complex with gamma(U) = ``partitions[U]``, each U an iterable of elements."""
-        partitions = {frozenset(u): part for u, part in partitions.items()}
+        """The complex with gamma(U) = ``partitions[U]``, each U an iterable of elements.
+
+        The blocks are read as those of a complex file on ``ground_size``.
+        """
+        entries = {_simplex_key(u): part.blocks for u, part in partitions.items()}
+        return cls._read(ground_size, list(partitions), entries)
+
+    @classmethod
+    def _read(cls, ground, simplices, entries):
+        """The complex of a file's simplices and its gamma entries, keyed as :func:`_simplex_key` spells them.
+
+        Bit i goes to the i-th smallest element of the simplices and their blocks.
+        """
         used = set()
-        for u, part in partitions.items():
-            if part.ground_size != ground_size:
-                raise ValueError(f"gamma({_simplex_key(u)}) has wrong ground size")
-            used |= u | part.support
-        elements = sorted(used)
-        bit = {x: i for i, x in enumerate(elements)}
-        gamma = {to_mask(u, bit): tuple(to_mask(b, bit) for b in part.blocks) for u, part in partitions.items()}
-        return cls(ground_size, elements, gamma)
+        for simplex in simplices:
+            key = _simplex_key(simplex)
+            if key not in entries:
+                raise ValueError(f"simplex {key} has no gamma entry")
+            used.update(simplex)
+            used |= PartialPartition.of(ground, entries[key]).support  # which checks the blocks
+        bit = {x: i for i, x in enumerate(sorted(used))}
+        gamma, shared = {}, {}  # a block recurs in many simplices: keep one int for it
+        for simplex in simplices:
+            masks = [shared.setdefault(m, m) for m in (to_mask(block, bit) for block in entries[_simplex_key(simplex)])]
+            gamma[to_mask(simplex, bit)] = tuple(sorted(masks, key=lambda mask: mask & -mask))
+        return cls(ground, sorted(used), gamma)
 
     def elements_of(self, mask):
         """The elements of a mask, ascending."""
@@ -179,10 +194,7 @@ class DiagonalComplex:
         ordered = sorted(gamma.items(), key=lambda kv: self._key(kv[0]))
         ax2_witness = None
         for u, blocks in ordered:
-            union = 0
-            for block in blocks:
-                union |= block
-            if union != u:
+            if sum(blocks) != u:  # the blocks are disjoint, so their sum is their union
                 ax2_witness = f"gamma({self._key(u)}) is not a partition of the simplex"
                 break
             if u & (u - 1) and len(blocks) < 2:
@@ -382,21 +394,7 @@ class DiagonalComplex:
         except RecursionError:
             raise ValueError("complex JSON nests too deeply") from None
         _check_json_structure(data)
-        ground, entries = data["ground"], data["gamma"]
-        used = set()  # the elements of the simplices and of their blocks, which get the bits
-        for simplex in data["simplices"]:
-            key = _simplex_key(simplex)
-            if key not in entries:
-                raise ValueError(f"simplex {key} has no gamma entry")
-            used.update(simplex)
-            used |= PartialPartition.of(ground, entries[key]).support  # which checks the blocks
-        elements = sorted(used)
-        bit = {x: i for i, x in enumerate(elements)}
-        gamma, shared = {}, {}  # a block recurs in many simplices: keep one int for it
-        for simplex in data["simplices"]:
-            masks = [shared.setdefault(m, m) for m in (to_mask(block, bit) for block in entries[_simplex_key(simplex)])]
-            gamma[to_mask(simplex, bit)] = tuple(sorted(masks, key=lambda mask: mask & -mask))
-        complex_ = cls(ground, elements, gamma)
+        complex_ = cls._read(data["ground"], data["simplices"], data["gamma"])
         labels = data.get("labels")
         labelling = Labelling(complex_, labels) if labels is not None else None
         return complex_, labelling
@@ -439,14 +437,10 @@ class Labelling:
         self.check_against(complex_)
 
     def check_against(self, complex_):
-        same = {}  # label -> mask of the bits whose elements carry it
-        for i, x in enumerate(complex_.elements):
-            if 0 <= x < len(self.labels):  # a simplex of an invalid complex may leave the ground
-                same[self.labels[x]] = same.get(self.labels[x], 0) | 1 << i
         for u, blocks in complex_.gamma.items():
-            for block in blocks:  # its top bit names the label all its bits must share
-                if block & ~same[self.labels[complex_.elements[block.bit_length() - 1]]]:
-                    block, u = complex_.elements_of(block), complex_.elements_of(u)
+            for block in map(complex_.elements_of, blocks):
+                if len({self.labels[x] for x in block}) != 1:
+                    u = complex_.elements_of(u)
                     raise ValueError(f"label not constant on block {list(block)} of simplex {list(u)}")
 
     @classmethod

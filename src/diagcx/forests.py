@@ -14,6 +14,7 @@ coloured forest isomorphism types.
 """
 
 import collections
+import functools
 import itertools
 import operator
 
@@ -190,6 +191,7 @@ def mu(poset, i, j):
     return _first_edge(forest_from_poset(poset), poset, i, j)
 
 
+@functools.cache  # one tuple per n, so spelt blocks share their (i, j) pairs
 def x_n_pairs(n):
     """The ground set X_n in lexicographic order."""
     return tuple((i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j)
@@ -250,7 +252,6 @@ def build_gamma_Fn(n):
         raise ValueError(f"n must be between 1 and {BUILD_CAP}")
     index = x_n_index(n)
     ground = len(index)
-    bit = {pair: 1 << k for pair, k in index.items()}
     gamma, shared = {}, {}  # a block recurs in many simplices: keep one int for it
     for forest in enumerate_forests(n):
         simplex = 0
@@ -258,8 +259,9 @@ def build_gamma_Fn(n):
         for v in range(1, n + 1):
             below, a = v, forest.parent[v - 1]
             while a:  # (a, v) joins the block of the edge from a to the vertex below a
-                simplex |= bit[(a, v)]
-                blocks[(a, below)] = blocks.get((a, below), 0) | bit[(a, v)]
+                bit = 1 << index[(a, v)]
+                simplex |= bit
+                blocks[(a, below)] = blocks.get((a, below), 0) | bit
                 below, a = a, forest.parent[a - 1]
         masks = (shared.setdefault(mask, mask) for mask in blocks.values())
         gamma[simplex] = tuple(sorted(masks, key=lambda mask: mask & -mask))

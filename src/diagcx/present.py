@@ -168,8 +168,8 @@ def _commutator(group_a, word_a, group_b, word_b):
 
 def _two_edge_posets(forest_complex):
     complex_ = forest_complex.complex
-    two_edge = (complex_.gamma_of(u).blocks for u, blocks in complex_.gamma.items() if len(blocks) == 2)
-    return sorted(blocks_as_pairs(blocks, forest_complex.n) for blocks in two_edge)
+    two_edge = [u for u, blocks in complex_.gamma.items() if len(blocks) == 2]
+    return sorted(blocks_as_pairs(complex_.gamma_of(u).blocks, forest_complex.n) for u in two_edge)
 
 
 def fr_presentation(n, groups):
