@@ -122,7 +122,8 @@ class DiagonalComplex:
         bit = {x: i for i, x in enumerate(sorted(used))}
         gamma, shared = {}, {}  # a block recurs in many simplices: keep one int for it
         for simplex in simplices:
-            masks = [shared.setdefault(m, m) for m in (to_mask(block, bit) for block in entries[_simplex_key(simplex)])]
+            masks = (to_mask(block, bit) for block in entries[_simplex_key(simplex)])
+            masks = (shared.setdefault(mask, mask) for mask in masks)
             gamma[to_mask(simplex, bit)] = tuple(sorted(masks, key=lambda mask: mask & -mask))
         return cls(ground, sorted(used), gamma)
 

@@ -113,7 +113,7 @@ def test_forest_listing_memory_follows_the_work(argv, limit):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is read in KiB, as Linux counts it")
 def test_forest_complex_is_held_as_bitmasks():
-    # Gamma(F_6), 16806 simplices: 21.8 MiB as int masks; frozensets and element-tuple partitions took 34.1 MiB
+    # Gamma(F_6), 16806 simplices: 22.0 MiB as int masks; frozensets and element-tuple partitions took 34.1 MiB
     argv = ["complex", "verify", "--n", "6"]
     run = subprocess.run([sys.executable, str(PEAK_RSS), *argv], capture_output=True, text=True, env=SRC_ENV)
     assert run.returncode == 0, run.stderr
