@@ -10,6 +10,7 @@ graph products.
 """
 
 import collections
+import functools
 import json
 
 from .partitions import PartialPartition, bits, block_classes, meet, meet_masks, spell, to_mask
@@ -112,19 +113,19 @@ class DiagonalComplex:
 
         Bit i goes to the i-th smallest element of the simplices and their blocks.
         """
-        used = set()
+        used, shared, partitions = set(), {}, []  # a block recurs in many simplices: keep one tuple for it
         for simplex in simplices:
             key = _simplex_key(simplex)
             if key not in entries:
                 raise ValueError(f"simplex {key} has no gamma entry")
+            blocks = PartialPartition.of(ground, entries[key]).blocks  # which checks and orders them
             used.update(simplex)
-            used |= PartialPartition.of(ground, entries[key]).support  # which checks the blocks
+            partitions.append(tuple(map(shared.setdefault, blocks, blocks)))
+        for block in shared:
+            used.update(block)
         bit = {x: i for i, x in enumerate(sorted(used))}
-        gamma, shared = {}, {}  # a block recurs in many simplices: keep one int for it
-        for simplex in simplices:
-            masks = (to_mask(block, bit) for block in entries[_simplex_key(simplex)])
-            masks = (shared.setdefault(mask, mask) for mask in masks)
-            gamma[to_mask(simplex, bit)] = tuple(sorted(masks, key=lambda mask: mask & -mask))
+        mask_of = {block: to_mask(block, bit) for block in shared}
+        gamma = {to_mask(u, bit): tuple(map(mask_of.get, blocks)) for u, blocks in zip(simplices, partitions)}
         return cls(ground, sorted(used), gamma)
 
     def elements_of(self, mask):
@@ -217,9 +218,9 @@ class DiagonalComplex:
         ``itertools.combinations`` order, and a simplex with many blocks
         stops at its first missing face without listing its subsets.
         """
-        gamma = self.gamma
+        gamma, members = self.gamma, functools.cache(bits)  # blocks recur across simplices
         for u, blocks in ordered:
-            home = {1 << x: block for block in blocks for x in bits(block)}  # bit of U -> its block
+            home = {1 << x: block for block in blocks for x in members(block)}  # bit of U -> its block
             level = [(0, -1)]  # (union, index of its last block)
             while level:
                 grown = []
@@ -269,17 +270,19 @@ class DiagonalComplex:
         simplices = sorted(self.gamma, key=int.bit_count)
         postings = [0] * len(self.elements)
         smaller = {}  # size s -> bitset of the simplices with fewer than s elements
+        members = functools.cache(bits)  # blocks recur across simplices: list each one's bits once
         for i, u in enumerate(simplices):
             smaller.setdefault(u.bit_count(), (1 << i) - 1)
-            for x in bits(u):
-                postings[x] |= 1 << i
+            for block in self.gamma[u]:
+                for x in members(block):
+                    postings[x] |= 1 << i
         for u in simplices:
             if not u & (u - 1):
                 continue
             candidates = smaller[u.bit_count()]
             for block in self.gamma[u]:
                 hit = 0
-                for x in bits(block):
+                for x in members(block):
                     hit |= candidates & postings[x]
                 candidates = hit
                 if not candidates:
@@ -438,8 +441,13 @@ class Labelling:
         self.check_against(complex_)
 
     def check_against(self, complex_):
+        checked = set()  # blocks recur across simplices: check each one once
         for u, blocks in complex_.gamma.items():
-            for block in map(complex_.elements_of, blocks):
+            for block in blocks:
+                if block in checked:
+                    continue
+                checked.add(block)
+                block = complex_.elements_of(block)
                 if len({self.labels[x] for x in block}) != 1:
                     u = complex_.elements_of(u)
                     raise ValueError(f"label not constant on block {list(block)} of simplex {list(u)}")
