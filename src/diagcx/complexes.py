@@ -121,8 +121,7 @@ class DiagonalComplex:
             blocks = PartialPartition.of(ground, entries[key]).blocks  # which checks and orders them
             used.update(simplex)
             partitions.append(tuple(map(shared.setdefault, blocks, blocks)))
-        for block in shared:
-            used.update(block)
+        used.update(*shared)
         bit = {x: i for i, x in enumerate(sorted(used))}
         mask_of = {block: to_mask(block, bit) for block in shared}
         gamma = {to_mask(u, bit): tuple(map(mask_of.get, blocks)) for u, blocks in zip(simplices, partitions)}
@@ -441,16 +440,11 @@ class Labelling:
         self.check_against(complex_)
 
     def check_against(self, complex_):
-        checked = set()  # blocks recur across simplices: check each one once
+        members = complex_.elements_of
+        mixed = functools.cache(lambda block: len({self.labels[x] for x in members(block)}) > 1)  # blocks recur
         for u, blocks in complex_.gamma.items():
-            for block in blocks:
-                if block in checked:
-                    continue
-                checked.add(block)
-                block = complex_.elements_of(block)
-                if len({self.labels[x] for x in block}) != 1:
-                    u = complex_.elements_of(u)
-                    raise ValueError(f"label not constant on block {list(block)} of simplex {list(u)}")
+            for block in filter(mixed, blocks):
+                raise ValueError(f"label not constant on block {list(members(block))} of simplex {list(members(u))}")
 
     @classmethod
     def universal(cls, complex_):
