@@ -82,12 +82,14 @@ COMMANDS = [
     ["cactus", "coords", "--tree", "0,1,1", "--sizes", "2,2,2", "--labels", "0,1,1"],
     ["--output", "out.txt", "series", "wh-free", "--n", "3"],
     # complex files: Gamma(F_4) with its ground, simplices, blocks and members permuted; no labels;
-    # a file failing each axiom (axiom 2 also on a simplex outside the ground); an improper complex;
+    # a file failing each axiom (axiom 2 also on a simplex outside the ground; axiom 3 also on a face
+    # two blocks below a simplex whose maximal faces are all present); an improper complex;
     # one simplex on a ground of 10^12
     *(
         [*command, "--file", name]
         for name in ("f4-permuted.json", "unlabelled.json", "axiom1.json", "axiom2.json", "axiom2-support.json",
-                     "axiom3-face.json", "axiom3-refine.json", "improper.json", "huge-ground.json")
+                     "axiom3-face.json", "axiom3-refine.json", "axiom3-lower-face.json", "improper.json",
+                     "huge-ground.json")
         for command in (["complex", "verify"], ["complex", "objects"])
     ),
 ]
