@@ -11,9 +11,10 @@ graph products.
 
 import collections
 import functools
+import itertools
 import json
 
-from .partitions import PartialPartition, bits, block_classes, meet, meet_masks, spell, to_mask
+from .partitions import PartialPartition, bits, block_classes, classes_inside, meet, spell, to_mask
 
 COMPLEX_JSON_SCHEMA = {
     "type": "object",
@@ -61,20 +62,43 @@ def _meet_closure(generators):
     """The nonempty meets of nonempty sets of generators.
 
     ``generators`` maps the block-mask tuple of each generator to its
-    partition.  Meets are associative, so the closure is reached by meeting
-    each new object with the generators alone.  The meets run on the masks
-    (:func:`partitions.meet_masks`); each new object is built by
-    :func:`partitions.meet`.
+    partition.  The closure grows one generator g at a time:
+    closure(F + g) is closure(F), g and the nonempty meets of g with each
+    object of closure(F) (Ganter and Wille, *Formal Concept Analysis*, 1999).  A
+    nonempty meet has a class inside the common support, and that class
+    holds a whole block of g, so g is met only with the objects covering
+    one of its blocks: bit i of ``postings[x]`` is set when object i
+    covers bit x.  The meets run on the masks and the supports kept beside
+    them (:func:`partitions.classes_inside`); each new object that is no
+    generator is built once, by :func:`partitions.meet`.
     """
-    objects = dict(generators)
-    queue = list(generators.items())
-    while queue:
-        p_masks, p = queue.pop()
-        for g_masks, g in generators.items():
-            m_masks = meet_masks(p_masks, g_masks)
-            if m_masks and m_masks not in objects:
-                objects[m_masks] = meet(p, g)
-                queue.append((m_masks, objects[m_masks]))
+    objects = dict(generators)  # so a meet equal to a later generator is not rebuilt
+    made, supports, closed, postings = [], [], set(), collections.defaultdict(int)
+    for g_masks, g in generators.items():
+        if g_masks in closed:
+            continue  # a meet of earlier generators
+        candidates = 0
+        for block in g_masks:
+            covering = -1
+            for x in bits(block):
+                covering &= postings[x]
+            candidates |= covering
+        new = [g_masks]
+        closed.add(g_masks)
+        g_support = sum(g_masks)
+        for i in bits(candidates):
+            m_masks = classes_inside(made[i], g_masks, supports[i] & g_support)
+            if m_masks and m_masks not in closed:
+                closed.add(m_masks)
+                new.append(m_masks)
+                if m_masks not in objects:
+                    objects[m_masks] = meet(objects[made[i]], g)
+        for m_masks in new:
+            support = sum(m_masks)
+            for x in bits(support):
+                postings[x] |= 1 << len(made)
+            made.append(m_masks)
+            supports.append(support)
     return objects.values()
 
 
@@ -86,16 +110,14 @@ class DiagonalComplex:
     maps each simplex, as the mask of its elements, to the tuple of the
     masks of the blocks of its partition, ordered by least element.
     Methods that take a simplex take its mask.
-    Instances are treated as immutable after construction; levels and the
-    validation report are memoised.
+    Instances are treated as immutable after construction; the validation
+    report is memoised.
     """
 
     def __init__(self, ground_size, elements, gamma):
         self.ground_size = ground_size
         self.elements = tuple(elements)
         self.gamma = gamma
-        self._levels = {}
-        self._coarse_levels = {}
         self._report = None
 
     @classmethod
@@ -111,19 +133,35 @@ class DiagonalComplex:
     def _read(cls, ground, simplices, entries):
         """The complex of a file's simplices and its gamma entries, keyed as :func:`_simplex_key` spells them.
 
-        Bit i goes to the i-th smallest element of the simplices and their blocks.
+        Bit i goes to the i-th smallest element of the simplices and their
+        blocks.  A block recurs in many entries, so each distinct block is
+        checked once (no repeats, inside the ground), and each entry's
+        blocks are checked disjoint on masks, their bits numbered as the
+        elements are first met.  An entry that fails is read again by
+        :meth:`PartialPartition.of`, which names the failure.
         """
-        used, shared, partitions = set(), {}, []  # a block recurs in many simplices: keep one tuple for it
+        used, canon, first, partitions = set(), {}, {}, []  # canon: a block as listed -> (sorted, mask)
         for simplex in simplices:
             key = _simplex_key(simplex)
             if key not in entries:
                 raise ValueError(f"simplex {key} has no gamma entry")
-            blocks = PartialPartition.of(ground, entries[key]).blocks  # which checks and orders them
+            blocks, union = [], 0
+            for listed in map(tuple, entries[key]):
+                if listed not in canon:
+                    block = tuple(sorted(set(listed)))
+                    if len(block) < len(listed) or block[0] < 0 or block[-1] >= ground:
+                        PartialPartition.of(ground, entries[key])  # raises, naming the repeat or the outsider
+                    canon[listed] = block, sum(1 << first.setdefault(x, len(first)) for x in block)
+                block, mask = canon[listed]
+                if union & mask:
+                    PartialPartition.of(ground, entries[key])  # raises, naming the shared element
+                union |= mask
+                blocks.append(block)
             used.update(simplex)
-            partitions.append(tuple(map(shared.setdefault, blocks, blocks)))
-        used.update(*shared)
+            partitions.append(tuple(sorted(blocks)))  # disjoint, so by least element
+        used.update(first)
         bit = {x: i for i, x in enumerate(sorted(used))}
-        mask_of = {block: to_mask(block, bit) for block in shared}
+        mask_of = {block: to_mask(block, bit) for block, _ in canon.values()}
         gamma = {to_mask(u, bit): tuple(map(mask_of.get, blocks)) for u, blocks in zip(simplices, partitions)}
         return cls(ground, sorted(used), gamma)
 
@@ -169,11 +207,18 @@ class DiagonalComplex:
 
         Axiom 3 holds for U when every nonempty set of blocks of gamma(U)
         has a union F that is a simplex, and every block of gamma(F) lies
-        inside one chosen block, that is inside the block of gamma(U)
-        holding its least element.  The sets are visited in
-        ``itertools.combinations`` order, and each union is the union of
-        the set without its last block (met earlier) plus that block.  The
-        report is memoised: gamma is not changed after construction.
+        inside one chosen block, that is inside one block of gamma(U).
+        Given axiom 2 it holds for every U when it holds for the maximal
+        faces: for each U with k >= 2 blocks and each block B, U - B is a
+        simplex whose blocks each lie inside one block of gamma(U).  By
+        induction on |U|: a union of some of the blocks of gamma(U) lies
+        inside some U - B, and is a union of blocks of gamma(U - B), so it is
+        a simplex whose blocks lie inside blocks of gamma(U - B), which lie
+        inside the chosen ones.  Axioms 2 and 3 are decided on the maximal
+        faces in one pass; only when that pass fails are the simplices
+        scanned in key order, to name the first failure as the scan over
+        every set of blocks would (:meth:`_axiom3_witness`).  The report is
+        memoised: gamma is not changed after construction.
         """
         if self._report is None:
             self._report = self._check_axioms()
@@ -182,59 +227,70 @@ class DiagonalComplex:
     def _key(self, mask):
         return ",".join(map(str, self.elements_of(mask)))
 
+    def _maximal_faces_hold(self):
+        """Axioms 2 and 3, decided on the maximal faces of every simplex."""
+        gamma = self.gamma
+        for u, blocks in gamma.items():
+            if sum(blocks) != u:  # the blocks are disjoint, so their sum is their union
+                return False
+            if len(blocks) < 2:
+                if u & (u - 1):
+                    return False
+                continue
+            for block in blocks:
+                fblocks = gamma.get(u ^ block)
+                if fblocks is None:
+                    return False
+                for fb in fblocks:
+                    for home in blocks:
+                        if not fb & ~home:
+                            break
+                    else:
+                        return False
+        return True
+
     def _check_axioms(self):
         gamma, bit = self.gamma, {x: i for i, x in enumerate(self.elements)}
-        checks = []
 
         # only len(gamma) singletons can be present, so this stops within len(gamma) + 1 steps
         missing = next((x for x in range(self.ground_size) if x not in bit or (1 << bit[x]) not in gamma), None)
-        checks.append(
-            AxiomCheck(1, missing is None, None if missing is None else f"missing singleton {{{missing}}}")
-        )
+        ax1 = AxiomCheck(1, missing is None, None if missing is None else f"missing singleton {{{missing}}}")
+        if self._maximal_faces_hold():
+            return ValidationReport((ax1, AxiomCheck(2, True), AxiomCheck(3, True)))
 
         ordered = sorted(gamma.items(), key=lambda kv: self._key(kv[0]))
-        ax2_witness = None
+        ax2_witness = ax3_witness = None
         for u, blocks in ordered:
-            if sum(blocks) != u:  # the blocks are disjoint, so their sum is their union
+            if sum(blocks) != u:
                 ax2_witness = f"gamma({self._key(u)}) is not a partition of the simplex"
                 break
             if u & (u - 1) and len(blocks) < 2:
                 ax2_witness = f"gamma({self._key(u)}) is not proper"
                 break
-        checks.append(AxiomCheck(2, ax2_witness is None, ax2_witness))
-
-        ax3_witness = None if ax2_witness else self._axiom3_witness(ordered)
-        checks.append(AxiomCheck(3, ax3_witness is None, ax3_witness))
-
-        return ValidationReport(tuple(checks))
+        else:
+            ax3_witness = self._axiom3_witness(ordered)
+        return ValidationReport(
+            (ax1, AxiomCheck(2, ax2_witness is None, ax2_witness), AxiomCheck(3, ax3_witness is None, ax3_witness))
+        )
 
     def _axiom3_witness(self, ordered):
         """The first axiom-3 failure in the order of ``ordered``, or None.
 
-        Needs axiom 2, so that gamma(F) is a partition of F.  The block
-        sets of one size are grown from the sets one smaller that passed,
-        each by a block after its last one: that is the
-        ``itertools.combinations`` order, and a simplex with many blocks
-        stops at its first missing face without listing its subsets.
+        Needs axiom 2, so that gamma(F) is a partition of F.  The block sets
+        of each simplex are visited in ``itertools.combinations`` order, so
+        a simplex with many blocks stops at its first missing face.
         """
-        gamma, members = self.gamma, functools.cache(bits)  # blocks recur across simplices
+        gamma = self.gamma
         for u, blocks in ordered:
-            home = {1 << x: block for block in blocks for x in members(block)}  # bit of U -> its block
-            level = [(0, -1)]  # (union, index of its last block)
-            while level:
-                grown = []
-                for union, last in level:
-                    for j in range(last + 1, len(blocks)):
-                        face = union | blocks[j]
-                        fblocks = gamma.get(face)
-                        if fblocks is None:
-                            return f"face {self._key(face)} of {self._key(u)} missing"
-                        for fb in fblocks:
-                            if fb & ~home[fb & -fb]:
-                                combo = [list(self.elements_of(b)) for b in blocks if b & face]
-                                return f"gamma({self._key(face)}) does not refine the blocks {combo} of {self._key(u)}"
-                        grown.append((face, j))
-                level = grown
+            for size in range(1, len(blocks) + 1):
+                for chosen in itertools.combinations(blocks, size):
+                    face = sum(chosen)
+                    if face not in gamma:
+                        return f"face {self._key(face)} of {self._key(u)} missing"
+                    for fb in gamma[face]:
+                        if all(fb & ~block for block in chosen):
+                            combo = [list(self.elements_of(block)) for block in chosen]
+                            return f"gamma({self._key(face)}) does not refine the blocks {combo} of {self._key(u)}"
         return None
 
     def require_valid(self):
@@ -296,52 +352,6 @@ class DiagonalComplex:
                     return False
         return True
 
-    # -- levels and filtration ---------------------------------------
-
-    def level(self, u, coarse=False):
-        """Inductive level of the simplex mask u: 0 on singletons.
-
-        The plain level recurses through maximal faces U - V, the coarse
-        level through the blocks V themselves.
-        """
-        cache = self._coarse_levels if coarse else self._levels
-        if u in cache:
-            return cache[u]
-        blocks = self._blocks(u)
-        if not u & (u - 1):
-            value = 0
-        elif coarse:
-            value = 1 + max(self.level(b, coarse=True) for b in blocks)
-        else:
-            value = 1 + max(self.level(u & ~b) for b in blocks)
-        cache[u] = value
-        return value
-
-    def max_level(self, coarse=False):
-        if not self.gamma:
-            return 0
-        return max(self.level(u, coarse=coarse) for u in self.gamma)
-
-    def filtration(self, k, coarse=False):
-        """The subcomplex of simplices of level at most k."""
-        self.require_valid()
-        gamma = {u: blocks for u, blocks in self.gamma.items() if self.level(u, coarse=coarse) <= k}
-        return DiagonalComplex(self.ground_size, self.elements, gamma)
-
-    def full_subcomplex(self, subset):
-        """The full diagonal subcomplex on a subset of the ground set.
-
-        The result lives on the subset, re-indexed in sorted order.
-        """
-        y = sorted(set(subset))
-        rename = {x: k for k, x in enumerate(y)}
-        partitions = {
-            frozenset(rename[x] for x in u): PartialPartition.of(len(y), [[rename[x] for x in b] for b in part.blocks])
-            for u, part in self.partitions().items()
-            if u <= set(y)
-        }
-        return DiagonalComplex.of(len(y), partitions)
-
     # -- the category of partitions ----------------------------------
 
     def category_objects(self, labelling):
@@ -349,9 +359,9 @@ class DiagonalComplex:
 
         Starts from the generators {gamma(U)} and closes under meets,
         discarding empty meets.  Meets are associative, so the objects are
-        the nonempty meets of sets of generators, and each new object is
-        met with the generators only (:func:`_meet_closure`, on block
-        bitmasks).  All blocks must carry a constant label (guaranteed for
+        the nonempty meets of sets of generators, added one generator at a
+        time (:func:`_meet_closure`, on block bitmasks).  All blocks must
+        carry a constant label (guaranteed for
         the generators by labelling validity, asserted for the meets).
         Returns the objects sorted; order queries go through
         partitions.is_partial_coarsening.

@@ -156,27 +156,31 @@ def meet_masks(p, q):
     >>> meet_masks((0b011, 0b100), (0b001, 0b010))
     (3,)
     """
-    support_p = support_q = 0
-    for block in p:
-        support_p |= block
+    return classes_inside(p, q, sum(p) & sum(q))  # the blocks are disjoint, so their sum is their union
+
+
+def classes_inside(p, q, common):
+    """:func:`meet_masks` of p and q, given ``common``, the mask of their common support.
+
+    The classes of "shares a block of p or q" that lie inside ``common``, by
+    least element.  A block missing ``common`` shares no element with a
+    block of the other side, so it is a class of its own and is skipped.
+    """
+    classes = [block for block in p if block & common]
     for block in q:
-        support_q |= block
-    common = support_p & support_q
-    if not common:
-        return ()
-    classes = []
-    for block in p + q:
-        # classes are disjoint, so a class meets the merged block iff it meets block
-        merged = block
-        rest = []
-        for c in classes:
-            if c & block:
-                merged |= c
-            else:
-                rest.append(c)
-        rest.append(merged)
-        classes = rest
-    return tuple(sorted((c for c in classes if c & common == c), key=lambda c: c & -c))
+        if block & common:
+            # classes are disjoint, so a class meets the merged block iff it meets block
+            merged = block
+            rest = []
+            for c in classes:
+                if c & block:
+                    merged |= c
+                else:
+                    rest.append(c)
+            rest.append(merged)
+            classes = rest
+    inside = [c for c in classes if c & common == c]
+    return tuple(sorted(inside, key=lambda c: c & -c) if len(inside) > 1 else inside)
 
 
 def block_classes(n, blocks):

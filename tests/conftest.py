@@ -10,6 +10,14 @@ from diagcx.partitions import PartialPartition
 from diagcx.series import GradedModuleSeries
 
 
+class Overrun(BaseException):
+    """A test ran past its deadline.
+
+    Not an ``Exception``, so that ``hypothesis`` does not record it as a
+    failing example and go on shrinking with no alarm left: it ends the test.
+    """
+
+
 @pytest.fixture(autouse=True)
 def _deadline():
     """Fail every test, instead of hanging the suite, when it runs for 30 s.
@@ -18,7 +26,7 @@ def _deadline():
     """
 
     def expire(signum, frame):
-        raise TimeoutError("still running after 30 s")
+        raise Overrun("still running after 30 s")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(30)

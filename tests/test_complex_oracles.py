@@ -10,15 +10,19 @@ kernels must agree with them, witness strings included.
 import itertools
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_partial_partitions, example_t_complex, example_t_improper
+from diagcx import complexes
+from diagcx.bipartite import enumerate_bipartite_forests, partial_partition_of
 from diagcx.complexes import AxiomCheck, DiagonalComplex, Labelling, ValidationReport, _meet_closure, _simplex_key
 from diagcx.forests import build_gamma_Fn
 from diagcx.partitions import EMPTY_MEET, PartialPartition, block_classes, to_mask
+from diagcx.partitions import meet as partitions_meet
 
 
 def oracle_validate(complex_):
@@ -97,6 +101,22 @@ def _keyed_by_masks(parts):
     return {tuple(to_mask(block, range(p.ground_size)) for block in p.blocks): p for p in parts}
 
 
+def _shuffled(mapping, seed):
+    """The same dict, its items in a shuffled order."""
+    items = list(mapping.items())
+    random.Random(seed).shuffle(items)
+    return dict(items)
+
+
+def _check_report(complex_):
+    """validate() against the combinations scan, and the maximal-face decision against the scan's pass or fail."""
+    report = complex_.validate()
+    expected = oracle_validate(complex_)
+    assert report == expected
+    assert complex_._maximal_faces_hold() == (expected.checks[1].passed and expected.checks[2].passed)
+    return report
+
+
 # -- derived complexes -----------------------------------------------------
 
 
@@ -149,8 +169,7 @@ def test_validation_reports_match_the_combinations_scan(make_complex, refinement
     derived = list(_dropped_faces(base)) + list(_merged_blocks(base))
     witnesses = set()
     for complex_ in [base] + derived:
-        report = complex_.validate()
-        assert report == oracle_validate(complex_)
+        report = _check_report(complex_)
         witnesses.update((c.axiom, "refine" in c.witness) for c in report.failures())
         if report.ok:
             assert complex_.is_proper() == oracle_is_proper(complex_)
@@ -161,8 +180,7 @@ def test_validation_reports_match_the_combinations_scan(make_complex, refinement
 def test_every_complex_on_three_points_matches_the_oracles():
     verdicts = set()
     for complex_ in _all_complexes_on_three_points():
-        report = complex_.validate()
-        assert report == oracle_validate(complex_)
+        report = _check_report(complex_)
         if report.ok:
             proper = complex_.is_proper()
             assert proper == oracle_is_proper(complex_)
@@ -214,6 +232,28 @@ def test_validation_report_is_memoised():
     assert complex_.validate() is complex_.validate()
 
 
+def test_maximal_faces_miss_no_face_below_them():
+    # every maximal face of 0,1,2,3 is present, but the face 2,3 of 0,2,3 (and of 0,1,2,3) is not;
+    # the first failure in key order is named on 0,1,2,3, not on the face where the pass stops
+    gamma = {frozenset(u): PartialPartition.of(4, [[x] for x in u])
+             for r in range(1, 5) for u in itertools.combinations(range(4), r) if u != (2, 3)}
+    complex_ = DiagonalComplex.of(4, gamma)
+    report = _check_report(complex_)
+    assert report.failures()[0].witness == "face 2,3 of 0,1,2,3 missing"
+
+
+def test_validate_of_gamma_f6_passes_within_120_ms():
+    complex_ = build_gamma_Fn(6).complex
+    times = []
+    for _ in range(3):
+        complex_._report = None
+        start = time.perf_counter()
+        report = complex_.validate()
+        times.append(time.perf_counter() - start)
+    assert report == ValidationReport((AxiomCheck(1, True), AxiomCheck(2, True), AxiomCheck(3, True)))
+    assert min(times) < 0.12, times
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_category_objects_match_the_all_pairs_closure(n):
     fc = build_gamma_Fn(n)
@@ -246,6 +286,38 @@ def test_category_objects_of_a_permuted_complex_file():
     assert len(objects) == 188
 
 
+def test_category_objects_do_not_depend_on_the_generator_order():
+    fc = build_gamma_Fn(4)
+    expected = oracle_closure(fc.complex.partitions().values())
+    for seed in range(3):
+        complex_ = DiagonalComplex(fc.complex.ground_size, fc.complex.elements, _shuffled(fc.complex.gamma, seed))
+        assert set(complex_.category_objects(fc.labelling)) == expected
+
+
+def test_category_objects_build_each_new_object_once(monkeypatch):
+    # Gamma(F_4) has 124 generators and 188 objects: 64 meets, one per object that is no generator
+    calls = []
+
+    def counted(p, q):
+        calls.append((p, q))
+        return partitions_meet(p, q)
+
+    monkeypatch.setattr(complexes, "meet", counted)
+    fc = build_gamma_Fn(4)
+    objects = fc.complex.category_objects(fc.labelling)
+    assert (len(fc.complex.gamma), len(objects), len(calls)) == (124, 188, 64)
+
+
+def test_category_objects_of_gamma_f5_are_the_bipartite_forests_within_2_5_s():
+    fc = build_gamma_Fn(5)
+    start = time.perf_counter()
+    objects = fc.complex.category_objects(fc.labelling)
+    elapsed = time.perf_counter() - start
+    assert len(objects) == 2575
+    assert set(objects) == {partial_partition_of(f) for f in enumerate_bipartite_forests(5)}
+    assert elapsed < 2.5, elapsed
+
+
 def test_example_t_objects_match_the_all_pairs_closure(example_t):
     complex_, labelling = example_t
     assert set(complex_.category_objects(labelling)) == oracle_closure(complex_.partitions().values())
@@ -256,9 +328,10 @@ def test_meet_closure_reaches_meets_of_three_generators():
     g1 = PartialPartition.of(6, [[0, 1], [2], [3]])
     g2 = PartialPartition.of(6, [[0], [1, 2], [3], [4]])
     g3 = PartialPartition.of(6, [[0], [1], [2, 3], [5]])
-    closure = set(_meet_closure(_keyed_by_masks([g1, g2, g3])))
-    assert PartialPartition.of(6, [[0, 1, 2, 3]]) in closure
-    assert closure == oracle_closure([g1, g2, g3])
+    expected = oracle_closure([g1, g2, g3])
+    assert PartialPartition.of(6, [[0, 1, 2, 3]]) in expected
+    for order in itertools.permutations([g1, g2, g3]):
+        assert set(_meet_closure(_keyed_by_masks(order))) == expected
 
 
 def test_meet_closure_matches_the_all_pairs_closure_on_random_families():
@@ -349,8 +422,7 @@ def _as_file(complex_):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(flag_complexes())
 def test_mask_kernels_match_the_oracles_on_flag_complexes(complex_):
-    report = complex_.validate()
-    assert report == oracle_validate(complex_)
+    report = _check_report(complex_)
     assert DiagonalComplex.from_json(_as_file(complex_))[0] == complex_
     if report.ok:
         assert complex_.is_proper() == oracle_is_proper(complex_)
@@ -364,4 +436,6 @@ def test_meet_closure_matches_the_oracle_on_sparse_families(generators):
     elements = sorted({x for g in generators for b in g.blocks for x in b})
     bit = {x: i for i, x in enumerate(elements)}
     keyed = {tuple(to_mask(b, bit) for b in g.blocks): g for g in generators}
-    assert set(_meet_closure(keyed)) == oracle_closure(generators)
+    expected = oracle_closure(generators)
+    for seed in range(3):
+        assert set(_meet_closure(_shuffled(keyed, seed))) == expected

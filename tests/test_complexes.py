@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from complex_levels import filtration, full_subcomplex, levels
 from conftest import example_t_complex, example_t_improper, example_t_labelling
 from diagcx.complexes import DiagonalComplex, Labelling
 from diagcx.forests import build_gamma_Fn, x_n_pairs
@@ -75,7 +76,7 @@ def test_is_proper_requires_valid_complex():
     with pytest.raises(ValueError):
         broken.is_proper()
     with pytest.raises(ValueError):
-        broken.filtration(1)
+        filtration(broken, 1)
 
 
 def test_every_consumer_names_the_first_axiom_failure():
@@ -142,26 +143,27 @@ def test_proper_matches_descendance_oracle(builder):
 
 def test_levels(example_t):
     complex_, _ = example_t
+    level = levels(complex_)
     # bit x stands for element x: every singleton is a simplex
-    assert complex_.level(0b001) == 0
-    assert complex_.level(0b011) == 1
-    assert complex_.level(0b111) == 2
-    assert complex_.level(0b111, coarse=True) == 2
+    assert level(0b001) == 0
+    assert level(0b011) == 1
+    assert level(0b111) == 2
+    assert levels(complex_, coarse=True)(0b111) == 2
     with pytest.raises(ValueError, match=r"not a simplex: \[0, 2\]"):
-        complex_.level(0b101)
+        level(0b101)
 
 
 def test_filtration(example_t):
     complex_, _ = example_t
-    level0 = complex_.filtration(0)
+    level0 = filtration(complex_, 0)
     assert set(level0.partitions()) == {frozenset([x]) for x in range(3)}
-    level1 = complex_.filtration(1)
+    level1 = filtration(complex_, 1)
     assert set(level1.partitions()) == set(level0.partitions()) | {frozenset([0, 1])}
-    assert complex_.filtration(2) == complex_
-    assert complex_.filtration(99) == complex_
+    assert filtration(complex_, 2) == complex_
+    assert filtration(complex_, 99) == complex_
     for k in range(3):
-        assert complex_.filtration(k).validate().ok
-        assert set(complex_.filtration(k).gamma) <= set(complex_.filtration(k + 1).gamma)
+        assert filtration(complex_, k).validate().ok
+        assert set(filtration(complex_, k).gamma) <= set(filtration(complex_, k + 1).gamma)
 
 
 def test_category_objects_example_t(example_t):
@@ -246,12 +248,12 @@ def test_universal_labelling_forest_complex():
 
 def test_full_subcomplex(example_t):
     complex_, _ = example_t
-    sub = complex_.full_subcomplex([0, 1])
+    sub = full_subcomplex(complex_, [0, 1])
     assert sub.ground_size == 2
     assert set(sub.partitions()) == {frozenset([0]), frozenset([1]), frozenset([0, 1])}
     assert sub.validate().ok
     # restriction to {1, 2} keeps only the singletons
-    sparse = complex_.full_subcomplex([1, 2])
+    sparse = full_subcomplex(complex_, [1, 2])
     assert set(sparse.partitions()) == {frozenset([0]), frozenset([1])}
     assert sparse.validate().ok
 

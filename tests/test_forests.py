@@ -20,6 +20,7 @@ from diagcx.forests import (
     prufer_encode,
     x_n_pairs,
 )
+from complex_levels import filtration, levels, max_level
 from conftest import term_product
 from diagcx.partitions import PartialPartition, bits
 from diagcx.series import AbelianGroup, GradedModuleSeries, circle_series, cyclic_classifying_series
@@ -203,10 +204,11 @@ def test_levels_in_forest_complex():
     one_edge = fc.simplex_of_poset(poset_from_forest(PlantedForest.of(3, {2: 1})))
     cherry = fc.simplex_of_poset(poset_from_forest(PlantedForest.of(3, {2: 1, 3: 1})))
     chain = fc.simplex_of_poset(poset_from_forest(PlantedForest.of(3, {2: 3, 1: 2})))
-    assert fc.complex.level(one_edge) == 0
-    assert fc.complex.level(cherry) == 1
-    assert fc.complex.level(chain) == 2
-    level0 = fc.complex.filtration(0)
+    level = levels(fc.complex)
+    assert level(one_edge) == 0
+    assert level(cherry) == 1
+    assert level(chain) == 2
+    level0 = filtration(fc.complex, 0)
     assert set(level0.gamma) == {1 << k for k in range(len(x_n_pairs(fc.n)))}
 
 
@@ -224,8 +226,9 @@ def test_coarse_filtration_skeleton(n):
     # from depth-one forests), and the plain level-one part is exactly
     # their one-skeleton: the members with at most two elements
     c = build_gamma_Fn(n).complex
-    coarse_one = {u for u in c.gamma if c.level(u, coarse=True) <= 1}
-    plain_one = {u for u in c.gamma if c.level(u) <= 1}
+    coarse_level, level = levels(c, coarse=True), levels(c)
+    coarse_one = {u for u in c.gamma if coarse_level(u) <= 1}
+    plain_one = {u for u in c.gamma if level(u) <= 1}
     for u in coarse_one:
         assert all(len(b) == 1 for b in c.gamma_of(u).blocks)
         assert forest_from_poset(_poset_of(c, u, n)).edges() == tuple(
@@ -245,11 +248,11 @@ def _poset_of(complex_, simplex, n):
 
 def test_filtration_exhausts_forest_complex():
     c = build_gamma_Fn(3).complex
-    top = c.max_level()
+    top = max_level(c)
     assert top == 2
     union = set()
     for k in range(top + 1):
-        union |= set(c.filtration(k).gamma)
+        union |= set(filtration(c, k).gamma)
     assert union == set(c.gamma)
 
 
