@@ -164,19 +164,18 @@ def _load_complex(args, limit, what):
         from .complexes import DiagonalComplex
 
         with open(args.file, encoding="utf-8") as handle:
-            complex_, labelling = DiagonalComplex.from_json(handle.read())
+            complex_ = DiagonalComplex.from_json(handle.read())
         simplices = (limit + 1) ** (limit - 1) - 1
         _check_guard(len(complex_.gamma), simplices, args.unsafe_large, f"simplex count of {args.file}")
-        return complex_, labelling, None
+        return complex_
     from .forests import build_gamma_Fn
 
     _check_n_guard(args, limit, what, simplices=True)
-    fc = build_gamma_Fn(args.n)
-    return fc.complex, fc.labelling, fc
+    return build_gamma_Fn(args.n)
 
 
 def cmd_complex_verify(args):
-    complex_, _, _ = _load_complex(args, BUILD_CAP, "complex construction")
+    complex_ = _load_complex(args, BUILD_CAP, "complex construction")
     report = complex_.validate()
     proper = complex_.is_proper() if report.ok else False
     lines = [f"simplices: {len(complex_.gamma)}"]
@@ -195,17 +194,17 @@ def cmd_complex_verify(args):
 
 
 def cmd_complex_objects(args):
-    complex_, labelling, fc = _load_complex(args, CLOSURE_GUARD, "meet closure")
-    if labelling is None:
+    complex_ = _load_complex(args, CLOSURE_GUARD, "meet closure")
+    if complex_.labels is None:
         raise ValueError("complex file carries no labels")
-    objects = complex_.category_objects(labelling)
+    objects = complex_.category_objects()
 
     def show(part):
-        if fc is None:
+        if args.file is not None:
             return str(part)
         from .forests import blocks_as_pairs
 
-        blocks = blocks_as_pairs(part.blocks, fc.n)
+        blocks = blocks_as_pairs(part.blocks, args.n)
         return " | ".join("{" + ",".join(f"({i},{j})" for i, j in block) + "}" for block in blocks)
 
     _emit(
@@ -428,9 +427,8 @@ def cmd_homology_torus(args):
     from .forests import build_gamma_Fn
 
     _check_n_guard(args, TORUS_GUARD, "torus-model rank", simplices=True)
-    fc = build_gamma_Fn(args.n)
     betti = [1]
-    for degree, rows in enumerate(homology.torus_model_matrices(fc.complex), start=1):
+    for degree, rows in enumerate(homology.torus_model_matrices(build_gamma_Fn(args.n)), start=1):
         betti.append(homology.integer_rank(rows))  # smith_normal_form copies the rows
         if args.dump:
             with _open_output(f"{args.dump}.deg{degree}.txt") as handle:

@@ -109,16 +109,38 @@ class DiagonalComplex:
     uses, which is element i when every singleton is a simplex.  ``gamma``
     maps each simplex, as the mask of its elements, to the tuple of the
     masks of the blocks of its partition, ordered by least element.
-    Methods that take a simplex take its mask.
-    Instances are treated as immutable after construction; the validation
-    report is memoised.
+    Methods that take a simplex take its mask.  ``labels``, if given, maps
+    each element of the ground set to a label constant on every block; the
+    constructor checks it.  Instances are treated as immutable after
+    construction; the validation report is memoised.
     """
 
-    def __init__(self, ground_size, elements, gamma):
+    def __init__(self, ground_size, elements, gamma, labels=None):
         self.ground_size = ground_size
         self.elements = tuple(elements)
         self.gamma = gamma
         self._report = None
+        if labels is not None:
+            labels = tuple(labels)
+            if len(labels) != ground_size:
+                raise ValueError("labels must cover the ground set")
+            members = self.elements_of
+            mixed = functools.cache(lambda block: len({labels[x] for x in members(block)}) > 1)  # blocks recur
+            for u, blocks in gamma.items():
+                for block in filter(mixed, blocks):
+                    raise ValueError(f"label not constant on block {list(members(block))} of simplex {list(members(u))}")
+        self.labels = labels
+
+    def labelled(self, labels):
+        """The same complex with ``labels`` (None for none)."""
+        return DiagonalComplex(self.ground_size, self.elements, self.gamma, labels)
+
+    def universally_labelled(self):
+        """The complex with the finest labels: x and y share one whenever they share a block."""
+        blocks = [block for masks in self.gamma.values() for block in spell(masks, self.elements)]
+        classes = block_classes(self.ground_size, blocks)
+        label = {x: i for i, root in enumerate(sorted(classes)) for x in classes[root]}
+        return self.labelled([label[x] for x in range(self.ground_size)])
 
     @classmethod
     def of(cls, ground_size, partitions):
@@ -130,7 +152,7 @@ class DiagonalComplex:
         return cls._read(ground_size, list(partitions), entries)
 
     @classmethod
-    def _read(cls, ground, simplices, entries):
+    def _read(cls, ground, simplices, entries, labels=None):
         """The complex of a file's simplices and its gamma entries, keyed as :func:`_simplex_key` spells them.
 
         Bit i goes to the i-th smallest element of the simplices and their
@@ -163,7 +185,7 @@ class DiagonalComplex:
         bit = {x: i for i, x in enumerate(sorted(used))}
         mask_of = {block: to_mask(block, bit) for block, _ in canon.values()}
         gamma = {to_mask(u, bit): tuple(map(mask_of.get, blocks)) for u, blocks in zip(simplices, partitions)}
-        return cls(ground, sorted(used), gamma)
+        return cls(ground, sorted(used), gamma, labels)
 
     def elements_of(self, mask):
         """The elements of a mask, ascending."""
@@ -185,7 +207,9 @@ class DiagonalComplex:
     def __eq__(self, other):
         if not isinstance(other, DiagonalComplex):
             return NotImplemented
-        return (self.ground_size, self.elements, self.gamma) == (other.ground_size, other.elements, other.gamma)
+        return (self.ground_size, self.elements, self.gamma, self.labels) == (
+            other.ground_size, other.elements, other.gamma, other.labels
+        )
 
     def __repr__(self):
         return f"DiagonalComplex(ground_size={self.ground_size}, simplices={len(self.gamma)})"
@@ -354,40 +378,35 @@ class DiagonalComplex:
 
     # -- the category of partitions ----------------------------------
 
-    def category_objects(self, labelling):
+    def category_objects(self):
         """The meet-closed poset of partitions underlying the colimit diagram.
 
         Starts from the generators {gamma(U)} and closes under meets,
         discarding empty meets.  Meets are associative, so the objects are
         the nonempty meets of sets of generators, added one generator at a
-        time (:func:`_meet_closure`, on block bitmasks).  All blocks must
-        carry a constant label (guaranteed for
-        the generators by labelling validity, asserted for the meets).
-        Returns the objects sorted; order queries go through
+        time (:func:`_meet_closure`, on block bitmasks).  Labels constant on
+        the blocks of the generators are constant on the blocks of every
+        object, since a block of a meet is a chain of overlapping blocks of
+        its arguments.  Returns the objects sorted; order queries go through
         partitions.is_partial_coarsening.
         """
         self.require_valid()
-        labelling.check_against(self)
         objects = _meet_closure({blocks: self.gamma_of(u) for u, blocks in self.gamma.items()})
-        for part in objects:
-            for block in part.blocks:
-                if len({labelling.labels[x] for x in block}) != 1:
-                    raise ValueError(f"meet produced a block with mixed labels: {sorted(block)}")
         return tuple(sorted(objects, key=lambda part: part.blocks))
 
     # -- monomials ----------------------------------------------------
 
-    def monomial(self, labelling, u):
+    def monomial(self, u):
         """Exponent map of the block-label monomial of the simplex mask u."""
         exponents = {}
         for block in self._blocks(u):
-            label = labelling.labels[self.elements[block.bit_length() - 1]]  # any element of the block
+            label = self.labels[self.elements[block.bit_length() - 1]]  # any element of the block
             exponents[label] = exponents.get(label, 0) + 1
         return exponents
 
     # -- serialisation -------------------------------------------------
 
-    def to_json(self, labelling=None):
+    def to_json(self):
         rows = sorted((self.elements_of(u), blocks) for u, blocks in self.gamma.items())
         rows.sort(key=lambda row: len(row[0]))
         data = {
@@ -396,7 +415,7 @@ class DiagonalComplex:
             "gamma": {
                 _simplex_key(simplex): [list(b) for b in spell(blocks, self.elements)] for simplex, blocks in rows
             },
-            "labels": list(labelling.labels) if labelling is not None else None,
+            "labels": None if self.labels is None else list(self.labels),
         }
         return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
@@ -407,10 +426,7 @@ class DiagonalComplex:
         except RecursionError:
             raise ValueError("complex JSON nests too deeply") from None
         _check_json_structure(data)
-        complex_ = cls._read(data["ground"], data["simplices"], data["gamma"])
-        labels = data.get("labels")
-        labelling = Labelling(complex_, labels) if labels is not None else None
-        return complex_, labelling
+        return cls._read(data["ground"], data["simplices"], data["gamma"], data.get("labels"))
 
 
 def _check_json_structure(data):
@@ -433,34 +449,3 @@ def _check_json_structure(data):
     labels = data.get("labels")
     if labels is not None and not (isinstance(labels, list) and all(type(x) is int for x in labels)):
         raise ValueError("labels must be null or a list of integers")
-
-
-class Labelling:
-    """An assignment X -> Z constant on every gamma block.
-
-    Validity is checked eagerly: construction fails if any block of any
-    simplex mixes labels.
-    """
-
-    def __init__(self, complex_, labels):
-        self.labels = tuple(labels)
-        if len(self.labels) != complex_.ground_size:
-            raise ValueError("labels must cover the ground set")
-        self.label_set = tuple(sorted(set(self.labels)))
-        self.check_against(complex_)
-
-    def check_against(self, complex_):
-        members = complex_.elements_of
-        mixed = functools.cache(lambda block: len({self.labels[x] for x in members(block)}) > 1)  # blocks recur
-        for u, blocks in complex_.gamma.items():
-            for block in filter(mixed, blocks):
-                raise ValueError(f"label not constant on block {list(members(block))} of simplex {list(members(u))}")
-
-    @classmethod
-    def universal(cls, complex_):
-        """The finest labelling: merge x, y whenever they share a block."""
-        n = complex_.ground_size
-        blocks = [block for masks in complex_.gamma.values() for block in spell(masks, complex_.elements)]
-        classes = block_classes(n, blocks)
-        label = {x: i for i, root in enumerate(sorted(classes)) for x in classes[root]}
-        return cls(complex_, [label[x] for x in range(n)])

@@ -229,24 +229,13 @@ def blocks_as_pairs(blocks, n):
     return tuple(tuple(pairs[k] for k in block) for block in blocks)
 
 
-class ForestComplex(collections.namedtuple("ForestComplex", "n complex labelling")):
-    """The forest diagonal complex with its universal labelling."""
-
-    __slots__ = ()
-
-    def simplex_of_poset(self, poset):
-        """The simplex mask of a forest poset: bit k is the k-th pair of X_n."""
-        index = x_n_index(self.n)
-        return sum(1 << index[p] for p in poset.pairs)
-
-
 def build_gamma_Fn(n):
-    """Assemble the diagonal complex of all nonempty forest posets on [n].
+    """Assemble the labelled diagonal complex of all nonempty forest posets on [n].
 
     The ground set is X_n under the lexicographic bijection, the label of
     (i, j) is i, and the simplices are the (n+1)^(n-1) - 1 forest posets.
     """
-    from .complexes import DiagonalComplex, Labelling
+    from .complexes import DiagonalComplex
 
     if not 1 <= n <= BUILD_CAP:
         raise ValueError(f"n must be between 1 and {BUILD_CAP}")
@@ -265,9 +254,7 @@ def build_gamma_Fn(n):
                 below, a = a, forest.parent[a - 1]
         masks = (shared.setdefault(mask, mask) for mask in blocks.values())
         gamma[simplex] = tuple(sorted(masks, key=lambda mask: mask & -mask))
-    complex_ = DiagonalComplex(ground, range(ground), gamma)
-    labelling = Labelling(complex_, [i for i, _ in index])
-    return ForestComplex(n, complex_, labelling)
+    return DiagonalComplex(ground, range(ground), gamma, [i for i, _ in index])
 
 
 # -- Prufer words --------------------------------------------------------

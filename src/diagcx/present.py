@@ -15,6 +15,7 @@ conjugation of factor j by g^-1.
 """
 
 import collections
+import functools
 import itertools
 
 from .forests import blocks_as_pairs, build_gamma_Fn, x_n_pairs
@@ -166,10 +167,9 @@ def _commutator(group_a, word_a, group_b, word_b):
     return invert(group_a, word_a) + invert(group_b, word_b) + word_a + word_b
 
 
-def _two_edge_posets(forest_complex):
-    complex_ = forest_complex.complex
+def _two_edge_posets(complex_, n):
     two_edge = [u for u, blocks in complex_.gamma.items() if len(blocks) == 2]
-    return sorted(blocks_as_pairs(complex_.gamma_of(u).blocks, forest_complex.n) for u in two_edge)
+    return sorted(blocks_as_pairs(complex_.gamma_of(u).blocks, n) for u in two_edge)
 
 
 def fr_presentation(n, groups):
@@ -190,7 +190,7 @@ def fr_presentation(n, groups):
         group = groups[pair[0] - 1]
         generators.extend(((pair,), e) for e in group.nonidentity())
         relations.extend(_mult_relations((pair,), group, f"pair {pair}"))
-    for block_a, block_b in _two_edge_posets(build_gamma_Fn(n)):
+    for block_a, block_b in _two_edge_posets(build_gamma_Fn(n), n):
         group_a, group_b = groups[block_a[0][0] - 1], groups[block_b[0][0] - 1]
         for g in group_a.nonidentity():
             for h in group_b.nonidentity():
@@ -199,19 +199,18 @@ def fr_presentation(n, groups):
     return Presentation(tuple(generators), tuple(relations))
 
 
-def dc_presentation(complex_, labelling, groups):
+def dc_presentation(complex_, groups):
     """Generators g_U for labelled simplices; the four relation families.
 
-    ``groups`` maps each label to a FiniteGroup.  Relations: products
-    inside each generator, one commutator per unordered pair of blocks of
-    any gamma, and the diagonal relation expressing g_U through the
-    blocks of gamma(U).
+    ``groups`` maps each label of ``complex_`` to a FiniteGroup.
+    Relations: products inside each generator, one commutator per
+    unordered pair of blocks of any gamma, and the diagonal relation
+    expressing g_U through the blocks of gamma(U).
     """
     complex_.require_valid()
-    labelling.check_against(complex_)
 
     def label_of(simplex):
-        labels = {labelling.labels[x] for x in simplex}
+        labels = {complex_.labels[x] for x in simplex}
         return labels.pop() if len(labels) == 1 else None
 
     generators = []
@@ -320,10 +319,11 @@ def _conjugate(groups, letter, word):
 
 def translate_indexed_presentation(presentation, n):
     """Rewrite ground-index generator letters over X_n to (i, j) pair letters."""
+    pairs = x_n_pairs(n)
+    spell = functools.cache(lambda simplex: tuple(pairs[k] for k in simplex))  # a simplex recurs in many relations
 
     def fix(word):
-        spelt = blocks_as_pairs((simplex for simplex, _ in word), n)
-        return tuple((pairs, e) for pairs, (_, e) in zip(spelt, word))
+        return tuple((spell(simplex), e) for simplex, e in word)
 
     relations = tuple(
         Relation(rel.kind, fix(rel.word), rel.source) for rel in presentation.relations
@@ -333,9 +333,8 @@ def translate_indexed_presentation(presentation, n):
 
 def forest_dc_presentation(n, groups):
     """dc_presentation of the forest complex, in pair letters."""
-    fc = build_gamma_Fn(n)
     label_groups = {i: groups[i - 1] for i in range(1, n + 1)}
-    raw = dc_presentation(fc.complex, fc.labelling, label_groups)
+    raw = dc_presentation(build_gamma_Fn(n), label_groups)
     return translate_indexed_presentation(raw, n)
 
 

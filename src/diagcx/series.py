@@ -337,15 +337,15 @@ class MultiPoly(collections.namedtuple("MultiPoly", "variables terms")):
         return cls(variables, terms)
 
 
-def hilbert_polynomial(complex_, labelling):
+def hilbert_polynomial(complex_):
     """Sum of block-label monomials over all simplices (no constant term)."""
     complex_.require_valid()
-    variables = labelling.label_set
+    variables = tuple(sorted(set(complex_.labels)))
     index = {v: i for i, v in enumerate(variables)}
     terms = {}
     for u in complex_.gamma:
         exponents = [0] * len(variables)
-        for label, e in complex_.monomial(labelling, u).items():
+        for label, e in complex_.monomial(u).items():
             exponents[index[label]] += e
         key = tuple(exponents)
         terms[key] = terms.get(key, 0) + 1

@@ -34,11 +34,11 @@ def max_level(complex_, coarse=False):
 
 
 def filtration(complex_, k, coarse=False):
-    """The subcomplex of simplices of level at most k."""
+    """The subcomplex of simplices of level at most k, with the same labels."""
     complex_.require_valid()
     level = levels(complex_, coarse)
     gamma = {u: blocks for u, blocks in complex_.gamma.items() if level(u) <= k}
-    return DiagonalComplex(complex_.ground_size, complex_.elements, gamma)
+    return DiagonalComplex(complex_.ground_size, complex_.elements, gamma, complex_.labels)
 
 
 def full_subcomplex(complex_, subset):

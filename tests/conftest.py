@@ -5,7 +5,8 @@ import signal
 import pytest
 
 from diagcx.bipartite import set_partitions
-from diagcx.complexes import DiagonalComplex, Labelling
+from diagcx.complexes import DiagonalComplex
+from diagcx.forests import x_n_index
 from diagcx.partitions import PartialPartition
 from diagcx.series import GradedModuleSeries
 
@@ -72,8 +73,15 @@ def example_t_complex():
     return DiagonalComplex.of(3, gamma)
 
 
-def example_t_labelling(complex_):
-    return Labelling(complex_, [1, 1, 2])
+def example_t_labelled():
+    """The example complex with the labels 1, 1, 2."""
+    return example_t_complex().labelled([1, 1, 2])
+
+
+def simplex_of_poset(poset):
+    """The simplex mask of a forest poset in Γ(F_n): bit k is the k-th pair of X_n."""
+    index = x_n_index(poset.n)
+    return sum(1 << index[p] for p in poset.pairs)
 
 
 def example_t_improper():
@@ -97,5 +105,4 @@ def all_partial_partitions(n, include_empty=False):
 
 @pytest.fixture
 def example_t():
-    complex_ = example_t_complex()
-    return complex_, example_t_labelling(complex_)
+    return example_t_labelled()

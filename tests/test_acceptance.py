@@ -57,9 +57,9 @@ def test_criterion_01_forest_counts():
 def test_criterion_02_forest_complex_validity():
     start = time.monotonic()
     for n in range(2, 6):
-        fc = build_gamma_Fn(n)
-        assert fc.complex.validate().ok, n
-        assert fc.complex.is_proper(), n
+        complex_ = build_gamma_Fn(n)
+        assert complex_.validate().ok, n
+        assert complex_.is_proper(), n
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"{elapsed:.1f}s"
     report(2, "forest complex validates and is proper n=2..5")
@@ -67,8 +67,8 @@ def test_criterion_02_forest_complex_validity():
 
 def test_criterion_03_hilbert_series_identity():
     for n in range(2, 6):
-        fc = build_gamma_Fn(n)
-        h = hilbert_polynomial(fc.complex, fc.labelling)
+        complex_ = build_gamma_Fn(n)
+        h = hilbert_polynomial(complex_)
         # h has no constant term, so adding the empty forest's is exact
         assert MultiPoly.of(h.variables, {**dict(h.terms), (0,) * n: 1}) == forest_hilbert_closed_form(n), n
     report(3, "word-count closed form n=2..5")
@@ -86,8 +86,8 @@ def test_criterion_04_direct_product_series_identity():
     # Γ(F_6) has 16806 simplices: two lists keep the substitution oracle near 2 s
     lists[6] = [["Z/2"] * 6, ["circle", "Z/4", "Z/2", "circle", "Z/5", "Z/3"]]
     for n, factor_lists in lists.items():
-        fc = build_gamma_Fn(n)
-        h = hilbert_polynomial(fc.complex, fc.labelling)
+        complex_ = build_gamma_Fn(n)
+        h = hilbert_polynomial(complex_)
         for names in factor_lists:
             assignment = {v: palette[names[v - 1]] for v in h.variables}
             lhs = substitute(h, assignment)
@@ -124,8 +124,8 @@ def test_criterion_06_torsion_factor_series():
                 assert direct.coeffs[0].free_rank == 1
                 assert all(c.is_zero for c in direct.coeffs[1:])
                 continue
-            fc = build_gamma_Fn(n)
-            h = hilbert_polynomial(fc.complex, fc.labelling)
+            complex_ = build_gamma_Fn(n)
+            h = hilbert_polynomial(complex_)
             assignment = {v: cyclic_classifying_series(p, truncation) for v in h.variables}
             assert direct == substitute(h, assignment), (n, p)
     report(6, "closed-form torsion series matches substitution n<=4, p=2,3")
@@ -133,10 +133,10 @@ def test_criterion_06_torsion_factor_series():
 
 def test_criterion_07_independent_homology_ranks():
     start = time.monotonic()
-    assert torus_model_betti(build_gamma_Fn(2).complex) == [1, 2]
-    assert torus_model_betti(build_gamma_Fn(3).complex) == [1, 6, 9]
-    assert torus_model_betti(build_gamma_Fn(4).complex) == [1, 12, 48, 64]
-    assert torus_model_betti(build_gamma_Fn(5).complex) == [1, 20, 150, 500, 625]
+    assert torus_model_betti(build_gamma_Fn(2)) == [1, 2]
+    assert torus_model_betti(build_gamma_Fn(3)) == [1, 6, 9]
+    assert torus_model_betti(build_gamma_Fn(4)) == [1, 12, 48, 64]
+    assert torus_model_betti(build_gamma_Fn(5)) == [1, 20, 150, 500, 625]
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"{elapsed:.1f}s"
     report(7, "chain-level Betti numbers by exact rank n<=5")
@@ -191,16 +191,16 @@ def test_criterion_10_presentation_soundness():
 
 def test_criterion_11_object_sets_small():
     for n in (2, 3):
-        fc = build_gamma_Fn(n)
-        objects = set(fc.complex.category_objects(fc.labelling))
+        complex_ = build_gamma_Fn(n)
+        objects = set(complex_.category_objects())
         assert objects == set(enumerate_bipartite(n)), n
     report(11, "bipartite partitions equal category objects n<=3")
 
 
 def test_criterion_11_object_sets_n4():
     start = time.monotonic()
-    fc = build_gamma_Fn(4)
-    objects = set(fc.complex.category_objects(fc.labelling))
+    complex_ = build_gamma_Fn(4)
+    objects = set(complex_.category_objects())
     realised = set(enumerate_bipartite(4))
     elapsed = time.monotonic() - start
     assert objects == realised

@@ -155,8 +155,8 @@ def test_enumerate_bipartite_guard():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_object_set_equality(n):
-    fc = build_gamma_Fn(n)
-    objects = set(fc.complex.category_objects(fc.labelling))
+    complex_ = build_gamma_Fn(n)
+    objects = set(complex_.category_objects())
     assert set(enumerate_bipartite(n)) == objects
 
 

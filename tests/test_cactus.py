@@ -98,10 +98,10 @@ def test_image_equals_complex_product_model(n):
     sizes = tuple([2] * n)
     image = {coordinates(d) for d in _all_diagrams(n, sizes)}
 
-    fc = build_gamma_Fn(n)
+    complex_ = build_gamma_Fn(n)
     pairs = x_n_pairs(n)
     model = {tuple(tuple(0 for _ in range(n)) for _ in range(n))}
-    for part in fc.complex.partitions().values():
+    for part in complex_.partitions().values():
         blocks = part.blocks
         value_ranges = [range(sizes[pairs[b[0]][0] - 1]) for b in blocks]
         for values in itertools.product(*value_ranges):

@@ -254,9 +254,9 @@ def test_json_outputs_validate_against_schemas(capsys):
 
 
 def test_complex_json_file_roundtrip(tmp_path, capsys):
-    fc = build_gamma_Fn(2)
+    complex_ = build_gamma_Fn(2)
     path = tmp_path / "complex.json"
-    path.write_text(fc.complex.to_json(fc.labelling), encoding="utf-8")
+    path.write_text(complex_.to_json(), encoding="utf-8")
     jsonschema.validate(json.loads(path.read_text()), COMPLEX_JSON_SCHEMA)
     code, out, _ = run_cli(capsys, ["complex", "verify", "--file", str(path)])
     assert code == 0
@@ -424,24 +424,23 @@ def test_present_verify_dc_flag(capsys):
 
 
 def test_complex_objects_from_file(tmp_path, capsys):
-    from conftest import example_t_complex, example_t_labelling
+    from conftest import example_t_labelled
 
-    complex_ = example_t_complex()
     path = tmp_path / "t.json"
-    path.write_text(complex_.to_json(example_t_labelling(complex_)), encoding="utf-8")
+    path.write_text(example_t_labelled().to_json(), encoding="utf-8")
     code, out, _ = run_cli(capsys, ["complex", "objects", "--file", str(path)])
     assert code == 0
     assert out.splitlines()[0] == "objects: 6"
 
 
 def test_complex_verify_reads_a_file_without_labels(tmp_path, capsys):
-    # to_json without a labelling writes "labels": null; only objects reads the labels
-    from conftest import example_t_complex, example_t_labelling
+    # an unlabelled complex writes "labels": null; only objects reads the labels
+    from conftest import example_t_labelled
 
-    complex_ = example_t_complex()
+    complex_ = example_t_labelled()
     labelled, unlabelled = tmp_path / "labelled.json", tmp_path / "unlabelled.json"
-    labelled.write_text(complex_.to_json(example_t_labelling(complex_)), encoding="utf-8")
-    unlabelled.write_text(complex_.to_json(), encoding="utf-8")
+    labelled.write_text(complex_.to_json(), encoding="utf-8")
+    unlabelled.write_text(complex_.labelled(None).to_json(), encoding="utf-8")
     assert json.loads(unlabelled.read_text())["labels"] is None
     for fmt in ("text", "json"):
         expected = run_cli(capsys, ["--format", fmt, "complex", "verify", "--file", str(labelled)])
@@ -652,9 +651,9 @@ def test_size_guards_pass_the_largest_allowed_inputs(capsys):
 
 
 def test_complex_files_are_refused_above_the_n_guards(tmp_path, capsys):
-    fc = build_gamma_Fn(5)
+    complex_ = build_gamma_Fn(5)
     path = tmp_path / "gamma5.json"
-    path.write_text(fc.complex.to_json(fc.labelling), encoding="utf-8")
+    path.write_text(complex_.to_json(), encoding="utf-8")
     code, out, err = run_cli(capsys, ["complex", "objects", "--file", str(path)])
     assert code == 3 and out == ""
     assert err == f"resource guard: simplex count of {path} is 1295, above the limit 124; pass --unsafe-large to override\n"

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from conftest import all_partial_partitions, example_t_complex, example_t_improper
 from diagcx import complexes
 from diagcx.bipartite import enumerate_bipartite_forests, partial_partition_of
-from diagcx.complexes import AxiomCheck, DiagonalComplex, Labelling, ValidationReport, _meet_closure, _simplex_key
+from diagcx.complexes import AxiomCheck, DiagonalComplex, ValidationReport, _meet_closure, _simplex_key
 from diagcx.forests import build_gamma_Fn
 from diagcx.partitions import EMPTY_MEET, PartialPartition, block_classes, to_mask
 from diagcx.partitions import meet as partitions_meet
@@ -160,8 +160,8 @@ def _all_complexes_on_three_points():
     "make_complex, refinement_fails",
     [
         pytest.param(example_t_complex, False, id="T"),
-        pytest.param(lambda: build_gamma_Fn(3).complex, False, id="F3"),
-        pytest.param(lambda: build_gamma_Fn(4).complex, True, id="F4"),
+        pytest.param(lambda: build_gamma_Fn(3), False, id="F3"),
+        pytest.param(lambda: build_gamma_Fn(4), True, id="F4"),
     ],
 )
 def test_validation_reports_match_the_combinations_scan(make_complex, refinement_fails):
@@ -213,7 +213,7 @@ def test_axiom_3_reports_the_first_face_in_combinations_order():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_is_proper_matches_the_all_pairs_scan_on_forest_complexes(n):
-    complex_ = build_gamma_Fn(n).complex
+    complex_ = build_gamma_Fn(n)
     assert complex_.is_proper() is oracle_is_proper(complex_) is True
 
 
@@ -221,14 +221,14 @@ def test_is_proper_matches_the_all_pairs_scan_on_other_complexes():
     improper = example_t_improper()
     assert improper.is_proper() is oracle_is_proper(improper) is False
     # Gamma(F_4) without one maximal simplex stays valid
-    valid = [c for c in _dropped_faces(build_gamma_Fn(4).complex) if c.validate().ok]
+    valid = [c for c in _dropped_faces(build_gamma_Fn(4)) if c.validate().ok]
     assert valid
     for complex_ in valid:
         assert complex_.is_proper() == oracle_is_proper(complex_)
 
 
 def test_validation_report_is_memoised():
-    complex_ = build_gamma_Fn(3).complex
+    complex_ = build_gamma_Fn(3)
     assert complex_.validate() is complex_.validate()
 
 
@@ -243,7 +243,7 @@ def test_maximal_faces_miss_no_face_below_them():
 
 
 def test_validate_of_gamma_f6_passes_within_120_ms():
-    complex_ = build_gamma_Fn(6).complex
+    complex_ = build_gamma_Fn(6)
     times = []
     for _ in range(3):
         complex_._report = None
@@ -256,18 +256,18 @@ def test_validate_of_gamma_f6_passes_within_120_ms():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_category_objects_match_the_all_pairs_closure(n):
-    fc = build_gamma_Fn(n)
-    objects = fc.complex.category_objects(fc.labelling)
+    complex_ = build_gamma_Fn(n)
+    objects = complex_.category_objects()
     assert list(objects) == sorted(objects, key=lambda part: part.blocks)
-    assert set(objects) == oracle_closure(fc.complex.partitions().values())
+    assert set(objects) == oracle_closure(complex_.partitions().values())
 
 
 def test_category_objects_of_a_permuted_complex_file():
-    fc = build_gamma_Fn(4)
+    forest_complex = build_gamma_Fn(4)
     rng = random.Random(4)
-    perm = list(range(fc.complex.ground_size))
+    perm = list(range(forest_complex.ground_size))
     rng.shuffle(perm)
-    document = json.loads(fc.complex.to_json(fc.labelling))
+    document = json.loads(forest_complex.to_json())
     rng.shuffle(document["simplices"])
     simplices = [sorted(perm[x] for x in s) for s in document["simplices"]]
     gamma = {
@@ -280,18 +280,18 @@ def test_category_objects_of_a_permuted_complex_file():
     for x, label in enumerate(document["labels"]):
         labels[perm[x]] = label
     text = json.dumps({"ground": document["ground"], "simplices": simplices, "gamma": gamma, "labels": labels})
-    complex_, labelling = DiagonalComplex.from_json(text)
-    objects = set(complex_.category_objects(labelling))
+    complex_ = DiagonalComplex.from_json(text)
+    objects = set(complex_.category_objects())
     assert objects == oracle_closure(complex_.partitions().values())
     assert len(objects) == 188
 
 
 def test_category_objects_do_not_depend_on_the_generator_order():
-    fc = build_gamma_Fn(4)
-    expected = oracle_closure(fc.complex.partitions().values())
+    f4 = build_gamma_Fn(4)
+    expected = oracle_closure(f4.partitions().values())
     for seed in range(3):
-        complex_ = DiagonalComplex(fc.complex.ground_size, fc.complex.elements, _shuffled(fc.complex.gamma, seed))
-        assert set(complex_.category_objects(fc.labelling)) == expected
+        complex_ = DiagonalComplex(f4.ground_size, f4.elements, _shuffled(f4.gamma, seed))
+        assert set(complex_.category_objects()) == expected
 
 
 def test_category_objects_build_each_new_object_once(monkeypatch):
@@ -303,15 +303,15 @@ def test_category_objects_build_each_new_object_once(monkeypatch):
         return partitions_meet(p, q)
 
     monkeypatch.setattr(complexes, "meet", counted)
-    fc = build_gamma_Fn(4)
-    objects = fc.complex.category_objects(fc.labelling)
-    assert (len(fc.complex.gamma), len(objects), len(calls)) == (124, 188, 64)
+    complex_ = build_gamma_Fn(4)
+    objects = complex_.category_objects()
+    assert (len(complex_.gamma), len(objects), len(calls)) == (124, 188, 64)
 
 
 def test_category_objects_of_gamma_f5_are_the_bipartite_forests_within_2_5_s():
-    fc = build_gamma_Fn(5)
+    complex_ = build_gamma_Fn(5)
     start = time.perf_counter()
-    objects = fc.complex.category_objects(fc.labelling)
+    objects = complex_.category_objects()
     elapsed = time.perf_counter() - start
     assert len(objects) == 2575
     assert set(objects) == {partial_partition_of(f) for f in enumerate_bipartite_forests(5)}
@@ -319,8 +319,20 @@ def test_category_objects_of_gamma_f5_are_the_bipartite_forests_within_2_5_s():
 
 
 def test_example_t_objects_match_the_all_pairs_closure(example_t):
-    complex_, labelling = example_t
-    assert set(complex_.category_objects(labelling)) == oracle_closure(complex_.partitions().values())
+    complex_ = example_t
+    assert set(complex_.category_objects()) == oracle_closure(complex_.partitions().values())
+
+
+def _labels_constant_on_blocks(complex_, objects):
+    return all(len({complex_.labels[x] for x in block}) == 1 for part in objects for block in part.blocks)
+
+
+def test_category_objects_of_gamma_f4_keep_the_labels_constant_on_every_block():
+    # a block of a meet is a chain of overlapping blocks of its arguments, so it takes their one label
+    forest_complex = build_gamma_Fn(4)
+    for complex_ in (forest_complex, forest_complex.universally_labelled()):
+        assert _labels_constant_on_blocks(complex_, complex_.category_objects())
+
 
 
 def test_meet_closure_reaches_meets_of_three_generators():
@@ -423,11 +435,15 @@ def _as_file(complex_):
 @given(flag_complexes())
 def test_mask_kernels_match_the_oracles_on_flag_complexes(complex_):
     report = _check_report(complex_)
-    assert DiagonalComplex.from_json(_as_file(complex_))[0] == complex_
+    assert DiagonalComplex.from_json(_as_file(complex_)) == complex_
+    labelled = complex_.universally_labelled()
+    restored = DiagonalComplex.from_json(labelled.to_json())
+    assert restored == labelled and restored.labels == labelled.labels
     if report.ok:
         assert complex_.is_proper() == oracle_is_proper(complex_)
-        objects = complex_.category_objects(Labelling.universal(complex_))
+        objects = labelled.category_objects()
         assert set(objects) == oracle_closure(complex_.partitions().values())
+        assert _labels_constant_on_blocks(labelled, objects)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -3,8 +3,8 @@ import json
 import pytest
 
 from complex_levels import filtration, full_subcomplex, levels
-from conftest import example_t_complex, example_t_improper, example_t_labelling
-from diagcx.complexes import DiagonalComplex, Labelling
+from conftest import example_t_complex, example_t_improper, example_t_labelled
+from diagcx.complexes import DiagonalComplex
 from diagcx.forests import build_gamma_Fn, x_n_pairs
 from diagcx.groups import FiniteGroup
 from diagcx.homology import torus_model_betti, torus_model_matrices
@@ -23,7 +23,7 @@ def full_simplex(n):
 
 
 def test_example_t_validates(example_t):
-    complex_, _ = example_t
+    complex_ = example_t
     report = complex_.validate()
     assert report.ok
     assert [c.axiom for c in report.checks] == [1, 2, 3]
@@ -82,16 +82,16 @@ def test_is_proper_requires_valid_complex():
 def test_every_consumer_names_the_first_axiom_failure():
     complex_ = example_t_complex()
     broken = DiagonalComplex.of(3, {u: p for u, p in complex_.partitions().items() if u != frozenset([0, 1])})
-    labelling = Labelling(broken, [0, 0, 0])
+    broken = broken.labelled([0, 0, 0])
     message = f"invalid diagonal complex: {broken.validate().failures()[0].witness}"
     consumers = [
         broken.require_valid,
         broken.is_proper,
-        lambda: broken.category_objects(labelling),
-        lambda: hilbert_polynomial(broken, labelling),
+        broken.category_objects,
+        lambda: hilbert_polynomial(broken),
         lambda: torus_model_betti(broken),
         lambda: torus_model_matrices(broken),
-        lambda: dc_presentation(broken, labelling, {0: FiniteGroup.cyclic(2)}),
+        lambda: dc_presentation(broken, {0: FiniteGroup.cyclic(2)}),
     ]
     for consumer in consumers:
         with pytest.raises(ValueError) as err:
@@ -127,7 +127,7 @@ def _descendants(complex_):
 @pytest.mark.parametrize(
     "builder",
     [example_t_complex, example_t_improper, lambda: full_simplex(4),
-     lambda: build_gamma_Fn(2).complex, lambda: build_gamma_Fn(3).complex],
+     lambda: build_gamma_Fn(2), lambda: build_gamma_Fn(3)],
 )
 def test_proper_matches_descendance_oracle(builder):
     complex_ = builder()
@@ -142,7 +142,7 @@ def test_proper_matches_descendance_oracle(builder):
 
 
 def test_levels(example_t):
-    complex_, _ = example_t
+    complex_ = example_t
     level = levels(complex_)
     # bit x stands for element x: every singleton is a simplex
     assert level(0b001) == 0
@@ -154,7 +154,7 @@ def test_levels(example_t):
 
 
 def test_filtration(example_t):
-    complex_, _ = example_t
+    complex_ = example_t
     level0 = filtration(complex_, 0)
     assert set(level0.partitions()) == {frozenset([x]) for x in range(3)}
     level1 = filtration(complex_, 1)
@@ -167,8 +167,8 @@ def test_filtration(example_t):
 
 
 def test_category_objects_example_t(example_t):
-    complex_, labelling = example_t
-    objects = set(complex_.category_objects(labelling))
+    complex_ = example_t
+    objects = set(complex_.category_objects())
     expected = {
         PartialPartition.of(3, [[0]]),
         PartialPartition.of(3, [[1]]),
@@ -181,9 +181,8 @@ def test_category_objects_example_t(example_t):
 
 
 def test_category_objects_full_simplex_pair():
-    complex_ = full_simplex(2)
-    labelling = Labelling(complex_, [0, 0])
-    objects = set(complex_.category_objects(labelling))
+    complex_ = full_simplex(2).labelled([0, 0])
+    objects = set(complex_.category_objects())
     expected = {
         PartialPartition.of(2, [[0]]),
         PartialPartition.of(2, [[1]]),
@@ -193,16 +192,15 @@ def test_category_objects_full_simplex_pair():
 
 
 def test_category_objects_singletons_only():
-    complex_ = DiagonalComplex.from_simplicial(3, [(0,), (1,), (2,)])
-    labelling = Labelling(complex_, [0, 1, 2])
-    assert len(complex_.category_objects(labelling)) == 3
+    complex_ = DiagonalComplex.from_simplicial(3, [(0,), (1,), (2,)]).labelled([0, 1, 2])
+    assert len(complex_.category_objects()) == 3
 
 
 def test_category_objects_meet_closed(example_t):
     from diagcx.partitions import EMPTY_MEET, meet
 
-    complex_, labelling = example_t
-    objects = complex_.category_objects(labelling)
+    complex_ = example_t
+    objects = complex_.category_objects()
     for p in objects:
         for q in objects:
             m = meet(p, q)
@@ -210,28 +208,28 @@ def test_category_objects_meet_closed(example_t):
 
 
 def test_monomial(example_t):
-    complex_, labelling = example_t
-    assert complex_.monomial(labelling, 0b001) == {1: 1}
-    assert complex_.monomial(labelling, 0b111) == {1: 1, 2: 1}
-    assert complex_.monomial(labelling, 0b011) == {1: 2}
+    complex_ = example_t
+    assert complex_.monomial(0b001) == {1: 1}
+    assert complex_.monomial(0b111) == {1: 1, 2: 1}
+    assert complex_.monomial(0b011) == {1: 2}
     with pytest.raises(ValueError):
-        complex_.monomial(labelling, 0b110)
+        complex_.monomial(0b110)
 
 
 def test_labelling_eager_validation():
     complex_ = example_t_complex()
     with pytest.raises(ValueError):
-        Labelling(complex_, [1, 2, 3])  # block {0,1} would mix labels
+        complex_.labelled([1, 2, 3])  # block {0,1} would mix labels
     with pytest.raises(ValueError):
-        Labelling(complex_, [1, 1])  # wrong length
+        complex_.labelled([1, 1])  # wrong length
 
 
 def test_universal_labelling(example_t):
-    complex_, _ = example_t
-    universal = Labelling.universal(complex_)
+    complex_ = example_t
+    universal = complex_.universally_labelled()
     assert universal.labels[0] == universal.labels[1] != universal.labels[2]
     # the given labelling factors through the universal one
-    given = example_t_labelling(complex_)
+    given = example_t_labelled()
     mapping = {}
     for x in range(3):
         mapping.setdefault(universal.labels[x], set()).add(given.labels[x])
@@ -239,15 +237,14 @@ def test_universal_labelling(example_t):
 
 
 def test_universal_labelling_forest_complex():
-    fc = build_gamma_Fn(3)
-    universal = Labelling.universal(fc.complex)
+    universal = build_gamma_Fn(3).universally_labelled()
     # two pairs share a label exactly when they share their first vertex
-    firsts = [i for i, _ in x_n_pairs(fc.n)]
+    firsts = [i for i, _ in x_n_pairs(3)]
     assert len(set(zip(universal.labels, firsts))) == len(set(universal.labels)) == len(set(firsts))
 
 
 def test_full_subcomplex(example_t):
-    complex_, _ = example_t
+    complex_ = example_t
     sub = full_subcomplex(complex_, [0, 1])
     assert sub.ground_size == 2
     assert set(sub.partitions()) == {frozenset([0]), frozenset([1]), frozenset([0, 1])}
@@ -259,11 +256,12 @@ def test_full_subcomplex(example_t):
 
 
 def test_json_roundtrip_bit_exact(example_t):
-    complex_, labelling = example_t
-    text = complex_.to_json(labelling)
-    restored, restored_labelling = DiagonalComplex.from_json(text)
+    complex_ = example_t
+    text = complex_.to_json()
+    restored = DiagonalComplex.from_json(text)
     assert restored == complex_
-    assert restored_labelling.labels == labelling.labels
-    assert restored.to_json(restored_labelling) == text
+    assert restored.labels == complex_.labels
+    assert restored != restored.labelled(None)  # equality compares the labels too
+    assert restored.to_json() == text
     # document order is stable
     assert json.loads(text)["ground"] == 3

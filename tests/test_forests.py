@@ -21,7 +21,7 @@ from diagcx.forests import (
     x_n_pairs,
 )
 from complex_levels import filtration, levels, max_level
-from conftest import term_product
+from conftest import simplex_of_poset, term_product
 from diagcx.partitions import PartialPartition, bits
 from diagcx.series import AbelianGroup, GradedModuleSeries, circle_series, cyclic_classifying_series
 
@@ -151,9 +151,9 @@ def test_block_count_is_edge_count():
 
 
 def test_build_gamma_F2():
-    fc = build_gamma_Fn(2)
-    index = {pair: k for k, pair in enumerate(x_n_pairs(fc.n))}
-    assert set(fc.complex.gamma) == {
+    complex_ = build_gamma_Fn(2)
+    index = {pair: k for k, pair in enumerate(x_n_pairs(2))}
+    assert set(complex_.gamma) == {
         1 << index[(1, 2)],
         1 << index[(2, 1)],
     }
@@ -161,10 +161,10 @@ def test_build_gamma_F2():
 
 @pytest.mark.parametrize("n,expected", [(2, 2), (3, 15), (4, 124)])
 def test_build_gamma_Fn_counts(n, expected):
-    fc = build_gamma_Fn(n)
-    assert len(fc.complex.gamma) == expected
-    assert fc.complex.validate().ok
-    assert fc.complex.is_proper()
+    complex_ = build_gamma_Fn(n)
+    assert len(complex_.gamma) == expected
+    assert complex_.validate().ok
+    assert complex_.is_proper()
 
 
 def test_build_gamma_Fn_cap():
@@ -175,24 +175,24 @@ def test_build_gamma_Fn_cap():
 
 
 def test_two_edge_breakdown_n3():
-    fc = build_gamma_Fn(3)
+    complex_ = build_gamma_Fn(3)
     sizes = {}
-    for part in fc.complex.partitions().values():
+    for part in complex_.partitions().values():
         sizes[len(part.blocks)] = sizes.get(len(part.blocks), 0) + 1
     assert sizes == {1: 6, 2: 9}
 
 
 def test_labels_are_first_coordinates():
-    fc = build_gamma_Fn(3)
-    for k, (i, _) in enumerate(x_n_pairs(fc.n)):
-        assert fc.labelling.labels[k] == i
+    complex_ = build_gamma_Fn(3)
+    for k, (i, _) in enumerate(x_n_pairs(3)):
+        assert complex_.labels[k] == i
 
 
 def test_monomial_is_out_degrees():
-    fc = build_gamma_Fn(4)
+    complex_ = build_gamma_Fn(4)
     for f in enumerate_forests(4):
-        simplex = fc.simplex_of_poset(poset_from_forest(f))
-        monomial = fc.complex.monomial(fc.labelling, simplex)
+        simplex = simplex_of_poset(poset_from_forest(f))
+        monomial = complex_.monomial(simplex)
         expected = {
             v: len(f.children(v)) for v in range(1, 5) if len(f.children(v)) > 0
         }
@@ -200,24 +200,24 @@ def test_monomial_is_out_degrees():
 
 
 def test_levels_in_forest_complex():
-    fc = build_gamma_Fn(3)
-    one_edge = fc.simplex_of_poset(poset_from_forest(PlantedForest.of(3, {2: 1})))
-    cherry = fc.simplex_of_poset(poset_from_forest(PlantedForest.of(3, {2: 1, 3: 1})))
-    chain = fc.simplex_of_poset(poset_from_forest(PlantedForest.of(3, {2: 3, 1: 2})))
-    level = levels(fc.complex)
+    complex_ = build_gamma_Fn(3)
+    one_edge = simplex_of_poset(poset_from_forest(PlantedForest.of(3, {2: 1})))
+    cherry = simplex_of_poset(poset_from_forest(PlantedForest.of(3, {2: 1, 3: 1})))
+    chain = simplex_of_poset(poset_from_forest(PlantedForest.of(3, {2: 3, 1: 2})))
+    level = levels(complex_)
     assert level(one_edge) == 0
     assert level(cherry) == 1
     assert level(chain) == 2
-    level0 = filtration(fc.complex, 0)
-    assert set(level0.gamma) == {1 << k for k in range(len(x_n_pairs(fc.n)))}
+    level0 = filtration(complex_, 0)
+    assert set(level0.gamma) == {1 << k for k in range(len(x_n_pairs(3)))}
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_gamma_matches_partition_map(n):
-    fc = build_gamma_Fn(n)
+    complex_ = build_gamma_Fn(n)
     for f in enumerate_forests(n):
         u = poset_from_forest(f)
-        assert fc.complex.gamma_of(fc.simplex_of_poset(u)) == gamma_forest(u)
+        assert complex_.gamma_of(simplex_of_poset(u)) == gamma_forest(u)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -225,7 +225,7 @@ def test_coarse_filtration_skeleton(n):
     # simplices of coarse level one have singleton blocks only (they come
     # from depth-one forests), and the plain level-one part is exactly
     # their one-skeleton: the members with at most two elements
-    c = build_gamma_Fn(n).complex
+    c = build_gamma_Fn(n)
     coarse_level, level = levels(c, coarse=True), levels(c)
     coarse_one = {u for u in c.gamma if coarse_level(u) <= 1}
     plain_one = {u for u in c.gamma if level(u) <= 1}
@@ -247,7 +247,7 @@ def _poset_of(complex_, simplex, n):
 
 
 def test_filtration_exhausts_forest_complex():
-    c = build_gamma_Fn(3).complex
+    c = build_gamma_Fn(3)
     top = max_level(c)
     assert top == 2
     union = set()
@@ -257,11 +257,11 @@ def test_filtration_exhausts_forest_complex():
 
 
 def test_single_vertex_complex_is_empty():
-    fc = build_gamma_Fn(1)
-    assert fc.complex.ground_size == 0
-    assert len(fc.complex.gamma) == 0
-    assert fc.complex.validate().ok
-    assert fc.complex.is_proper()
+    complex_ = build_gamma_Fn(1)
+    assert complex_.ground_size == 0
+    assert len(complex_.gamma) == 0
+    assert complex_.validate().ok
+    assert complex_.is_proper()
 
 
 # -- Prufer ---------------------------------------------------------------

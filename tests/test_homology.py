@@ -136,7 +136,7 @@ def _chain_matrices():
             upper = nerve.faces_of_dimension(k)
             yield _dense(boundary_matrix(nerve.faces_of_dimension(k - 1), upper), len(upper))
     for n in range(1, 5):
-        complex_ = build_gamma_Fn(n).complex
+        complex_ = build_gamma_Fn(n)
         for k in range(1, n + 1):
             rows = torus_model_generators(complex_, k)
             yield _dense(rows, 1 + max((c for row in rows for c in row), default=-1))
@@ -348,16 +348,16 @@ def test_family_members_must_be_subgroups():
 
 
 def test_torus_model_betti_forest_complexes():
-    assert torus_model_betti(build_gamma_Fn(2).complex) == [1, 2]
-    assert torus_model_betti(build_gamma_Fn(3).complex) == [1, 6, 9]
+    assert torus_model_betti(build_gamma_Fn(2)) == [1, 2]
+    assert torus_model_betti(build_gamma_Fn(3)) == [1, 6, 9]
 
 
 def test_torus_model_matches_block_counts():
     for n in (2, 3):
-        fc = build_gamma_Fn(n)
-        betti = torus_model_betti(fc.complex)
+        complex_ = build_gamma_Fn(n)
+        betti = torus_model_betti(complex_)
         counts = {}
-        for part in fc.complex.partitions().values():
+        for part in complex_.partitions().values():
             k = len(part.blocks)
             counts[k] = counts.get(k, 0) + 1
         for degree in range(1, len(betti)):
@@ -374,9 +374,9 @@ def test_torus_model_example_t():
 
 def test_torus_model_euler_characteristic():
     for n in (2, 3):
-        fc = build_gamma_Fn(n)
-        betti = torus_model_betti(fc.complex)
-        h = hilbert_polynomial(fc.complex, fc.labelling)
+        complex_ = build_gamma_Fn(n)
+        betti = torus_model_betti(complex_)
+        h = hilbert_polynomial(complex_)
         chi = sum((-1) ** k * b for k, b in enumerate(betti))
         assert chi == 1 + sum(c * (-1) ** sum(e) for e, c in h.terms)
 

@@ -306,12 +306,10 @@ def test_dc_presentation_on_mixed_blocks():
     # ground {0,1,2}; the top simplex splits as {0,1} | {2}, so the
     # presentation carries the diagonal relation for {0,1} and the
     # commutator of the two blocks
-    from conftest import example_t_complex, example_t_labelling
+    from conftest import example_t_labelled
     from diagcx.present import dc_presentation
 
-    complex_ = example_t_complex()
-    labelling = example_t_labelling(complex_)
-    pres = dc_presentation(complex_, labelling, {1: Z2, 2: Z3})
+    pres = dc_presentation(example_t_labelled(), {1: Z2, 2: Z3})
     # labelled simplices: three singletons and {0,1}; the top one is mixed
     assert len(pres.generators) == 1 + 1 + 2 + 1
     kinds = {}
@@ -328,13 +326,12 @@ def test_dc_presentation_on_mixed_blocks():
 def test_dc_presentation_simplicial_is_commutators_only():
     import itertools
 
-    from diagcx.complexes import DiagonalComplex, Labelling
+    from diagcx.complexes import DiagonalComplex
     from diagcx.present import dc_presentation
 
     faces = [c for k in (1, 2) for c in itertools.combinations(range(3), k)]
-    complex_ = DiagonalComplex.from_simplicial(3, faces)
-    labelling = Labelling(complex_, [0, 1, 2])
-    pres = dc_presentation(complex_, labelling, {0: Z2, 1: Z2, 2: Z2})
+    complex_ = DiagonalComplex.from_simplicial(3, faces).labelled([0, 1, 2])
+    pres = dc_presentation(complex_, {0: Z2, 1: Z2, 2: Z2})
     assert {r.kind for r in pres.relations} == {"mult", "commute"}
     commutators = [r for r in pres.relations if r.kind == "commute"]
     assert len(commutators) == 3  # one per edge of the triangle

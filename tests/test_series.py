@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import series_oracle as oracle
-from conftest import example_t_complex, example_t_labelling, term_product
+from conftest import example_t_labelled, term_product
 from diagcx.forests import build_gamma_Fn
 from diagcx.series import (
     FREE,
@@ -246,15 +246,13 @@ def test_multipoly_rejects_bad_exponent_vectors():
 
 
 def test_hilbert_polynomial_gamma_F2():
-    fc = build_gamma_Fn(2)
-    h = hilbert_polynomial(fc.complex, fc.labelling)
+    complex_ = build_gamma_Fn(2)
+    h = hilbert_polynomial(complex_)
     assert h == MultiPoly.of((1, 2), {(1, 0): 1, (0, 1): 1})
 
 
 def test_hilbert_polynomial_example_t():
-    complex_ = example_t_complex()
-    labelling = example_t_labelling(complex_)
-    h = hilbert_polynomial(complex_, labelling)
+    h = hilbert_polynomial(example_t_labelled())
     # three singletons, the pair {0,1}, and the top simplex
     assert h == MultiPoly.of(
         (1, 2), {(1, 0): 2, (0, 1): 1, (2, 0): 1, (1, 1): 1}
@@ -265,9 +263,8 @@ def test_hilbert_polynomial_full_simplex():
     import diagcx.complexes as complexes
 
     faces = [c for k in range(1, 4) for c in itertools.combinations(range(3), k)]
-    complex_ = complexes.DiagonalComplex.from_simplicial(3, faces)
-    labelling = complexes.Labelling(complex_, [0, 0, 0])
-    h = hilbert_polynomial(complex_, labelling)
+    complex_ = complexes.DiagonalComplex.from_simplicial(3, faces).labelled([0, 0, 0])
+    h = hilbert_polynomial(complex_)
     assert h == MultiPoly.of((0,), {(1,): 3, (2,): 3, (3,): 1})  # (1+x)^3 - 1
 
 
@@ -307,16 +304,16 @@ def test_substitute_no_variables():
 
 
 def test_substitute_all_circles_n3():
-    fc = build_gamma_Fn(3)
-    h = hilbert_polynomial(fc.complex, fc.labelling)
+    complex_ = build_gamma_Fn(3)
+    h = hilbert_polynomial(complex_)
     result = substitute(h, {v: circle_series(6) for v in h.variables})
     assert [c.free_rank for c in result.coeffs] == [1, 6, 9, 0, 0, 0, 0]
     assert all(not c.torsion for c in result.coeffs)
 
 
 def test_substitute_torsion_n2():
-    fc = build_gamma_Fn(2)
-    h = hilbert_polynomial(fc.complex, fc.labelling)
+    complex_ = build_gamma_Fn(2)
+    h = hilbert_polynomial(complex_)
     result = substitute(h, {v: cyclic_classifying_series(5, 6) for v in h.variables})
     for degree, coeff in enumerate(result.coeffs):
         if degree == 0:
@@ -381,8 +378,8 @@ def test_substitute_checks_every_assigned_truncation():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_direct_product_identity_small(n):
-    fc = build_gamma_Fn(n)
-    h = hilbert_polynomial(fc.complex, fc.labelling)
+    complex_ = build_gamma_Fn(n)
+    h = hilbert_polynomial(complex_)
     factors = {
         v: [circle_series(8), cyclic_classifying_series(2, 8), cyclic_classifying_series(4, 8)][v % 3]
         for v in h.variables
@@ -459,8 +456,8 @@ def test_factoring_ends():
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("p", [2, 3])
 def test_series_wh_zp_matches_substitution(n, p):
-    fc = build_gamma_Fn(n)
-    h = hilbert_polynomial(fc.complex, fc.labelling)
+    complex_ = build_gamma_Fn(n)
+    h = hilbert_polynomial(complex_)
     direct = series_Wh_Zp(n, p, 10)
     substituted = substitute(h, {v: cyclic_classifying_series(p, 10) for v in h.variables})
     assert direct == substituted
