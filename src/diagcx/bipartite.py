@@ -19,9 +19,9 @@ BIPARTITE_CAP = 4
 
 
 class BipartiteForest(collections.namedtuple("BipartiteForest", "n internal parent")):
-    """Canonical form: internal vertices are n+1..n+internal, renamed
-    deterministically by structure; instances compare equal exactly when
-    they agree up to internal relabelling."""
+    """Canonical form: internal vertices are n+1..n+internal, in order of
+    (parent, least child); instances compare equal exactly when they agree
+    up to internal relabelling."""
 
     __slots__ = ()
 
@@ -42,23 +42,15 @@ class BipartiteForest(collections.namedtuple("BipartiteForest", "n internal pare
         for x in range(n + 1, n + m + 1):
             if not any(self.parent[c - 1] == x for c in range(1, n + 1)):
                 raise ValueError(f"internal vertex {x} is a leaf")
-        if self.parent != _canonical_parent(n, m, self.parent):
+        if self.parent != _canonical_parent(n, dict(enumerate(self.parent, start=1))):
             raise ValueError("internal vertices are not canonically labelled; use .of()")
         return self
 
     @classmethod
     def of(cls, n, parent_map):
         """Build from a {vertex: parent} mapping with arbitrary internal ids > n."""
-        internal_ids = sorted({v for v in parent_map if v > n} | {p for p in parent_map.values() if p > n})
-        rename = {old: n + 1 + k for k, old in enumerate(internal_ids)}
-        m = len(internal_ids)
-        parent = [0] * (n + m)
-        for v, p in parent_map.items():
-            parent[rename.get(v, v) - 1] = rename.get(p, p)
-        parent = tuple(parent)
-        # _canonical_parent never returns on a cycle, so reject cycles first
-        PlantedForest(n + m, parent)
-        return cls(n, m, _canonical_parent(n, m, parent))
+        parent = _canonical_parent(n, parent_map)
+        return cls(n, len(parent) - n, parent)
 
     def children(self, v):
         return tuple(c for c in range(1, self.n + self.internal + 1) if self.parent[c - 1] == v)
@@ -77,29 +69,24 @@ class BipartiteForest(collections.namedtuple("BipartiteForest", "n internal pare
         return tuple(sorted(out))
 
 
-def _canonical_parent(n, m, parent):
-    """Rename internal vertices by a deterministic structural traversal."""
+def _canonical_parent(n, parent_map):
+    """The parent array of a {vertex: parent} mapping, internal ids > n renamed
+    n+1, n+2, ... in order of (parent, least child).
 
-    def children(v):
-        return [c for c in range(1, n + m + 1) if parent[c - 1] == v]
-
-    def sig_ordinary(w):
-        return (w, tuple(sorted(sig_internal(x) for x in children(w))))
-
-    def sig_internal(x):
-        return tuple(sorted(sig_ordinary(w) for w in children(x)))
-
-    rename = {}
-    next_label = n + 1
-    for w in range(1, n + 1):
-        for x in sorted(children(w), key=sig_internal):
-            rename[x] = next_label
-            next_label += 1
-    out = [0] * (n + m)
-    for v in range(1, n + m + 1):
-        p = parent[v - 1]
-        out[rename.get(v, v) - 1] = rename.get(p, p)
-    return tuple(out)
+    Siblings have disjoint nonempty sets of ordinary children, so the key
+    tells any two internal vertices of a bipartite forest apart.  It is one
+    sort, so it also ends on mappings the constructor then rejects.
+    """
+    least = {}
+    for v in range(n, 0, -1):  # descending, so each internal vertex keeps its least child
+        least[parent_map.get(v, 0)] = v
+    internal = {v for v in parent_map if v > n} | {p for p in parent_map.values() if p > n}
+    order = [x for *_, x in sorted((parent_map.get(x, 0), least.get(x, 0), x) for x in internal)]
+    rename = {old: new for new, old in enumerate(order, start=n + 1)}
+    parent = [0] * (n + len(order))
+    for v, p in parent_map.items():
+        parent[rename.get(v, v) - 1] = rename.get(p, p)
+    return tuple(parent)
 
 
 def subdivide(forest):
@@ -190,21 +177,13 @@ def enumerate_bipartite_forests(n):
             for blocks in set_partitions(hang):
                 for parents in itertools.product(vertices, repeat=len(blocks)):
                     parent_map = {}
-                    ok = True
-                    for k, (block, p) in enumerate(zip(blocks, parents)):
-                        x = n + 1 + k
-                        if p in block:
-                            ok = False
-                            break
+                    for x, (block, p) in enumerate(zip(blocks, parents), start=n + 1):
                         parent_map[x] = p
-                        for c in block:
-                            parent_map[c] = x
-                    if not ok:
-                        continue
+                        parent_map.update(dict.fromkeys(block, x))
                     try:
                         out.append(BipartiteForest.of(n, parent_map))
-                    except ValueError:
-                        continue
+                    except ValueError:  # a parent inside its own block makes a cycle
+                        pass
     return out
 
 

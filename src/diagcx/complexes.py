@@ -323,6 +323,12 @@ class DiagonalComplex:
         if not report.ok:
             raise ValueError(f"invalid diagonal complex: {report.failures()[0].witness}")
 
+    def require_labels(self):
+        """The labels, or ValueError when the complex carries none."""
+        if self.labels is None:
+            raise ValueError("diagonal complex carries no labels")
+        return self.labels
+
     # -- properness -------------------------------------------------
 
     def is_proper(self):
@@ -398,9 +404,9 @@ class DiagonalComplex:
 
     def monomial(self, u):
         """Exponent map of the block-label monomial of the simplex mask u."""
-        exponents = {}
+        labels, exponents = self.require_labels(), {}
         for block in self._blocks(u):
-            label = self.labels[self.elements[block.bit_length() - 1]]  # any element of the block
+            label = labels[self.elements[block.bit_length() - 1]]  # any element of the block
             exponents[label] = exponents.get(label, 0) + 1
         return exponents
 

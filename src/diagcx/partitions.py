@@ -5,8 +5,8 @@ A partial partition is a set of pairwise disjoint nonempty blocks of
 partitions are ordered by *partial coarsening*: ``p <= q`` holds when
 every block of p is a union of blocks of q.  Under this order the poset
 has meets, computed by an equivalence closure with a sink element that
-absorbs everything outside the common support; :func:`meet_masks` does
-this on blocks stored as bitmasks.
+absorbs everything outside the common support; :func:`classes_inside`
+does this on blocks stored as bitmasks.
 """
 
 import collections
@@ -83,13 +83,8 @@ def to_mask(elements, bit):
 
 
 def bits(mask):
-    """The set bits of a mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    """The set bits of a mask, ascending, read off one scan of its binary digits."""
+    return [i for i, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"]
 
 
 def spell(masks, elements):
@@ -129,8 +124,8 @@ def meet(p, q):
     element outside the support of either argument is related to a sink.
     The classes avoiding the sink are the blocks of the meet.  When every
     class hits the sink the meet is the basepoint, returned as
-    :data:`EMPTY_MEET`.  The work is done by :func:`meet_masks`, with one
-    bit per element of the two supports.
+    :data:`EMPTY_MEET`.  The work is done by :func:`classes_inside`, with
+    one bit per element of the two supports.
 
     >>> p = PartialPartition.of(2, [[0]])
     >>> q = PartialPartition.of(2, [[1]])
@@ -141,30 +136,23 @@ def meet(p, q):
         raise ValueError("mismatched ground sizes")
     elements = sorted(p.support | q.support)
     bit = {x: i for i, x in enumerate(elements)}
-    blocks = meet_masks(*(tuple(to_mask(block, bit) for block in r.blocks) for r in (p, q)))
+    p_masks, q_masks = (tuple(to_mask(block, bit) for block in r.blocks) for r in (p, q))
+    blocks = classes_inside(p_masks, q_masks, sum(p_masks) & sum(q_masks))  # disjoint blocks: sum is union
     return PartialPartition(p.ground_size, spell(blocks, elements)) if blocks else EMPTY_MEET
 
 
-def meet_masks(p, q):
-    """The meet on block bitmasks: the blocks of the meet, by least element.
-
-    ``p`` and ``q`` are tuples of pairwise disjoint block masks.  Blocks of
-    p and q that overlap are merged into classes; a class with an element
-    outside the common support is joined to the sink and dropped.  An
-    empty tuple is the empty meet.
-
-    >>> meet_masks((0b011, 0b100), (0b001, 0b010))
-    (3,)
-    """
-    return classes_inside(p, q, sum(p) & sum(q))  # the blocks are disjoint, so their sum is their union
-
-
 def classes_inside(p, q, common):
-    """:func:`meet_masks` of p and q, given ``common``, the mask of their common support.
+    """The meet on block bitmasks, given ``common``, the mask of their common support.
 
-    The classes of "shares a block of p or q" that lie inside ``common``, by
-    least element.  A block missing ``common`` shares no element with a
-    block of the other side, so it is a class of its own and is skipped.
+    ``p`` and ``q`` are tuples of pairwise disjoint block masks.  Returns the
+    classes of "shares a block of p or q" that lie inside ``common``, by
+    least element; a class with an element outside it is joined to the sink
+    and dropped, and an empty tuple is the empty meet.  A block missing
+    ``common`` shares no element with a block of the other side, so it is a
+    class of its own and is skipped.
+
+    >>> classes_inside((0b011, 0b100), (0b001, 0b010), 0b011)
+    (3,)
     """
     classes = [block for block in p if block & common]
     for block in q:

@@ -208,10 +208,11 @@ def dc_presentation(complex_, groups):
     expressing g_U through the blocks of gamma(U).
     """
     complex_.require_valid()
+    labels = complex_.require_labels()
 
     def label_of(simplex):
-        labels = {complex_.labels[x] for x in simplex}
-        return labels.pop() if len(labels) == 1 else None
+        found = {labels[x] for x in simplex}
+        return found.pop() if len(found) == 1 else None
 
     generators = []
     relations = []
@@ -317,25 +318,17 @@ def _conjugate(groups, letter, word):
     return normal_form(groups, inverse + (letter,) + word)
 
 
-def translate_indexed_presentation(presentation, n):
-    """Rewrite ground-index generator letters over X_n to (i, j) pair letters."""
+def forest_dc_presentation(n, groups):
+    """dc_presentation of the forest complex, its ground-index letters over X_n spelt as (i, j) pair letters."""
+    raw = dc_presentation(build_gamma_Fn(n), {i: groups[i - 1] for i in range(1, n + 1)})
     pairs = x_n_pairs(n)
     spell = functools.cache(lambda simplex: tuple(pairs[k] for k in simplex))  # a simplex recurs in many relations
 
     def fix(word):
         return tuple((spell(simplex), e) for simplex, e in word)
 
-    relations = tuple(
-        Relation(rel.kind, fix(rel.word), rel.source) for rel in presentation.relations
-    )
-    return Presentation(fix(presentation.generators), relations)
-
-
-def forest_dc_presentation(n, groups):
-    """dc_presentation of the forest complex, in pair letters."""
-    label_groups = {i: groups[i - 1] for i in range(1, n + 1)}
-    raw = dc_presentation(build_gamma_Fn(n), label_groups)
-    return translate_indexed_presentation(raw, n)
+    relations = tuple(rel._replace(word=fix(rel.word)) for rel in raw.relations)
+    return Presentation(fix(raw.generators), relations)
 
 
 def literal_pairwise_commutator_checks(groups):

@@ -340,7 +340,7 @@ class MultiPoly(collections.namedtuple("MultiPoly", "variables terms")):
 def hilbert_polynomial(complex_):
     """Sum of block-label monomials over all simplices (no constant term)."""
     complex_.require_valid()
-    variables = tuple(sorted(set(complex_.labels)))
+    variables = tuple(sorted(set(complex_.require_labels())))
     index = {v: i for i, v in enumerate(variables)}
     terms = {}
     for u in complex_.gamma:

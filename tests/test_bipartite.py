@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from diagcx.bipartite import (
@@ -41,6 +43,17 @@ def test_canonical_labelling_identifies_relabellings():
     with pytest.raises(ValueError):
         # raw constructor rejects non-canonical internal names
         BipartiteForest(3, 2, (5, 4, 0, 3, 3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_of_recovers_every_forest_from_shuffled_internal_ids(n, seed):
+    # ids spread past n + internal, so .of renames them as well as reordering them
+    rng = random.Random(seed)
+    for forest in enumerate_bipartite_forests(n):
+        ids = dict(zip(forest.internal_vertices(), rng.sample(range(n + 1, 4 * n + 10), forest.internal)))
+        shuffled = {ids.get(v, v): ids.get(p, p) for v, p in enumerate(forest.parent, start=1) if p}
+        assert BipartiteForest.of(n, shuffled) == forest
 
 
 def test_single_block_partition():

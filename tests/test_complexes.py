@@ -224,6 +224,16 @@ def test_labelling_eager_validation():
         complex_.labelled([1, 1])  # wrong length
 
 
+@pytest.mark.parametrize(
+    "consumer",
+    [hilbert_polynomial, lambda c: dc_presentation(c, {}), lambda c: c.monomial(0b11)],
+    ids=["hilbert_polynomial", "dc_presentation", "monomial"],
+)
+def test_unlabelled_complex_is_refused_by_name(consumer):
+    complex_ = DiagonalComplex.from_simplicial(2, [(0,), (1,), (0, 1)])
+    with pytest.raises(ValueError, match="carries no labels"):
+        consumer(complex_)
+
 def test_universal_labelling(example_t):
     complex_ = example_t
     universal = complex_.universally_labelled()

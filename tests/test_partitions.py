@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -32,6 +33,14 @@ def test_mask_roundtrip(n):
         masks = tuple(to_mask(block, bit) for block in p.blocks)
         assert sum(map(len, map(bits, masks))) == len(elements) and max(masks, default=0) < 1 << len(elements)
         assert PartialPartition(n, spell(masks, elements)) == p
+
+
+def test_bits_matches_a_bit_by_bit_reference():
+    rng = random.Random(3)
+    masks = [0, 1, 1 << 2999] + [1 << i for i in range(0, 3000, 97)]
+    masks += [sum(1 << i for i in range(3000) if rng.random() < density) for density in (0.9, 0.3, 0.01)]
+    for mask in masks:
+        assert bits(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def test_coarsening_examples():
