@@ -61,6 +61,8 @@ COMMANDS = [
     ["present", "verify", "--n", "3", "--factors", "Z/2,Z/3,V4"],
     ["present", "verify", "--n", "3", "--factors", "S3,Z/2,Z/3", "--dc", "--literal-rel3"],
     ["present", "verify", "--n", "3", "--factors", "Z/1,Z/2,Z/3", "--literal-rel3"],
+    # the general presentation of the forest complex at n=4, a trivial factor among mixed ones
+    ["present", "verify", "--n", "4", "--factors", "S3,Z/1,Z/2,V4", "--dc"],
     ["orbits", "--n", "3", "--colors", "2,1"],
     ["orbits", "--n", "4", "--colors", "2,2"],
     ["orbits", "--n", "6", "--colors", "3,2,1"],
@@ -140,6 +142,10 @@ EDGES = [
     # relation checks whose failures name witnesses in non-abelian factors, so the witness order is pinned
     ["present", "verify", "--n", "4", "--factors", "Q8,Z/1,S3,Z/2", "--literal-rel3"],
     ["--format", "json", "present", "verify", "--n", "3", "--factors", "D4,Z/3,Q8", "--dc", "--literal-rel3"],
+    # the pair presentation at n=4 and its export, each with a trivial factor; the n=4 --dc refusal
+    ["present", "fr", "--n", "4", "--factors", "S3,Z/1,Z/2,V4"],
+    ["present", "export", "--n", "3", "--factors", "Z/2,Z/1,S3"],
+    ["present", "verify", "--n", "4", "--factors", "S4,S4,S4,S4", "--dc"],
     # one colour per vertex: every orbit is a single forest
     ["--format", "json", "orbits", "--n", "4", "--colors", "1,1,1,1"],
     # complex files refused while reading, one per message
