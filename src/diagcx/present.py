@@ -18,7 +18,7 @@ import collections
 import functools
 import itertools
 
-from .forests import blocks_as_pairs, build_gamma_Fn, x_n_pairs
+from .forests import build_gamma_Fn, x_n_pairs
 
 PRESENTATION_JSON_SCHEMA = {
     "type": "object",
@@ -143,11 +143,6 @@ def generator_name(letter):
     return f"c{base}_{targets}_g{element}"
 
 
-def _block_word(pairs, element):
-    """g_U spelt in pair generators, one per pair of the corolla."""
-    return tuple(((pair,), element) for pair in pairs)
-
-
 def _mult_relations(base, group, source):
     """g h (gh)^-1 for every pair of nonidentity elements, in letters (base, element)."""
     relations = []
@@ -167,11 +162,6 @@ def _commutator(group_a, word_a, group_b, word_b):
     return invert(group_a, word_a) + invert(group_b, word_b) + word_a + word_b
 
 
-def _two_edge_posets(complex_, n):
-    two_edge = [u for u, blocks in complex_.gamma.items() if len(blocks) == 2]
-    return sorted(blocks_as_pairs(complex_.gamma_of(u).blocks, n) for u in two_edge)
-
-
 def fr_presentation(n, groups):
     """The partial-conjugation presentation on pair generators.
 
@@ -180,22 +170,27 @@ def fr_presentation(n, groups):
     commutator per two-edge forest poset, with non-singleton blocks spelt
     as products of their pairs.
     """
+    from .partitions import spell
+
     if n < 2:
         raise ValueError("need at least two factors")
     if len(groups) != n:
         raise ValueError("need one factor group per vertex")
+    pairs = x_n_pairs(n)
     generators = []
     relations = []
-    for pair in x_n_pairs(n):
+    for pair in pairs:
         group = groups[pair[0] - 1]
         generators.extend(((pair,), e) for e in group.nonidentity())
         relations.extend(_mult_relations((pair,), group, f"pair {pair}"))
-    for block_a, block_b in _two_edge_posets(build_gamma_Fn(n), n):
-        group_a, group_b = groups[block_a[0][0] - 1], groups[block_b[0][0] - 1]
-        for g in group_a.nonidentity():
-            for h in group_b.nonidentity():
-                word = _commutator(group_a, _block_word(block_a, g), group_b, _block_word(block_b, h))
-                relations.append(Relation("commute", word, source=f"forest {block_a} | {block_b}"))
+    two_edge = (spell(masks, pairs) for masks in build_gamma_Fn(n).gamma.values() if len(masks) == 2)
+    for block_a, block_b in sorted(two_edge):
+        group_a, group_b, text = groups[block_a[0][0] - 1], groups[block_b[0][0] - 1], f"forest {block_a} | {block_b}"
+        for g, h in itertools.product(group_a.nonidentity(), group_b.nonidentity()):
+            # g_U spelt in pair generators, one per pair of the corolla
+            word_a, word_b = tuple(((pair,), g) for pair in block_a), tuple(((pair,), h) for pair in block_b)
+            word = _commutator(group_a, word_a, group_b, word_b)
+            relations.append(Relation("commute", word, source=text))
     return Presentation(tuple(generators), tuple(relations))
 
 
@@ -207,46 +202,51 @@ def dc_presentation(complex_, groups):
     unordered pair of blocks of any gamma, and the diagonal relation
     expressing g_U through the blocks of gamma(U).
     """
+    return _dc_presentation(complex_, groups, lambda elements: elements)
+
+
+def forest_dc_presentation(n, groups):
+    """dc_presentation of the forest complex, its letters spelt as tuples of (i, j) pairs of X_n."""
+    pairs = x_n_pairs(n)
+    return _dc_presentation(build_gamma_Fn(n), dict(enumerate(groups, 1)), lambda ks: tuple(pairs[k] for k in ks))
+
+
+def _dc_presentation(complex_, groups, letter):
+    """dc_presentation read off gamma's masks, the letter of a mask being ``letter`` of its elements.
+
+    A mask recurs in many relations, so each is spelt once into its
+    elements, which the sources print, and its letter.  Labels are
+    constant on blocks, and the blocks of a valid gamma(U) cover U, so U
+    is labelled when its blocks share one label.
+    """
     complex_.require_valid()
-    labels = complex_.require_labels()
+    labels, gamma = complex_.require_labels(), complex_.gamma
+    source = functools.cache(complex_.elements_of)
+    spelt = functools.cache(lambda mask: letter(source(mask)))
 
-    def label_of(simplex):
-        found = {labels[x] for x in simplex}
-        return found.pop() if len(found) == 1 else None
+    def label(mask):  # of its least element
+        return labels[source(mask)[0]]
 
-    generators = []
-    relations = []
-    labelled = []
-    partitions = complex_.partitions()
-    for simplex in sorted(partitions, key=lambda u: (len(u), sorted(u))):
-        label = label_of(simplex)
-        if label is None:
-            continue
-        labelled.append((tuple(sorted(simplex)), label))
-    for simplex, label in labelled:
-        generators.extend((simplex, e) for e in groups[label].nonidentity())
-        relations.extend(_mult_relations(simplex, groups[label], f"simplex {simplex}"))
+    generators, relations = [], []
+    by_size = sorted(gamma, key=lambda u: (len(source(u)), source(u)))
+    labelled = [(u, groups[label(u)]) for u in by_size if {label(block) for block in gamma[u]} == {label(u)}]
+    for u, group in labelled:
+        generators.extend((spelt(u), e) for e in group.nonidentity())
+        relations.extend(_mult_relations(spelt(u), group, f"simplex {source(u)}"))
 
-    commutator_pairs = set()
-    for part in partitions.values():
-        commutator_pairs.update(itertools.combinations(part.blocks, 2))
-    for a, b in sorted(commutator_pairs):
-        group_a, group_b = groups[label_of(a)], groups[label_of(b)]
-        for g in group_a.nonidentity():
-            for h in group_b.nonidentity():
-                word = _commutator(group_a, ((a, g),), group_b, ((b, h),))
-                relations.append(Relation("commute", word, source=f"blocks {a} | {b}"))
+    pairs = {pair for blocks in gamma.values() for pair in itertools.combinations(blocks, 2)}
+    for a, b in sorted(pairs, key=lambda pair: tuple(map(source, pair))):
+        group_a, group_b, text = groups[label(a)], groups[label(b)], f"blocks {source(a)} | {source(b)}"
+        for g, h in itertools.product(group_a.nonidentity(), group_b.nonidentity()):
+            word = _commutator(group_a, ((spelt(a), g),), group_b, ((spelt(b), h),))
+            relations.append(Relation("commute", word, source=text))
 
-    for simplex, label in labelled:
-        blocks = partitions[frozenset(simplex)].blocks
-        if len(blocks) < 2:
-            continue
-        group = groups[label]
-        for g in group.nonidentity():
-            word = [(simplex, g)]
-            for block in reversed(blocks):
-                word.append((block, group.inv(g)))
-            relations.append(Relation("diagonal", tuple(word), source=f"simplex {simplex}"))
+    for u, group in labelled:
+        if len(gamma[u]) > 1:
+            blocks = [spelt(block) for block in reversed(gamma[u])]
+            for g in group.nonidentity():
+                word = ((spelt(u), g),) + tuple((block, group.inv(g)) for block in blocks)
+                relations.append(Relation("diagonal", word, source=f"simplex {source(u)}"))
 
     return Presentation(tuple(generators), tuple(relations))
 
@@ -316,19 +316,6 @@ def _conjugate(groups, letter, word):
     """The normal form of word^-1 letter word."""
     inverse = tuple((f, groups[f - 1].inv(e)) for f, e in reversed(word))
     return normal_form(groups, inverse + (letter,) + word)
-
-
-def forest_dc_presentation(n, groups):
-    """dc_presentation of the forest complex, its ground-index letters over X_n spelt as (i, j) pair letters."""
-    raw = dc_presentation(build_gamma_Fn(n), {i: groups[i - 1] for i in range(1, n + 1)})
-    pairs = x_n_pairs(n)
-    spell = functools.cache(lambda simplex: tuple(pairs[k] for k in simplex))  # a simplex recurs in many relations
-
-    def fix(word):
-        return tuple((spell(simplex), e) for simplex, e in word)
-
-    relations = tuple(rel._replace(word=fix(rel.word)) for rel in raw.relations)
-    return Presentation(fix(raw.generators), relations)
 
 
 def literal_pairwise_commutator_checks(groups):

@@ -21,7 +21,7 @@ from diagcx.present import (
     probe_words,
     verify_relations,
 )
-from present_oracle import Automorphism, relation_automorphism
+from present_oracle import Automorphism, relation_automorphism, respelt, spelt_out_dc_presentation, two_edge_posets
 
 Z2 = FiniteGroup.cyclic(2)
 Z3 = FiniteGroup.cyclic(3)
@@ -335,6 +335,48 @@ def test_dc_presentation_simplicial_is_commutators_only():
     assert {r.kind for r in pres.relations} == {"mult", "commute"}
     commutators = [r for r in pres.relations if r.kind == "commute"]
     assert len(commutators) == 3  # one per edge of the triangle
+
+
+MIXED_FACTORS = [(2, "Z/1,S3"), (3, "Z/2,Z/1,V4"), (3, "D4,Z/3,Q8"), (4, "S3,Z/1,Z/2,V4"), (4, "Z/1,Z/4,Z/1,Z/3")]
+
+
+@pytest.mark.parametrize("n,factors", MIXED_FACTORS)
+def test_forest_dc_presentation_is_the_spelt_out_presentation_respelt_as_pairs(n, factors):
+    from diagcx.forests import build_gamma_Fn
+    from diagcx.present import dc_presentation
+
+    groups = [group_from_descriptor(text) for text in factors.split(",")]
+    by_label = {i: groups[i - 1] for i in range(1, n + 1)}
+    indexed = dc_presentation(build_gamma_Fn(n), by_label)
+    assert indexed == spelt_out_dc_presentation(build_gamma_Fn(n), by_label)
+    assert forest_dc_presentation(n, groups) == respelt(indexed, n)
+
+
+def test_dc_presentation_matches_the_spelt_out_route_off_the_forest_complex():
+    from conftest import example_t_complex
+    from diagcx.complexes import DiagonalComplex
+    from diagcx.present import dc_presentation
+
+    faces = [(0,), (1,), (2,), (3,), (0, 1), (1, 2), (0, 2), (0, 1, 2), (2, 3)]
+    cases = [
+        (example_t_complex().labelled([1, 1, 2]), {1: S3, 2: Z3}),
+        (example_t_complex().universally_labelled(), {0: Z2, 1: V4}),
+        (DiagonalComplex.from_simplicial(4, faces).labelled([5, 5, 5, 7]), {5: S3, 7: Z4}),
+    ]
+    for complex_, groups in cases:
+        assert dc_presentation(complex_, groups) == spelt_out_dc_presentation(complex_, groups)
+
+
+@pytest.mark.parametrize("n,factors", MIXED_FACTORS)
+def test_fr_commutators_follow_the_two_edge_posets(n, factors):
+    groups = [group_from_descriptor(text) for text in factors.split(",")]
+    sources = [rel.source for rel in fr_presentation(n, groups).relations if rel.kind == "commute"]
+    expected = [
+        f"forest {a} | {b}"
+        for a, b in two_edge_posets(n)
+        for _ in range((groups[a[0][0] - 1].order - 1) * (groups[b[0][0] - 1].order - 1))
+    ]
+    assert sources == expected
 
 
 def test_four_term_relation_with_z3_factors():
