@@ -76,10 +76,15 @@ def oracle_is_proper(complex_):
 
 
 def union_find_meet(p, q):
-    """Classes of "shares a block of p or q"; those leaving the common support reach the sink."""
-    common = p.support & q.support
-    classes = block_classes(p.ground_size, p.blocks + q.blocks).values()
-    blocks = [c for c in classes if common.issuperset(c)]
+    """Classes of "shares a block of p or q"; those leaving the common support reach the sink.
+
+    The union-find runs on the two supports relabelled 0..k-1, so its cost follows them, not the ground.
+    """
+    support_p, support_q = p.support, q.support
+    common, elements = support_p & support_q, sorted(support_p | support_q)
+    index = {x: i for i, x in enumerate(elements)}
+    classes = block_classes(len(elements), [[index[x] for x in b] for b in p.blocks + q.blocks]).values()
+    blocks = [c for c in ([elements[i] for i in c] for c in classes) if common.issuperset(c)]
     return PartialPartition.of(p.ground_size, blocks) if blocks else EMPTY_MEET
 
 
@@ -417,7 +422,7 @@ def families(draw):
         generators += [[[order[0], order[1]], [order[2]], [order[3]]],
                        [[order[0]], [order[1], order[2]], [order[3]]] + extra,
                        [[order[0]], [order[1]], [order[2], order[3]]]]
-    # the oracle's union-find spans the ground, so the numbers stay in the thousands
+    # element numbers up to the thousands, so bit i is not element i
     names = _spread(n, *draw(st.sampled_from([(1, 0), (61, 7), (90, 300)])))
     ground = names[-1] + 1
     return [PartialPartition.of(ground, [[names[x] for x in b] for b in blocks]) for blocks in generators]
