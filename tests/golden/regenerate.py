@@ -3,7 +3,7 @@
 Each record holds an argv, its exit code and the SHA-256 digests of its
 stdout, its stderr and every file it writes into the working directory
 (``--output`` and ``--dump`` files).  A record whose argv reads a
-``--file`` also names it under ``inputs``: the file is copied from
+``--file`` or a ``@name`` group table also names it under ``inputs``: the file is copied from
 ``inputs/`` into the working directory before the run.  ``tests/test_cli.py``
 replays the corpus in-process and compares every digest.  Run from the repository root:
 
@@ -148,12 +148,31 @@ EDGES = [
     ["present", "verify", "--n", "4", "--factors", "S4,S4,S4,S4", "--dc"],
     # one colour per vertex: every orbit is a single forest
     ["--format", "json", "orbits", "--n", "4", "--colors", "1,1,1,1"],
-    # complex files refused while reading, one per message
+    # complex files refused while reading, one per message, then one per message of the structure check
     *(
         ["complex", "verify", "--file", name]
         for name in ("no-gamma-entry.json", "outside-ground.json", "two-blocks.json", "repeated-element.json",
-                     "mixed-labels.json", "short-labels.json")
+                     "mixed-labels.json", "short-labels.json", "missing-keys.json", "bad-ground.json",
+                     "bad-simplices.json", "bad-gamma.json", "bad-labels.json", "deep-complex.json")
     ),
+    # group table files: a valid Z/3, a file that is not a list of rows, a non-integer entry, nesting past
+    # the JSON parser's depth, and 25 rows, refused by the order guard before the table is validated
+    ["present", "verify", "--n", "2", "--factors", "@z3-table.json,Z/2"],
+    ["homology", "nerve", "--group", "@table-not-rows.json"],
+    ["present", "fr", "--n", "2", "--factors", "Z/2,@table-non-integer.json"],
+    ["homology", "nerve", "--group", "@table-deep.json"],
+    ["present", "fr", "--n", "2", "--factors", "@table-order-25.json,Z/2"],
+    # primes past the Miller-Rabin witnesses (up to 37), and a product of two primes past the trial division
+    ["series", "wh-zp", "--n", "3", "--p", "1000003"],
+    ["series", "fr", "--n", "2", "--factors", "Z/2000006,circle"],
+    ["series", "fr", "--n", "1", "--factors", "Z/1099532599387"],
+    # usage errors
+    ["present", "fr", "--n", "1", "--factors", "Z/2"],
+    ["present", "verify", "--n", "3", "--factors", "Z/2,Z/2"],
+    ["decomposition", "--n", "3", "--colors", "2,1", "--factors", "Z/2"],
+    ["homology", "nerve", "--group", "S3", "--family", "klein"],
+    ["homology", "nerve", "--group", "V4", "--family", "bogus"],
+    ["present", "fr", "--n", "2", "--factors", "Z/0,Z/2"],
 ]
 
 ARGVS = [argv for command in COMMANDS for argv in (command, ["--format", "json"] + command)] + EDGES
@@ -173,8 +192,18 @@ def stderr_digest(err):
 
 
 def input_names(argv):
-    """The files of ``inputs/`` that ``argv`` reads: the values of its ``--file`` options."""
-    return [value for option, value in zip(argv, argv[1:]) if option == "--file"]
+    """The files of ``inputs/`` that ``argv`` reads.
+
+    They are its ``--file`` values and the ``@name`` group tables in its
+    ``--factors`` and ``--group`` values.
+    """
+    names = []
+    for option, value in zip(argv, argv[1:]):
+        if option == "--file":
+            names.append(value)
+        elif option in ("--factors", "--group"):
+            names.extend(part.strip()[1:] for part in value.split(",") if part.strip().startswith("@"))
+    return names
 
 
 def copy_inputs(names, directory):
