@@ -78,7 +78,6 @@ def _check_digits(args, base, power):
 def _series_factor(text, truncation):
     from . import series
 
-    text = text.strip()
     if text in ("circle", "Z"):
         return series.circle_series(truncation)
     if text.startswith("Z/"):
@@ -296,8 +295,7 @@ def cmd_present_export(args):
 
     groups = _parse_factor_groups(args, args.n)
     pres = present.fr_presentation(args.n, groups)
-    text = present.export_gap(pres)
-    _emit(args, text.splitlines, lambda: {"gap": text})
+    _emit(args, lambda: present.export_gap(pres), lambda: {"gap": "\n".join(present.export_gap(pres)) + "\n"})
 
 
 def cmd_present_verify(args):

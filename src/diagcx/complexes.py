@@ -39,8 +39,7 @@ COMPLEX_JSON_SCHEMA = {
 }
 
 
-class AxiomCheck(collections.namedtuple("AxiomCheck", "axiom passed witness", defaults=(None,))):
-    __slots__ = ()
+AxiomCheck = collections.namedtuple("AxiomCheck", "axiom passed witness", defaults=(None,))
 
 
 class ValidationReport(collections.namedtuple("ValidationReport", "checks")):

@@ -368,30 +368,18 @@ class OrbitRow(collections.namedtuple("OrbitRow", "representative orbit_size sta
         return len(self.stabilizer)
 
 
-def _color_classes(n, multiplicities):
+def _color_group(n, multiplicities):
+    """The colour of each vertex, and every vertex permutation preserving the colours as a tuple indexed from 1.
+
+    The colour classes are consecutive runs of vertices, so a permutation
+    is the images of each run in turn.
+    """
     if sum(multiplicities) != n or any(m < 1 for m in multiplicities):
         raise ValueError("multiplicities must be positive and sum to n")
-    colors = []
-    classes = []
-    v = 1
-    for c, m in enumerate(multiplicities):
-        classes.append(list(range(v, v + m)))
-        colors.extend([c] * m)
-        v += m
-    return tuple(colors), classes
-
-
-def _group_elements(classes):
-    """All vertex permutations preserving the colour classes, as tuples."""
-    n = sum(len(c) for c in classes)
-    perms = []
-    for images in itertools.product(*(itertools.permutations(c) for c in classes)):
-        sigma = [0] * (n + 1)
-        for cls, image in zip(classes, images):
-            for src, dst in zip(cls, image):
-                sigma[src] = dst
-        perms.append(tuple(sigma))
-    return perms
+    colors = tuple(c for c, m in enumerate(multiplicities) for _ in range(m))
+    starts = tuple(itertools.accumulate(multiplicities, initial=1))
+    runs = (itertools.permutations(range(a, b)) for a, b in zip(starts, starts[1:]))
+    return colors, [(0, *itertools.chain.from_iterable(images)) for images in itertools.product(*runs)]
 
 
 def _apply_perm(sigma, parent):
@@ -410,8 +398,7 @@ def orbit_decomposition(n, multiplicities):
     met in an orbit is flagged by its parent tuple read as a base-(n+1)
     number: (n+1)^n bytes in all, 115 KiB at n=6.
     """
-    colors, classes = _color_classes(n, multiplicities)
-    perms = _group_elements(classes)
+    colors, perms = _color_group(n, multiplicities)
     weights = [(n + 1) ** k for k in reversed(range(n))]
     rows = []
     seen = bytearray((n + 1) ** n)
@@ -428,10 +415,9 @@ def orbit_decomposition(n, multiplicities):
     return rows
 
 
-class DecompositionRow(
-    collections.namedtuple("DecompositionRow", "representative aut_order edge_count exponents module sign_twist")
-):
-    __slots__ = ()
+DecompositionRow = collections.namedtuple(
+    "DecompositionRow", "representative aut_order edge_count exponents module sign_twist"
+)
 
 
 def decomposition_report(n, multiplicities, base_series):

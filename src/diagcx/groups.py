@@ -77,19 +77,25 @@ class FiniteGroup:
 
     @classmethod
     def from_permutations(cls, perms):
-        """The group generated by permutations of range(k), must be closed."""
+        """The group of a set of permutations of range(k), which must hold the identity and be closed."""
         perms = sorted(set(perms))
+        if not perms:
+            raise ValueError("need at least one permutation")
         identity = tuple(range(len(perms[0])))
+        if any(sorted(p) != list(identity) for p in perms):
+            raise ValueError(f"every permutation must rearrange {identity}")
         if identity not in perms:
             raise ValueError("identity permutation missing")
         ordered = [identity] + [p for p in perms if p != identity]
         index = {p: i for i, p in enumerate(ordered)}
 
         def compose(p, q):
-            return tuple(p[q[i]] for i in range(len(p)))
+            pq = tuple(p[q[i]] for i in range(len(p)))
+            if pq not in index:
+                raise ValueError(f"permutations not closed under composition: {p} after {q} is {pq}, not listed")
+            return index[pq]
 
-        table = [[index[compose(p, q)] for q in ordered] for p in ordered]
-        return cls(table)
+        return cls([[compose(p, q) for q in ordered] for p in ordered])
 
     @classmethod
     def symmetric(cls, k):

@@ -254,8 +254,7 @@ def _dc_presentation(complex_, groups, letter):
 # -- verification ----------------------------------------------------------
 
 
-class RelationCheck(collections.namedtuple("RelationCheck", "relation passed witness", defaults=(None,))):
-    __slots__ = ()
+RelationCheck = collections.namedtuple("RelationCheck", "relation passed witness", defaults=(None,))
 
 
 class VerificationReport(collections.namedtuple("VerificationReport", "checks")):
@@ -356,21 +355,15 @@ def literal_partial_conjugation_count(groups):
 
 
 def export_gap(presentation):
-    """A finitely presented group in computer-algebra input syntax."""
+    """A finitely presented group in computer-algebra input syntax, yielded line by line."""
     names = presentation.generator_names()
-    index = {g: k for k, g in enumerate(presentation.generators)}
-    lines = []
-    quoted = ", ".join(f'"{name}"' for name in names)
-    lines.append(f"F := FreeGroup({quoted});;")
-    lines.append("AssignGeneratorVariables(F);;")
-    relators = []
-    for relation in presentation.relations:
-        factors = [names[index[letter]] for letter in relation.word]
-        relators.append("*".join(factors) if factors else "One(F)")
-    lines.append("rels := [")
-    for k, relator in enumerate(relators):
-        comma = "," if k + 1 < len(relators) else ""
-        lines.append(f"  {relator}{comma}")
-    lines.append("];;")
-    lines.append("G := F / rels;;")
-    return "\n".join(lines) + "\n"
+    name_of = dict(zip(presentation.generators, names))
+    yield "F := FreeGroup(" + ", ".join(f'"{name}"' for name in names) + ");;"
+    yield "AssignGeneratorVariables(F);;"
+    yield "rels := ["
+    last = len(presentation.relations) - 1
+    for k, relation in enumerate(presentation.relations):
+        relator = "*".join(name_of[letter] for letter in relation.word) or "One(F)"
+        yield f"  {relator}{',' if k < last else ''}"
+    yield "];;"
+    yield "G := F / rels;;"

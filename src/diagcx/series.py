@@ -118,10 +118,6 @@ class AbelianGroup(collections.namedtuple("AbelianGroup", "free_rank torsion", d
         return self
 
     @classmethod
-    def zero(cls):
-        return cls(0, ())
-
-    @classmethod
     def free(cls, rank):
         return cls(rank, ())
 
@@ -135,7 +131,7 @@ class AbelianGroup(collections.namedtuple("AbelianGroup", "free_rank torsion", d
         if m == 0:
             return cls.free(1)
         if m == 1:
-            return cls.zero()
+            return cls.free(0)
         return cls(0, tuple((key, 1) for key in _factor_prime_powers(m)))
 
     @property
@@ -213,10 +209,6 @@ class GradedModuleSeries(collections.namedtuple("GradedModuleSeries", "truncatio
     @classmethod
     def unit(cls, truncation):
         return cls._of_table(truncation, {FREE: [1]})
-
-    @classmethod
-    def zero(cls, truncation):
-        return cls(truncation, ())
 
     @property
     def coeffs(self):

@@ -55,7 +55,7 @@ def add(s, t):
 def mul(s, t):
     """The Kunneth product: tensor in equal degree, Tor one degree up."""
     s._check(t)
-    out = [AbelianGroup.zero() for _ in range(s.truncation + 1)]
+    out = [AbelianGroup.free(0) for _ in range(s.truncation + 1)]
     for (i, a), (j, b) in itertools.product(enumerate(s.coeffs), enumerate(t.coeffs)):
         if i + j <= s.truncation:
             out[i + j] = direct_sum(out[i + j], tensor(a, b))

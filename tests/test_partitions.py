@@ -140,15 +140,18 @@ def test_meet_matches_image_intersection(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_meet_laws(n):
+    # every pairwise meet once (2,601 at n=4); associativity reads its 132,651 triples off the table
     parts = all_partial_partitions(n)
-    for p in parts:
-        for q in parts:
-            assert meet(p, q) == meet(q, p)
-    for p, q, r in itertools.product(parts, repeat=3):
-        left = meet(p, q)
-        left = left if left is EMPTY_MEET else meet(left, r)
-        right = meet(q, r)
-        right = right if right is EMPTY_MEET else meet(p, right)
+    table = [[meet(p, q) for q in parts] for p in parts]
+    for i, j in itertools.product(range(len(parts)), repeat=2):
+        assert table[i][j] == table[j][i]
+    index = {p: k for k, p in enumerate(parts)}
+    meets = [[None if m is EMPTY_MEET else index[m] for m in row] for row in table]  # None: the empty meet
+    for p, q, r in itertools.product(range(len(parts)), repeat=3):
+        left = meets[p][q]
+        left = left if left is None else meets[left][r]
+        right = meets[q][r]
+        right = right if right is None else meets[p][right]
         assert left == right
 
 

@@ -40,6 +40,17 @@ def test_group_table_validation():
         FiniteGroup([[1, 0], [0, 1]])  # 0 is not the identity
 
 
+def test_from_permutations_refuses_what_is_not_a_closed_set_of_permutations():
+    with pytest.raises(ValueError, match="at least one permutation"):
+        FiniteGroup.from_permutations([])
+    with pytest.raises(ValueError, match=r"not closed under composition: \(1, 2, 0\) after \(1, 2, 0\) is \(2, 0, 1\)"):
+        FiniteGroup.from_permutations([(0, 1, 2), (1, 2, 0)])
+    for perms in ([(0, 1), (1, 0, 2)], [(0, 1), (0, 0)], [(0, 1), (1, 5)]):
+        with pytest.raises(ValueError, match=r"every permutation must rearrange \(0, 1\)"):
+            FiniteGroup.from_permutations(perms)
+    assert FiniteGroup.from_permutations([(0, 1, 2), (1, 2, 0), (2, 0, 1)]).table == FiniteGroup.cyclic(3).table
+
+
 def test_group_constructors():
     assert S3.order == 6
     assert FiniteGroup.dihedral(4).order == 8
@@ -569,7 +580,7 @@ def test_export_gap_golden():
         "];;\n"
         "G := F / rels;;\n"
     )
-    assert export_gap(pres) == expected
+    assert "\n".join(export_gap(pres)) + "\n" == expected
 
 
 def test_presentation_json():
