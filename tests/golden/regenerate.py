@@ -173,6 +173,13 @@ EDGES = [
     ["homology", "nerve", "--group", "S3", "--family", "klein"],
     ["homology", "nerve", "--group", "V4", "--family", "bogus"],
     ["present", "fr", "--n", "2", "--factors", "Z/0,Z/2"],
+    # the pair presentation's JSON document: empty, with one factor trivial, at n=4 with mixed factors,
+    # with a group table file, and written to --output
+    ["--format", "json", "present", "fr", "--n", "2", "--factors", "Z/1,Z/1"],
+    ["--format", "json", "present", "fr", "--n", "2", "--factors", "Z/1,Z/2"],
+    ["--format", "json", "present", "fr", "--n", "4", "--factors", "S3,Z/1,Z/2,V4"],
+    ["--format", "json", "present", "fr", "--n", "3", "--factors", "Q8,Z/2,@z3-table.json"],
+    ["--output", "out.json", "--format", "json", "present", "fr", "--n", "3", "--factors", "S3,Z/2,Z/3"],
 ]
 
 ARGVS = [argv for command in COMMANDS for argv in (command, ["--format", "json"] + command)] + EDGES
