@@ -175,10 +175,10 @@ def _load_complex(args, limit, what):
 
 def cmd_complex_verify(args):
     complex_ = _load_complex(args, BUILD_CAP, "complex construction")
-    report = complex_.validate()
-    proper = complex_.is_proper() if report.ok else False
+    checks = complex_.validate()
+    proper = all(c.passed for c in checks) and complex_.is_proper()
     lines = [f"simplices: {len(complex_.gamma)}"]
-    for check in report.checks:
+    for check in checks:
         status = "pass" if check.passed else f"FAIL ({check.witness})"
         lines.append(f"axiom {check.axiom}: {status}")
     lines.append(f"proper: {'yes' if proper else 'no'}")
@@ -186,7 +186,7 @@ def cmd_complex_verify(args):
         "simplices": len(complex_.gamma),
         "axioms": [
             {"axiom": c.axiom, "passed": c.passed, "witness": c.witness}
-            for c in report.checks
+            for c in checks
         ],
         "proper": proper,
     })
@@ -287,7 +287,7 @@ def cmd_present_fr(args):
     groups = _parse_factor_groups(args, args.n)
     pres = present.fr_presentation(args.n, groups)
     header = [f"generators: {len(pres.generators)}", f"relations: {len(pres.relations)}"]
-    _emit(args, lambda: header + pres.generator_names(), pres.to_json)
+    _emit(args, lambda: header + pres.generator_names(), pres.json_pieces)
 
 
 def cmd_present_export(args):
@@ -316,22 +316,24 @@ def cmd_present_verify(args):
         args.unsafe_large,
         f"relation check work ({letters} letters x {conjugations} partial conjugations)",
     )
-    report = present.verify_relations(pres, groups)
-    literal = present.literal_pairwise_commutator_checks(groups) if args.literal_rel3 else []
+    checks = present.verify_relations(pres, groups)
+    literal = present.literal_pairwise_commutator_checks(groups) if args.literal_rel3 else ()
+    all_passed = all(c.passed for c in checks)
+
+    def status(check):
+        return "PASS" if check.passed else f"FAIL witness={check.witness}"
 
     def text():
-        for check in report.checks:
-            status = "PASS" if check.passed else f"FAIL witness={check.witness}"
-            yield f"{check.relation.kind} [{check.relation.source}]: {status}"
-        yield f"all passed: {'yes' if report.all_passed else 'no'}"
+        for check in checks:
+            yield f"{check.relation.kind} [{check.relation.source}]: {status(check)}"
+        yield f"all passed: {'yes' if all_passed else 'no'}"
         if args.literal_rel3:
             yield "literal pairwise commutators (no side conditions):"
         for check in literal:
-            status = "PASS" if check.passed else f"FAIL witness={check.witness}"
-            yield f"  {check.relation.source}: {status}"
+            yield f"  {check.relation.source}: {status(check)}"
 
     _emit(args, text, lambda: {
-        "all_passed": report.all_passed,
+        "all_passed": all_passed,
         "checks": [
             {
                 "kind": c.relation.kind,
@@ -339,7 +341,7 @@ def cmd_present_verify(args):
                 "passed": c.passed,
                 "witness": list(map(list, c.witness)) if c.witness else None,
             }
-            for c in report.checks
+            for c in checks
         ],
         **({"literal_rel3": [{"source": c.relation.source, "passed": c.passed} for c in literal]}
            if args.literal_rel3 else {}),

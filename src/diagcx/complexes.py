@@ -42,17 +42,6 @@ COMPLEX_JSON_SCHEMA = {
 AxiomCheck = collections.namedtuple("AxiomCheck", "axiom passed witness", defaults=(None,))
 
 
-class ValidationReport(collections.namedtuple("ValidationReport", "checks")):
-    __slots__ = ()
-
-    @property
-    def ok(self):
-        return all(c.passed for c in self.checks)
-
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
-
-
 def _simplex_key(simplex):
     return ",".join(map(str, sorted(simplex)))
 
@@ -226,7 +215,7 @@ class DiagonalComplex:
     # -- validation -------------------------------------------------
 
     def validate(self):
-        """Check the three axioms; failures carry a witness, never raise.
+        """Check the three axioms, one AxiomCheck each, in a tuple; failures carry a witness, never raise.
 
         Axiom 3 holds for U when every nonempty set of blocks of gamma(U)
         has a union F that is a simplex, and every block of gamma(F) lies
@@ -240,7 +229,7 @@ class DiagonalComplex:
         inside the chosen ones.  Axioms 2 and 3 are decided on the maximal
         faces in one pass; only when that pass fails are the simplices
         scanned in key order, to name the first failure as the scan over
-        every set of blocks would (:meth:`_axiom3_witness`).  The report is
+        every set of blocks would (:meth:`_axiom3_witness`).  The checks are
         memoised: gamma is not changed after construction.
         """
         if self._report is None:
@@ -279,7 +268,7 @@ class DiagonalComplex:
         missing = next((x for x in range(self.ground_size) if x not in bit or (1 << bit[x]) not in gamma), None)
         ax1 = AxiomCheck(1, missing is None, None if missing is None else f"missing singleton {{{missing}}}")
         if self._maximal_faces_hold():
-            return ValidationReport((ax1, AxiomCheck(2, True), AxiomCheck(3, True)))
+            return ax1, AxiomCheck(2, True), AxiomCheck(3, True)
 
         ordered = sorted(gamma.items(), key=lambda kv: self._key(kv[0]))
         ax2_witness = ax3_witness = None
@@ -292,9 +281,7 @@ class DiagonalComplex:
                 break
         else:
             ax3_witness = self._axiom3_witness(ordered)
-        return ValidationReport(
-            (ax1, AxiomCheck(2, ax2_witness is None, ax2_witness), AxiomCheck(3, ax3_witness is None, ax3_witness))
-        )
+        return ax1, AxiomCheck(2, ax2_witness is None, ax2_witness), AxiomCheck(3, ax3_witness is None, ax3_witness)
 
     def _axiom3_witness(self, ordered):
         """The first axiom-3 failure in the order of ``ordered``, or None.
@@ -318,9 +305,9 @@ class DiagonalComplex:
 
     def require_valid(self):
         """Raise ValueError naming the first axiom failure, if there is one."""
-        report = self.validate()
-        if not report.ok:
-            raise ValueError(f"invalid diagonal complex: {report.failures()[0].witness}")
+        failure = next((c for c in self.validate() if not c.passed), None)
+        if failure:
+            raise ValueError(f"invalid diagonal complex: {failure.witness}")
 
     def require_labels(self):
         """The labels, or ValueError when the complex carries none."""

@@ -17,6 +17,7 @@ conjugation of factor j by g^-1.
 import collections
 import functools
 import itertools
+import json
 
 from .forests import build_gamma_Fn, x_n_pairs
 
@@ -122,18 +123,17 @@ class Presentation(collections.namedtuple("Presentation", "generators relations"
     def generator_names(self):
         return [generator_name(g) for g in self.generators]
 
-    def to_json(self):
-        return {
-            "generators": self.generator_names(),
-            "relations": [
-                {
-                    "kind": rel.kind,
-                    "word": [generator_name(letter) for letter in rel.word],
-                    "source": rel.source,
-                }
-                for rel in self.relations
-            ],
-        }
+    def json_pieces(self):
+        """The compact sorted-keys JSON document: the generator names, then one relation per piece.
+
+        Each letter is named and quoted once, and each distinct kind and source quoted once.
+        """
+        quoted, quote = {g: json.dumps(generator_name(g)) for g in self.generators}, functools.cache(json.dumps)
+        yield '{"generators":[' + ",".join(quoted.values()) + '],"relations":['
+        for k, rel in enumerate(self.relations):
+            word = ",".join([quoted[letter] for letter in rel.word])
+            yield f'{"," if k else ""}{{"kind":{quote(rel.kind)},"source":{quote(rel.source)},"word":[{word}]}}'
+        yield "]}"
 
 
 def generator_name(letter):
@@ -145,12 +145,9 @@ def generator_name(letter):
 
 def _mult_relations(base, group, source):
     """g h (gh)^-1 for every pair of nonidentity elements, in letters (base, element)."""
-    relations = []
     for g, h in itertools.product(group.nonidentity(), repeat=2):
         gh = group.mul(g, h)
-        word = ((base, g), (base, h)) + (((base, group.inv(gh)),) if gh else ())
-        relations.append(Relation("mult", word, source=source))
-    return relations
+        yield Relation("mult", ((base, g), (base, h)) + (((base, group.inv(gh)),) if gh else ()), source)
 
 
 def _commutator(group_a, word_a, group_b, word_b):
@@ -160,6 +157,13 @@ def _commutator(group_a, word_a, group_b, word_b):
         return tuple((base, group.inv(element)) for base, element in reversed(word))
 
     return invert(group_a, word_a) + invert(group_b, word_b) + word_a + word_b
+
+
+def _commute_relations(group_a, bases_a, group_b, bases_b, source):
+    """[a, b] for nonidentity g, h of the two groups, a being the product of (base, g) over bases_a, b likewise."""
+    for g, h in itertools.product(group_a.nonidentity(), group_b.nonidentity()):
+        word_a, word_b = tuple((base, g) for base in bases_a), tuple((base, h) for base in bases_b)
+        yield Relation("commute", _commutator(group_a, word_a, group_b, word_b), source)
 
 
 def fr_presentation(n, groups):
@@ -185,12 +189,9 @@ def fr_presentation(n, groups):
         relations.extend(_mult_relations((pair,), group, f"pair {pair}"))
     two_edge = (spell(masks, pairs) for masks in build_gamma_Fn(n).gamma.values() if len(masks) == 2)
     for block_a, block_b in sorted(two_edge):
+        # g_U spelt in pair generators, one per pair of the corolla
         group_a, group_b, text = groups[block_a[0][0] - 1], groups[block_b[0][0] - 1], f"forest {block_a} | {block_b}"
-        for g, h in itertools.product(group_a.nonidentity(), group_b.nonidentity()):
-            # g_U spelt in pair generators, one per pair of the corolla
-            word_a, word_b = tuple(((pair,), g) for pair in block_a), tuple(((pair,), h) for pair in block_b)
-            word = _commutator(group_a, word_a, group_b, word_b)
-            relations.append(Relation("commute", word, source=text))
+        relations.extend(_commute_relations(group_a, [(p,) for p in block_a], group_b, [(p,) for p in block_b], text))
     return Presentation(tuple(generators), tuple(relations))
 
 
@@ -236,10 +237,8 @@ def _dc_presentation(complex_, groups, letter):
 
     pairs = {pair for blocks in gamma.values() for pair in itertools.combinations(blocks, 2)}
     for a, b in sorted(pairs, key=lambda pair: tuple(map(source, pair))):
-        group_a, group_b, text = groups[label(a)], groups[label(b)], f"blocks {source(a)} | {source(b)}"
-        for g, h in itertools.product(group_a.nonidentity(), group_b.nonidentity()):
-            word = _commutator(group_a, ((spelt(a), g),), group_b, ((spelt(b), h),))
-            relations.append(Relation("commute", word, source=text))
+        text = f"blocks {source(a)} | {source(b)}"
+        relations.extend(_commute_relations(groups[label(a)], (spelt(a),), groups[label(b)], (spelt(b),), text))
 
     for u, group in labelled:
         if len(gamma[u]) > 1:
@@ -255,17 +254,6 @@ def _dc_presentation(complex_, groups, letter):
 
 
 RelationCheck = collections.namedtuple("RelationCheck", "relation passed witness", defaults=(None,))
-
-
-class VerificationReport(collections.namedtuple("VerificationReport", "checks")):
-    __slots__ = ()
-
-    @property
-    def all_passed(self):
-        return all(c.passed for c in self.checks)
-
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
 
 
 def partial_conjugations(groups, relation):
@@ -285,7 +273,7 @@ def partial_conjugations(groups, relation):
 
 
 def verify_relations(presentation, groups):
-    """Evaluate every relation as a composite of partial conjugations.
+    """Evaluate every relation as a composite of partial conjugations, one RelationCheck each, in a tuple.
 
     Each partial conjugation sends every factor onto a conjugate of
     itself, so a composite sends each letter x of factor f to w_f^-1 x w_f
@@ -308,7 +296,7 @@ def verify_relations(presentation, groups):
         moved = (x for x in letters if words[x[0] - 1] and _conjugate(groups, x, words[x[0] - 1]) != (x,))
         witness = next(((x,) for x in moved), None)
         checks.append(RelationCheck(relation, witness is None, witness))
-    return VerificationReport(tuple(checks))
+    return tuple(checks)
 
 
 def _conjugate(groups, letter, word):
@@ -338,7 +326,7 @@ def literal_pairwise_commutator_checks(groups):
                 word = _commutator(group_a, (a,), group_b, (b,))
                 label = f"[a_{i}^(g{g} in G{j}), a_{k}^(g{h} in G{l})]"
                 relations.append(Relation("literal-commute", word, source=label))
-    return verify_relations(Presentation((), tuple(relations)), groups).checks
+    return verify_relations(Presentation((), tuple(relations)), groups)
 
 
 def literal_partial_conjugation_count(groups):

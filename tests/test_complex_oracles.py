@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from conftest import all_partial_partitions, example_t_complex, example_t_improper
 from diagcx import complexes
 from diagcx.bipartite import enumerate_bipartite_forests, partial_partition_of
-from diagcx.complexes import AxiomCheck, DiagonalComplex, ValidationReport, _meet_closure, _simplex_key
+from diagcx.complexes import AxiomCheck, DiagonalComplex, _meet_closure, _simplex_key
 from diagcx.forests import build_gamma_Fn
 from diagcx.partitions import EMPTY_MEET, PartialPartition, block_classes, to_mask
 from diagcx.partitions import meet as partitions_meet
@@ -41,7 +41,7 @@ def oracle_validate(complex_):
             break
     checks.append(AxiomCheck(2, ax2 is None, ax2))
     checks.append(AxiomCheck(3, True) if ax2 else _oracle_axiom3(gamma, ordered))
-    return ValidationReport(tuple(checks))
+    return tuple(checks)
 
 
 def _oracle_axiom3(gamma, ordered):
@@ -115,11 +115,15 @@ def _shuffled(mapping, seed):
 
 def _check_report(complex_):
     """validate() against the combinations scan, and the maximal-face decision against the scan's pass or fail."""
-    report = complex_.validate()
+    checks = complex_.validate()
     expected = oracle_validate(complex_)
-    assert report == expected
-    assert complex_._maximal_faces_hold() == (expected.checks[1].passed and expected.checks[2].passed)
-    return report
+    assert checks == expected
+    assert complex_._maximal_faces_hold() == (expected[1].passed and expected[2].passed)
+    return checks
+
+
+def _failures(checks):
+    return [c for c in checks if not c.passed]
 
 
 # -- derived complexes -----------------------------------------------------
@@ -174,9 +178,9 @@ def test_validation_reports_match_the_combinations_scan(make_complex, refinement
     derived = list(_dropped_faces(base)) + list(_merged_blocks(base))
     witnesses = set()
     for complex_ in [base] + derived:
-        report = _check_report(complex_)
-        witnesses.update((c.axiom, "refine" in c.witness) for c in report.failures())
-        if report.ok:
+        checks = _check_report(complex_)
+        witnesses.update((c.axiom, "refine" in c.witness) for c in _failures(checks))
+        if all(c.passed for c in checks):
             assert complex_.is_proper() == oracle_is_proper(complex_)
     # the mutations reach axiom 2 and a missing face, and on Gamma(F_4) a face that does not refine
     assert witnesses == {(2, False), (3, False)} | ({(3, True)} if refinement_fails else set())
@@ -185,8 +189,8 @@ def test_validation_reports_match_the_combinations_scan(make_complex, refinement
 def test_every_complex_on_three_points_matches_the_oracles():
     verdicts = set()
     for complex_ in _all_complexes_on_three_points():
-        report = _check_report(complex_)
-        if report.ok:
+        checks = _check_report(complex_)
+        if all(c.passed for c in checks):
             proper = complex_.is_proper()
             assert proper == oracle_is_proper(complex_)
             verdicts.add(proper)
@@ -202,9 +206,9 @@ def test_refinement_witness_names_the_chosen_blocks():
         (0, 1, 2, 3): [[0, 1], [2], [3]],
     }
     complex_ = DiagonalComplex.of(4, {frozenset(u): PartialPartition.of(4, p) for u, p in gamma.items()})
-    report = complex_.validate()
-    assert report == oracle_validate(complex_)
-    assert report.failures()[0].witness == "gamma(0,1,2) does not refine the blocks [[0, 1], [2]] of 0,1,2,3"
+    checks = complex_.validate()
+    assert checks == oracle_validate(complex_)
+    assert _failures(checks)[0].witness == "gamma(0,1,2) does not refine the blocks [[0, 1], [2]] of 0,1,2,3"
 
 
 def test_axiom_3_reports_the_first_face_in_combinations_order():
@@ -213,7 +217,7 @@ def test_axiom_3_reports_the_first_face_in_combinations_order():
     gamma[frozenset(range(4))] = PartialPartition.of(4, [[0], [1], [2, 3]])
     complex_ = DiagonalComplex.of(4, gamma)
     assert complex_.validate() == oracle_validate(complex_)
-    assert complex_.validate().failures()[0].witness == "face 2,3 of 0,1,2,3 missing"
+    assert _failures(complex_.validate())[0].witness == "face 2,3 of 0,1,2,3 missing"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -226,7 +230,7 @@ def test_is_proper_matches_the_all_pairs_scan_on_other_complexes():
     improper = example_t_improper()
     assert improper.is_proper() is oracle_is_proper(improper) is False
     # Gamma(F_4) without one maximal simplex stays valid
-    valid = [c for c in _dropped_faces(build_gamma_Fn(4)) if c.validate().ok]
+    valid = [c for c in _dropped_faces(build_gamma_Fn(4)) if all(check.passed for check in c.validate())]
     assert valid
     for complex_ in valid:
         assert complex_.is_proper() == oracle_is_proper(complex_)
@@ -243,8 +247,7 @@ def test_maximal_faces_miss_no_face_below_them():
     gamma = {frozenset(u): PartialPartition.of(4, [[x] for x in u])
              for r in range(1, 5) for u in itertools.combinations(range(4), r) if u != (2, 3)}
     complex_ = DiagonalComplex.of(4, gamma)
-    report = _check_report(complex_)
-    assert report.failures()[0].witness == "face 2,3 of 0,1,2,3 missing"
+    assert _failures(_check_report(complex_))[0].witness == "face 2,3 of 0,1,2,3 missing"
 
 
 def test_validate_of_gamma_f6_passes_within_120_ms():
@@ -253,9 +256,9 @@ def test_validate_of_gamma_f6_passes_within_120_ms():
     for _ in range(3):
         complex_._report = None
         start = time.perf_counter()
-        report = complex_.validate()
+        checks = complex_.validate()
         times.append(time.perf_counter() - start)
-    assert report == ValidationReport((AxiomCheck(1, True), AxiomCheck(2, True), AxiomCheck(3, True)))
+    assert checks == (AxiomCheck(1, True), AxiomCheck(2, True), AxiomCheck(3, True))
     assert min(times) < 0.12, times
 
 
@@ -439,12 +442,12 @@ def _as_file(complex_):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(flag_complexes())
 def test_mask_kernels_match_the_oracles_on_flag_complexes(complex_):
-    report = _check_report(complex_)
+    checks = _check_report(complex_)
     assert DiagonalComplex.from_json(_as_file(complex_)) == complex_
     labelled = complex_.universally_labelled()
     restored = DiagonalComplex.from_json(labelled.to_json())
     assert restored == labelled and restored.labels == labelled.labels
-    if report.ok:
+    if all(c.passed for c in checks):
         assert complex_.is_proper() == oracle_is_proper(complex_)
         objects = labelled.category_objects()
         assert set(objects) == oracle_closure(complex_.partitions().values())

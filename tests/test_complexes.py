@@ -24,29 +24,26 @@ def full_simplex(n):
 
 def test_example_t_validates(example_t):
     complex_ = example_t
-    report = complex_.validate()
-    assert report.ok
-    assert [c.axiom for c in report.checks] == [1, 2, 3]
+    checks = complex_.validate()
+    assert all(c.passed for c in checks)
+    assert [c.axiom for c in checks] == [1, 2, 3]
 
 
 def test_full_simplex_validates():
-    assert full_simplex(3).validate().ok
+    assert all(c.passed for c in full_simplex(3).validate())
 
 
 def test_missing_singleton_is_axiom_1():
     complex_ = example_t_complex()
     gamma = {u: p for u, p in complex_.partitions().items() if u != frozenset([2])}
-    report = DiagonalComplex.of(3, gamma).validate()
-    assert not report.ok
-    assert report.failures()[0].axiom == 1
+    failures = [c for c in DiagonalComplex.of(3, gamma).validate() if not c.passed]
+    assert failures[0].axiom == 1
 
 
 def test_missing_face_is_axiom_3_with_witness():
     complex_ = example_t_complex()
     gamma = {u: p for u, p in complex_.partitions().items() if u != frozenset([0, 1])}
-    report = DiagonalComplex.of(3, gamma).validate()
-    assert not report.ok
-    failure = report.failures()[0]
+    failure = next(c for c in DiagonalComplex.of(3, gamma).validate() if not c.passed)
     assert failure.axiom == 3
     assert "0,1" in failure.witness
 
@@ -54,9 +51,8 @@ def test_missing_face_is_axiom_3_with_witness():
 def test_improper_partition_is_axiom_2():
     gamma = example_t_complex().partitions()
     gamma[frozenset([0, 1])] = PartialPartition.of(3, [[0, 1]])
-    report = DiagonalComplex.of(3, gamma).validate()
-    assert not report.ok
-    assert report.failures()[0].axiom == 2
+    failures = [c for c in DiagonalComplex.of(3, gamma).validate() if not c.passed]
+    assert failures[0].axiom == 2
 
 
 def test_is_proper():
@@ -66,7 +62,7 @@ def test_is_proper():
 
 
 def test_improper_still_validates():
-    assert example_t_improper().validate().ok
+    assert all(c.passed for c in example_t_improper().validate())
 
 
 def test_is_proper_requires_valid_complex():
@@ -83,7 +79,7 @@ def test_every_consumer_names_the_first_axiom_failure():
     complex_ = example_t_complex()
     broken = DiagonalComplex.of(3, {u: p for u, p in complex_.partitions().items() if u != frozenset([0, 1])})
     broken = broken.labelled([0, 0, 0])
-    message = f"invalid diagonal complex: {broken.validate().failures()[0].witness}"
+    message = f"invalid diagonal complex: {next(c for c in broken.validate() if not c.passed).witness}"
     consumers = [
         broken.require_valid,
         broken.is_proper,
@@ -162,7 +158,7 @@ def test_filtration(example_t):
     assert filtration(complex_, 2) == complex_
     assert filtration(complex_, 99) == complex_
     for k in range(3):
-        assert filtration(complex_, k).validate().ok
+        assert all(c.passed for c in filtration(complex_, k).validate())
         assert set(filtration(complex_, k).gamma) <= set(filtration(complex_, k + 1).gamma)
 
 
@@ -258,11 +254,11 @@ def test_full_subcomplex(example_t):
     sub = full_subcomplex(complex_, [0, 1])
     assert sub.ground_size == 2
     assert set(sub.partitions()) == {frozenset([0]), frozenset([1]), frozenset([0, 1])}
-    assert sub.validate().ok
+    assert all(c.passed for c in sub.validate())
     # restriction to {1, 2} keeps only the singletons
     sparse = full_subcomplex(complex_, [1, 2])
     assert set(sparse.partitions()) == {frozenset([0]), frozenset([1])}
-    assert sparse.validate().ok
+    assert all(c.passed for c in sparse.validate())
 
 
 def test_json_roundtrip_bit_exact(example_t):

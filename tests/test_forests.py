@@ -163,7 +163,7 @@ def test_build_gamma_F2():
 def test_build_gamma_Fn_counts(n, expected):
     complex_ = build_gamma_Fn(n)
     assert len(complex_.gamma) == expected
-    assert complex_.validate().ok
+    assert all(c.passed for c in complex_.validate())
     assert complex_.is_proper()
 
 
@@ -260,7 +260,7 @@ def test_single_vertex_complex_is_empty():
     complex_ = build_gamma_Fn(1)
     assert complex_.ground_size == 0
     assert len(complex_.gamma) == 0
-    assert complex_.validate().ok
+    assert all(c.passed for c in complex_.validate())
     assert complex_.is_proper()
 
 

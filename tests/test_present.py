@@ -14,6 +14,7 @@ from diagcx.present import (
     export_gap,
     forest_dc_presentation,
     fr_presentation,
+    generator_name,
     literal_pairwise_commutator_checks,
     literal_partial_conjugation_count,
     normal_form,
@@ -293,8 +294,8 @@ def test_fr_presentation_requires_two_factors():
 )
 def test_fr_relations_pass_oracle(n, factors):
     pres = fr_presentation(n, factors)
-    report = verify_relations(pres, factors)
-    assert report.all_passed, report.failures()[:3]
+    failures = [c for c in verify_relations(pres, factors) if not c.passed]
+    assert not failures, failures[:3]
 
 
 @pytest.mark.parametrize(
@@ -309,8 +310,8 @@ def test_dc_relations_pass_oracle(n, factors):
     pres = forest_dc_presentation(n, factors)
     kinds = {r.kind for r in pres.relations}
     assert kinds == {"mult", "commute", "diagonal"} or n == 2
-    report = verify_relations(pres, factors)
-    assert report.all_passed, report.failures()[:3]
+    failures = [c for c in verify_relations(pres, factors) if not c.passed]
+    assert not failures, failures[:3]
 
 
 def test_dc_presentation_on_mixed_blocks():
@@ -485,8 +486,7 @@ def test_letter_images_match_probe_words_on_corrupted_relations():
         for rels in (pres.relations, relations):
             steps = sum(1 for rel in rels for _ in partial_conjugations(groups, rel))
             assert steps == conjugation_count(groups, rels)
-        report = verify_relations(Presentation((), relations), groups)
-        for check in report.checks:
+        for check in verify_relations(Presentation((), relations), groups):
             witness = first_moved_probe_word(groups, oracle_automorphism(groups, check.relation))
             assert (check.passed, check.witness) == (witness is None, witness), check.relation
             failing += witness is not None
@@ -511,7 +511,7 @@ def test_conjugating_words_match_letter_images(factors, failing):
     groups = [group_from_descriptor(name) for name in factors.split(",")]
     n = len(groups)
     relations = fr_presentation(n, groups).relations + forest_dc_presentation(n, groups).relations
-    checks = verify_relations(Presentation((), relations), groups).checks + literal_pairwise_commutator_checks(groups)
+    checks = verify_relations(Presentation((), relations), groups) + literal_pairwise_commutator_checks(groups)
     for check in checks:
         witness = relation_automorphism(groups, check.relation).moved_letter()
         assert (check.passed, check.witness) == (witness is None, witness), check.relation
@@ -558,9 +558,9 @@ def test_literal_commutator_witnesses_match_probe_words():
 
 def test_verify_report_shape():
     pres = fr_presentation(2, [Z2, Z2])
-    report = verify_relations(pres, [Z2, Z2])
-    assert report.all_passed
-    assert len(report.checks) == len(pres.relations)
+    checks = verify_relations(pres, [Z2, Z2])
+    assert type(checks) is tuple and all(c.passed for c in checks)
+    assert [c.relation for c in checks] == list(pres.relations)
 
 
 def test_probe_words_cover_lengths():
@@ -585,6 +585,32 @@ def test_export_gap_golden():
 
 def test_presentation_json():
     pres = fr_presentation(2, [Z2, Z2])
-    data = pres.to_json()
+    data = json.loads("".join(pres.json_pieces()))
     assert data["generators"] == ["c1_2_g1", "c2_1_g1"]
     assert all(set(rel) == {"kind", "word", "source"} for rel in data["relations"])
+
+
+@pytest.mark.parametrize(
+    "build, factors",
+    [
+        (fr_presentation, "Z/1,Z/1"),
+        (fr_presentation, "Z/1,Z/2"),
+        (fr_presentation, "S3,Z/2,Z/3"),
+        (fr_presentation, "S3,Z/1,Z/2,V4"),
+        (forest_dc_presentation, "Q8,Z/2,S3"),
+    ],
+)
+def test_json_pieces_are_the_held_document(build, factors):
+    # the document as one dict, every letter named through generator_name, dumped with sorted keys
+    groups = [group_from_descriptor(name) for name in factors.split(",")]
+    pres = build(len(groups), groups)
+    held = {
+        "generators": [generator_name(g) for g in pres.generators],
+        "relations": [
+            {"kind": rel.kind, "source": rel.source, "word": [generator_name(letter) for letter in rel.word]}
+            for rel in pres.relations
+        ],
+    }
+    pieces = list(pres.json_pieces())
+    assert "".join(pieces) == json.dumps(held, sort_keys=True, separators=(",", ":"))
+    assert len(pieces) == len(pres.relations) + 2
