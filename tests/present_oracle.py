@@ -10,11 +10,17 @@ they were read off gamma's masks: gamma spelt out as frozensets and
 partial partitions, a respelling pass from X_n indices to (i, j) pairs,
 and the two-edge forest posets spelt through ``gamma_of`` and
 ``blocks_as_pairs``.
+
+The exponent-sum abelianisation ties a presentation to homology: it is
+H_1 of the presented group, which degree 1 of the homology series must
+equal.
 """
 
+import collections
 import itertools
 
 from diagcx.forests import blocks_as_pairs, build_gamma_Fn, x_n_pairs
+from diagcx.homology import smith_normal_form
 from diagcx.present import (
     Presentation,
     Relation,
@@ -163,3 +169,17 @@ def two_edge_posets(n):
     complex_ = build_gamma_Fn(n)
     two_edge = [u for u, blocks in complex_.gamma.items() if len(blocks) == 2]
     return sorted(blocks_as_pairs(complex_.gamma_of(u).blocks, n) for u in two_edge)
+
+
+def abelianisation(presentation):
+    """H_1 of the presented group as (free rank, invariant factors above 1).
+
+    H_1 is the cokernel of the exponent-sum matrix: one row per relation,
+    one column per generator.  Every letter is a generator, an inverse being
+    the letter of the inverse element, so a relator's row counts its
+    letters.  The invariant factors are ``homology.smith_normal_form``'s.
+    """
+    column = {generator: k for k, generator in enumerate(presentation.generators)}
+    rows = [collections.Counter(column[letter] for letter in rel.word) for rel in presentation.relations]
+    factors = smith_normal_form(rows)
+    return len(column) - len(factors), [d for d in factors if d > 1]

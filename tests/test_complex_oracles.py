@@ -4,11 +4,15 @@ The oracles below are the earlier implementations: the axiom-3 scan over
 ``itertools.combinations`` that rebuilds each face, the all-pairs
 properness test through maximal proper subsimplices, and the all-pairs
 meet closure with a union-find meet.  They are slow but plain, and the
-kernels must agree with them, witness strings included.
+kernels must agree with them, witness strings included.  The Möbius sum
+over the category objects checks the objects and their order against
+the simplex count, through no code of the closure.
 """
 
+import collections
 import itertools
 import json
+import pathlib
 import random
 import time
 
@@ -21,8 +25,11 @@ from diagcx import complexes
 from diagcx.bipartite import enumerate_bipartite_forests, partial_partition_of
 from diagcx.complexes import AxiomCheck, DiagonalComplex, _meet_closure, _simplex_key
 from diagcx.forests import build_gamma_Fn
-from diagcx.partitions import EMPTY_MEET, PartialPartition, block_classes, to_mask
+from diagcx.partitions import EMPTY_MEET, PartialPartition, block_classes, is_partial_coarsening, to_mask
 from diagcx.partitions import meet as partitions_meet
+from diagcx.series import hilbert_polynomial
+
+GOLDEN_INPUTS = pathlib.Path(__file__).with_name("golden") / "inputs"
 
 
 def oracle_validate(complex_):
@@ -331,6 +338,53 @@ def test_example_t_objects_match_the_all_pairs_closure(example_t):
     assert set(complex_.category_objects()) == oracle_closure(complex_.partitions().values())
 
 
+def mobius_sum(complex_):
+    """Σ_P −μ(P, 1̂) ∏_{blocks B of P} (1 + x_label(B)), and μ(⊥, 1̂).
+
+    P runs over the category objects and ⊥, the empty partition, ordered
+    by partial coarsening with a top 1̂ adjoined.  The image of a meet is
+    the intersection of the images, so inclusion-exclusion over this
+    lattice counts the simplices by block-label monomial: the sum is
+    1 + H(x), H the Hilbert polynomial (Rota 1964; Stanley, *Enumerative
+    Combinatorics* 1, §3.7).  A monomial is the sorted tuple of its labels,
+    with repeats.
+    """
+    bottom = PartialPartition(complex_.ground_size, ())
+    # Q > P has a larger support, or the same support in more blocks, so every Q > P comes before P
+    objects = [bottom, *complex_.category_objects()]
+    objects.sort(key=lambda p: (len(p.support), len(p.blocks)), reverse=True)
+    mu, total = {}, collections.Counter()
+    for p in objects:
+        mu[p] = -1 - sum(m for q, m in mu.items() if is_partial_coarsening(p, q))  # μ(1̂, 1̂) = 1
+        labels = [complex_.labels[block[0]] for block in p.blocks]
+        for r in range(len(labels) + 1):
+            for chosen in itertools.combinations(labels, r):
+                total[tuple(sorted(chosen))] -= mu[p]
+    return {monomial: c for monomial, c in total.items() if c}, mu[bottom]
+
+
+def one_plus_hilbert(complex_):
+    """1 + H(x), each monomial spelt as in :func:`mobius_sum`."""
+    h = hilbert_polynomial(complex_)
+    terms = {(): 1}
+    for exponents, c in h.terms:
+        terms[tuple(v for v, e in zip(h.variables, exponents) for _ in range(e))] = c
+    return terms
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_mobius_sum_over_the_objects_of_gamma_fn_is_one_plus_the_hilbert_polynomial(n):
+    # at x = -1 only ⊥ is left: -μ(⊥, 1̂) = 1 + H(-1), and H(-1) = (1 - n)^(n - 1) - 1 from the word count
+    complex_ = build_gamma_Fn(n)
+    assert mobius_sum(complex_) == (one_plus_hilbert(complex_), -((1 - n) ** (n - 1)))
+
+
+def test_mobius_sum_over_example_t_and_a_permuted_complex_file(example_t):
+    permuted = DiagonalComplex.from_json((GOLDEN_INPUTS / "f4-permuted.json").read_text(encoding="utf-8"))
+    for complex_ in (example_t, permuted):
+        assert mobius_sum(complex_)[0] == one_plus_hilbert(complex_)
+
+
 def _labels_constant_on_blocks(complex_, objects):
     return all(len({complex_.labels[x] for x in block}) == 1 for part in objects for block in part.blocks)
 
@@ -452,6 +506,7 @@ def test_mask_kernels_match_the_oracles_on_flag_complexes(complex_):
         objects = labelled.category_objects()
         assert set(objects) == oracle_closure(complex_.partitions().values())
         assert _labels_constant_on_blocks(labelled, objects)
+        assert mobius_sum(labelled)[0] == one_plus_hilbert(labelled)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -1,3 +1,5 @@
+import collections
+import functools
 import hashlib
 import itertools
 import json
@@ -7,6 +9,7 @@ import re
 import pytest
 
 from diagcx.groups import FiniteGroup, group_from_descriptor
+from diagcx.homology import smith_normal_form
 from diagcx.present import (
     Presentation,
     Relation,
@@ -22,7 +25,16 @@ from diagcx.present import (
     probe_words,
     verify_relations,
 )
-from present_oracle import Automorphism, relation_automorphism, respelt, spelt_out_dc_presentation, two_edge_posets
+from diagcx.series import AbelianGroup, cyclic_classifying_series, free_product_series
+from present_oracle import (
+    Automorphism,
+    abelianisation,
+    relation_automorphism,
+    respelt,
+    spelt_out_dc_presentation,
+    two_edge_posets,
+)
+from series_oracle import direct_sum, scale_group
 
 Z2 = FiniteGroup.cyclic(2)
 Z3 = FiniteGroup.cyclic(3)
@@ -614,3 +626,54 @@ def test_json_pieces_are_the_held_document(build, factors):
     pieces = list(pres.json_pieces())
     assert "".join(pieces) == json.dumps(held, sort_keys=True, separators=(",", ":"))
     assert len(pieces) == len(pres.relations) + 2
+
+
+# -- abelianisation against the homology series --------------------------------
+
+
+def _as_group(free_rank, factors):
+    """The AbelianGroup with this free rank and these invariant factors."""
+    return functools.reduce(direct_sum, map(AbelianGroup.of_order, factors), AbelianGroup.free(free_rank))
+
+
+def _table_abelianisation(group):
+    """H_1 of a finite group from its multiplication table: generators x_g, relations x_g + x_h = x_gh."""
+    column = {g: k for k, g in enumerate(group.nonidentity())}
+    rows = []
+    for g, h in itertools.product(column, repeat=2):
+        row, gh = collections.Counter([column[g], column[h]]), group.mul(g, h)
+        if gh:
+            row[column[gh]] -= 1
+        rows.append(row)
+    factors = smith_normal_form(rows)
+    return _as_group(len(column) - len(factors), [d for d in factors if d > 1])
+
+
+@pytest.mark.parametrize(
+    "factors, expected",
+    [
+        ("Z/2,Z/3", (0, [6])),
+        ("Z/4,Z/2,Z/6", (0, [2, 2, 2, 2, 12, 12])),
+        ("Z/2,Z/2,Z/2,Z/2", (0, [2] * 12)),
+        ("S3,Z/2,Z/3", (0, [2, 2, 6, 6])),
+        ("Q8,S3,D4", (0, [2] * 10)),
+        ("S3,Q8,Z/4,V4", (0, [2] * 15 + [4] * 3)),
+    ],
+)
+def test_both_presentations_abelianise_to_n_minus_1_copies_of_the_factors_h1(factors, expected):
+    groups = [group_from_descriptor(name) for name in factors.split(",")]
+    n = len(groups)
+    assert abelianisation(fr_presentation(n, groups)) == expected
+    assert abelianisation(forest_dc_presentation(n, groups)) == expected
+    factors_h1 = functools.reduce(direct_sum, map(_table_abelianisation, groups))
+    assert _as_group(*expected) == scale_group(factors_h1, n - 1)
+
+
+@pytest.mark.parametrize("orders", [(2, 3), (4, 2, 6), (2, 2, 2, 2), (3, 4, 5, 9)])
+def test_abelianisation_is_degree_1_of_series_fr_for_cyclic_factors(orders):
+    # series fr: the free product's series to the power n - 1
+    groups = [FiniteGroup.cyclic(m) for m in orders]
+    n = len(groups)
+    degree_1 = free_product_series([cyclic_classifying_series(m, 2) for m in orders]).pow(n - 1).coeffs[1]
+    assert _as_group(*abelianisation(fr_presentation(n, groups))) == degree_1
+    assert _as_group(*abelianisation(forest_dc_presentation(n, groups))) == degree_1
