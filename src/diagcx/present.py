@@ -128,7 +128,8 @@ class Presentation(collections.namedtuple("Presentation", "generators relations"
 
         Each letter is named and quoted once, and each distinct kind and source quoted once.
         """
-        quoted, quote = {g: json.dumps(generator_name(g)) for g in self.generators}, functools.cache(json.dumps)
+        quoted = {g: json.dumps(generator_name(g)) for g in self.generators}
+        quote = functools.cache(json.dumps)
         yield '{"generators":[' + ",".join(quoted.values()) + '],"relations":['
         for k, rel in enumerate(self.relations):
             word = ",".join([quoted[letter] for letter in rel.word])
